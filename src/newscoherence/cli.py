@@ -6,14 +6,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import coherence as coh
 from . import corpus as corpus_mod
 from . import entitylink, esa, stats
 from .corpus import CorpusError, LabeledCorpus, Label
-from .embeddings import EmbeddingError, EmbeddingTable, load_vectors_text
+from .embeddings import EmbeddingError, load_vectors_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -172,6 +172,10 @@ def _load_corpus(config: RunConfig, label: str) -> LabeledCorpus:
         c = corpus_mod.load_csv(path, label, config.csv_text_column, title_col)
     else:
         c = corpus_mod.load_jsonl(path)
+    for d in c.documents:
+        if d.label != label:
+            raise CorpusError(f"{path}: document {d.id!r} is labelled {d.label!r}, "
+                              f"but this is the {label} file")
     corpus_mod.segment_corpus(c, include_title=config.include_title)
     return c
 
@@ -202,8 +206,11 @@ def _load_kb(path: str | Path) -> list[tuple[str, str]]:
 
 
 def _esa_index(config: RunConfig) -> esa.EsaIndex:
+    """Load the configured index file, else build one from the knowledge base."""
     if config.esa_index_path and Path(config.esa_index_path).is_file():
         return esa.load_index(config.esa_index_path)
+    if not config.esa_kb_path:
+        raise esa.EsaError(f"ESA index not found: {config.esa_index_path}")
     stop = esa.DEFAULT_STOPWORDS if config.esa_stopwords else None
     return esa.build_esa_index(
         _load_kb(config.esa_kb_path),
@@ -213,122 +220,110 @@ def _esa_index(config: RunConfig) -> esa.EsaIndex:
     )
 
 
-class _Resources:
-    def __init__(self, config: RunConfig):
-        methods = config.method_list()
-        self.embedding_table = (
-            load_vectors_text(config.embeddings_path) if "embedding" in methods else None
-        )
-        self.esa_index = _esa_index(config) if "esa" in methods else None
-        self.entity_table = (
-            load_vectors_text(config.entity_vectors_path) if "entity" in methods else None
-        )
-        self.gazetteer = None
-        if self.entity_table is not None:
-            self.gazetteer = entitylink.build_gazetteer(self.entity_table)
-            if config.alias_path:
-                entitylink.load_aliases(config.alias_path, self.entity_table, self.gazetteer)
+PerMethod = dict[str, tuple[list[coh.CoherenceScore], dict[str, str]]]
 
 
-def _write(out_dir: Path, name: str, text: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(text, encoding="utf-8")
-    return path
+def run(config: RunConfig, score: bool) -> tuple[dict[str, LabeledCorpus], PerMethod]:
+    """The pipeline behind every data command: validate, load resources, load
+    and segment both corpora, link, and with `score` score every method, each once.
 
-
-def _write_resolved_config(config: RunConfig, out_dir: Path) -> None:
-    _write(out_dir, "resolved_config.txt", "\n".join(resolved_config_lines(config)) + "\n")
-
-
-def _fmt_opt(value, fmt: str = "{:.2f}") -> str:
-    return fmt.format(value) if value is not None else "-"
-
-
-def cmd_stats(config: RunConfig) -> int:
-    validate(config, need_corpora=True, need_methods=False)
-    out_dir = Path(config.out_dir)
-    corpora = {lab: _load_corpus(config, lab) for lab in (Label.FAKE, Label.LEGITIMATE)}
-    if config.entity_vectors_path:
-        table = load_vectors_text(config.entity_vectors_path)
-        gaz = entitylink.build_gazetteer(table)
+    Linking runs for the entity method when scoring, else whenever an entity
+    table is configured. Returns the corpora by label and, per method, the
+    scores sorted by doc id with a doc id -> label map read from the documents.
+    """
+    validate(config, need_corpora=True, need_methods=score)
+    methods = config.method_list() if score else []
+    link = "entity" in methods if score else bool(config.entity_vectors_path)
+    embedding_table = load_vectors_text(config.embeddings_path) if "embedding" in methods else None
+    esa_index = _esa_index(config) if "esa" in methods else None
+    entity_table = load_vectors_text(config.entity_vectors_path) if link else None
+    if link:
+        gazetteer = entitylink.build_gazetteer(entity_table)
         if config.alias_path:
-            entitylink.load_aliases(config.alias_path, table, gaz)
-        for c in corpora.values():
-            entitylink.link_corpus(c, gaz)
+            entitylink.load_aliases(config.alias_path, entity_table, gazetteer)
 
-    sample = config.sd_convention == "sample"
-    rows = []
-    for label, c in corpora.items():
-        for _, entry in corpus_mod.corpus_stats(c, sample_sd=sample).items():
-            rows.append((label, entry))
+    corpora = {lab: _load_corpus(config, lab) for lab in (Label.FAKE, Label.LEGITIMATE)}
+    labels: dict[str, str] = {}
+    for c in corpora.values():
+        for d in c.documents:
+            if d.id in labels:
+                raise CorpusError(f"{c.source}: document id {d.id!r} is also in "
+                                  f"{corpora[Label.FAKE].source}")
+            labels[d.id] = d.label
+        if link:
+            entitylink.link_corpus(c, gazetteer)
 
+    both = LabeledCorpus(documents=[d for c in corpora.values() for d in c.documents])
+    per_method: PerMethod = {}
+    for method in methods:
+        scores = coh.score_corpus(
+            both,
+            method,
+            embedding_table=embedding_table,
+            esa_index=esa_index,
+            entity_table=entity_table,
+            unique_tokens=config.unique_tokens,
+            entity_multiset=config.entity_multiset,
+            workers=config.workers,
+        )
+        per_method[method] = (scores, labels)
+    return corpora, per_method
+
+
+def _write(out_dir: Path, name: str, text: str) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / name).write_text(text, encoding="utf-8")
+
+
+def _stats_table(
+    config: RunConfig, corpora: dict[str, LabeledCorpus], mark: str
+) -> tuple[list[str], list[str]]:
+    """Dataset statistics as CSV and markdown lines; `mark` prefixes two md headers."""
     csv_lines = ["label,articles,sentences_mean,sentences_sd,entities_mean,entities_sd"]
     md_lines = [
-        "| Category | #Articles | #Sentences/Article Mean (SD) | #Entities/Article Mean (SD) |",
+        f"| Category | #Articles | {mark}Sentences/Article Mean (SD) "
+        f"| {mark}Entities/Article Mean (SD) |",
         "|---|---|---|---|",
     ]
-    for label, e in rows:
-        csv_lines.append(
-            f"{label},{e['article_count']},{e['sentences_mean']:.2f},{e['sentences_sd']:.2f},"
-            f"{_fmt_opt(e['entities_mean'])},{_fmt_opt(e['entities_sd'])}"
-        )
-        md_lines.append(
-            f"| {label} | {e['article_count']} | {e['sentences_mean']:.2f} "
-            f"({e['sentences_sd']:.2f}) | {_fmt_opt(e['entities_mean'])} "
-            f"({_fmt_opt(e['entities_sd'])}) |"
-        )
+    sample = config.sd_convention == "sample"
+    for c in corpora.values():
+        for label, e in corpus_mod.corpus_stats(c, sample_sd=sample).items():
+            # Entity columns read "-" when the corpus was not linked.
+            ent_mean, ent_sd = ("-" if e[k] is None else f"{e[k]:.2f}"
+                                for k in ("entities_mean", "entities_sd"))
+            csv_lines.append(
+                f"{label},{e['article_count']},{e['sentences_mean']:.2f},"
+                f"{e['sentences_sd']:.2f},{ent_mean},{ent_sd}"
+            )
+            md_lines.append(
+                f"| {label} | {e['article_count']} | {e['sentences_mean']:.2f} "
+                f"({e['sentences_sd']:.2f}) | {ent_mean} ({ent_sd}) |"
+            )
+    return csv_lines, md_lines
+
+
+def cmd_stats(config: RunConfig) -> None:
+    corpora, _ = run(config, score=False)
+    out_dir = Path(config.out_dir)
+    csv_lines, md_lines = _stats_table(config, corpora, mark="#")
     _write(out_dir, "dataset_stats.csv", "\n".join(csv_lines) + "\n")
     _write(out_dir, "dataset_stats.md", "\n".join(md_lines) + "\n")
-    _write_resolved_config(config, out_dir)
     print("\n".join(md_lines))
-    return EXIT_OK
 
 
-def _score_all(
-    config: RunConfig, corpora: dict[str, LabeledCorpus], res: _Resources
-) -> dict[str, tuple[list, dict[str, str]]]:
-    if res.gazetteer is not None:
-        for c in corpora.values():
-            entitylink.link_corpus(c, res.gazetteer)
-    labels = {d.id: lab for lab, c in corpora.items() for d in c.documents}
-    results = {}
-    for method in config.method_list():
-        scores = []
-        for c in corpora.values():
-            scores.extend(
-                coh.score_corpus(
-                    c,
-                    method,
-                    embedding_table=res.embedding_table,
-                    esa_index=res.esa_index,
-                    entity_table=res.entity_table,
-                    unique_tokens=config.unique_tokens,
-                    entity_multiset=config.entity_multiset,
-                    workers=config.workers,
-                )
-            )
-        scores.sort(key=lambda s: s.doc_id)
-        results[method] = (scores, labels)
-    return results
-
-
-def cmd_score(config: RunConfig) -> int:
-    validate(config, need_corpora=True, need_methods=True)
-    res = _Resources(config)
-    corpora = {lab: _load_corpus(config, lab) for lab in (Label.FAKE, Label.LEGITIMATE)}
+def cmd_score(config: RunConfig) -> None:
+    _, per_method = run(config, score=True)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for method, (scores, labels) in _score_all(config, corpora, res).items():
+    for method, (scores, labels) in per_method.items():
         path = out_dir / f"scores_{method}.csv"
         coh.write_scores_csv(scores, labels, path)
         undefined = sum(1 for s in scores if not s.ok)
         print(f"{method}: {len(scores)} documents scored, {undefined} undefined -> {path}")
-    _write_resolved_config(config, out_dir)
-    return EXIT_OK
 
 
-def _summary_lines(summaries: dict[str, stats.ComparisonSummary]) -> tuple[str, str]:
+def _write_summary(config: RunConfig, per_method: PerMethod) -> str:
+    """Compare fake with legitimate per method; write summary.csv/.md, return the md."""
     csv_lines = [
         "method,fake_n,fake_mean,fake_sd,legit_n,legit_mean,legit_sd,"
         "difference_pct,t,dof,p_value,log10_p,excluded_fake,excluded_legit"
@@ -337,7 +332,13 @@ def _summary_lines(summaries: dict[str, stats.ComparisonSummary]) -> tuple[str, 
         "| Method | Fake Mean (SD) | Legitimate Mean (SD) | Difference in % | p-value |",
         "|---|---|---|---|---|",
     ]
-    for method, s in summaries.items():
+    for method, (scores, labels) in per_method.items():
+        fake = [s for s in scores if labels.get(s.doc_id) == Label.FAKE]
+        legit = [s for s in scores if labels.get(s.doc_id) == Label.LEGITIMATE]
+        if not fake or not legit:
+            raise stats.StatsError("comparison requires scores for both labels")
+        s = stats.compare(fake, legit, sample_sd=config.sd_convention == "sample",
+                          pooled=config.t_test == "pooled")
         csv_lines.append(
             f"{method},{s.fake.n},{s.fake.mean:.6f},{s.fake.sd:.6f},"
             f"{s.legitimate.n},{s.legitimate.mean:.6f},{s.legitimate.sd:.6f},"
@@ -349,160 +350,87 @@ def _summary_lines(summaries: dict[str, stats.ComparisonSummary]) -> tuple[str, 
             f"| {s.legitimate.mean:.6f} ({s.legitimate.sd:.6f}) "
             f"| {s.percent_difference:.2f}% | {s.p_value:.6E} |"
         )
-    return "\n".join(csv_lines) + "\n", "\n".join(md_lines) + "\n"
-
-
-def _compare_scores(config: RunConfig, scores, labels) -> stats.ComparisonSummary:
-    fake = [s for s in scores if labels.get(s.doc_id) == Label.FAKE]
-    legit = [s for s in scores if labels.get(s.doc_id) == Label.LEGITIMATE]
-    if not fake or not legit:
-        raise stats.StatsError("comparison requires scores for both labels")
-    return stats.compare(
-        fake,
-        legit,
-        sample_sd=config.sd_convention == "sample",
-        pooled=config.t_test == "pooled",
-    )
-
-
-def _scores_per_method(config: RunConfig, score_files: list[str] | None):
     out_dir = Path(config.out_dir)
-    if score_files:
-        per_method = {}
-        for sf in score_files:
-            scores, labels = coh.read_scores_csv(sf)
-            if not scores:
-                raise stats.StatsError(f"{sf}: no scores")
-            per_method[scores[0].method] = (scores, labels)
-        return per_method
-    validate(config, need_corpora=True, need_methods=True)
-    res = _Resources(config)
-    corpora = {lab: _load_corpus(config, lab) for lab in (Label.FAKE, Label.LEGITIMATE)}
-    return _score_all(config, corpora, res)
+    _write(out_dir, "summary.csv", "\n".join(csv_lines) + "\n")
+    _write(out_dir, "summary.md", "\n".join(md_lines) + "\n")
+    return "\n".join(md_lines) + "\n"
 
 
-def cmd_compare(config: RunConfig, score_files: list[str] | None = None) -> int:
-    per_method = _scores_per_method(config, score_files)
-    summaries = {
-        m: _compare_scores(config, scores, labels)
-        for m, (scores, labels) in per_method.items()
-    }
-    csv_text, md_text = _summary_lines(summaries)
-    out_dir = Path(config.out_dir)
-    _write(out_dir, "summary.csv", csv_text)
-    _write(out_dir, "summary.md", md_text)
-    _write_resolved_config(config, out_dir)
-    print(md_text, end="")
-    return EXIT_OK
-
-
-def _hist_tsv(config: RunConfig, hist: stats.Histogram) -> str:
-    lines = [
-        f"# range [{hist.lower}, {hist.upper}], {hist.bucket_count} buckets, edge clamping",
-        "bucket_low\tbucket_high\tfake_pct\tlegit_pct",
-    ]
-    fake = hist.percentages.get(Label.FAKE)
-    legit = hist.percentages.get(Label.LEGITIMATE)
-    for i in range(hist.bucket_count):
-        f_pct = f"{fake[i]:.4f}" if fake else ""
-        l_pct = f"{legit[i]:.4f}" if legit else ""
-        lines.append(f"{hist.edges[i]:.6f}\t{hist.edges[i + 1]:.6f}\t{f_pct}\t{l_pct}")
-    return "\n".join(lines) + "\n"
-
-
-def cmd_hist(config: RunConfig, score_files: list[str] | None = None) -> int:
-    per_method = _scores_per_method(config, score_files)
-    out_dir = Path(config.out_dir)
+def _write_hists(config: RunConfig, per_method: PerMethod) -> dict[str, str]:
+    """Histogram of the ok scores by label per method; write hist_<method>.tsv, return the TSVs."""
+    tsvs = {}
     for method, (scores, labels) in per_method.items():
-        by_label = {}
+        by_label: dict[str, list[float]] = {}
         for s in scores:
             if s.ok:
                 by_label.setdefault(labels.get(s.doc_id, ""), []).append(s.value)
-        missing = [lab for lab in (Label.FAKE, Label.LEGITIMATE) if not by_label.get(lab)]
-        for lab in missing:
-            print(f"warning: no {lab} scores for method {method}, column omitted",
-                  file=sys.stderr)
+        for lab in (Label.FAKE, Label.LEGITIMATE):
+            if not by_label.get(lab):
+                print(f"warning: no {lab} scores for method {method}, column omitted",
+                      file=sys.stderr)
         hist = stats.build_histogram(
             by_label, config.hist_lower, config.hist_upper, config.hist_buckets
         )
-        path = _write(out_dir, f"hist_{method}.tsv", _hist_tsv(config, hist))
-        print(f"{method}: histogram -> {path}")
-    _write_resolved_config(config, out_dir)
-    return EXIT_OK
+        lines = [
+            f"# range [{hist.lower}, {hist.upper}], {hist.bucket_count} buckets, edge clamping",
+            "bucket_low\tbucket_high\tfake_pct\tlegit_pct",
+        ]
+        fake = hist.percentages.get(Label.FAKE)
+        legit = hist.percentages.get(Label.LEGITIMATE)
+        for i in range(hist.bucket_count):
+            f_pct = f"{fake[i]:.4f}" if fake else ""
+            l_pct = f"{legit[i]:.4f}" if legit else ""
+            lines.append(f"{hist.edges[i]:.6f}\t{hist.edges[i + 1]:.6f}\t{f_pct}\t{l_pct}")
+        tsvs[method] = "\n".join(lines) + "\n"
+        _write(Path(config.out_dir), f"hist_{method}.tsv", tsvs[method])
+    return tsvs
 
 
-def cmd_build_esa_index(config: RunConfig, out_path: str) -> int:
+def _scores_per_method(config: RunConfig, score_files: list[str] | None) -> PerMethod:
+    if not score_files:
+        return run(config, score=True)[1]
+    per_method = {}
+    for sf in score_files:
+        scores, labels = coh.read_scores_csv(sf)
+        if not scores:
+            raise stats.StatsError(f"{sf}: no scores")
+        per_method[scores[0].method] = (scores, labels)
+    return per_method
+
+
+def cmd_compare(config: RunConfig, score_files: list[str] | None = None) -> None:
+    print(_write_summary(config, _scores_per_method(config, score_files)), end="")
+
+
+def cmd_hist(config: RunConfig, score_files: list[str] | None = None) -> None:
+    out_dir = Path(config.out_dir)
+    for method in _write_hists(config, _scores_per_method(config, score_files)):
+        print(f"{method}: histogram -> {out_dir / f'hist_{method}.tsv'}")
+
+
+def cmd_build_esa_index(config: RunConfig, out_path: str) -> None:
     if not config.esa_kb_path:
         raise ConfigError("field 'esa_kb_path': required for build-esa-index")
-    stop = esa.DEFAULT_STOPWORDS if config.esa_stopwords else None
-    index = esa.build_esa_index(
-        _load_kb(config.esa_kb_path),
-        weighting=config.esa_weighting,
-        stopwords=stop,
-        min_weight=config.esa_min_weight,
-    )
+    index = _esa_index(replace(config, esa_index_path=""))
     esa.save_index(index, out_path)
     print(f"ESA index: {index.doc_count} concepts, {len(index.inverted)} tokens -> {out_path}")
-    return EXIT_OK
 
 
-def cmd_report(config: RunConfig) -> int:
-    validate(config, need_corpora=True, need_methods=True)
-    res = _Resources(config)
-    corpora = {lab: _load_corpus(config, lab) for lab in (Label.FAKE, Label.LEGITIMATE)}
+def cmd_report(config: RunConfig) -> None:
+    corpora, per_method = run(config, score=True)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if res.gazetteer is not None:
-        for c in corpora.values():
-            entitylink.link_corpus(c, res.gazetteer)
-
-    sample = config.sd_convention == "sample"
-    stat_rows = []
-    for label, c in corpora.items():
-        for _, entry in corpus_mod.corpus_stats(c, sample_sd=sample).items():
-            stat_rows.append((label, entry))
-
-    per_method = _score_all(config, corpora, res)
-    summaries = {}
-    hist_blocks = {}
+    _, stats_md = _stats_table(config, corpora, mark="")
     for method, (scores, labels) in per_method.items():
         coh.write_scores_csv(scores, labels, out_dir / f"scores_{method}.csv")
-        summaries[method] = _compare_scores(config, scores, labels)
-        by_label = {}
-        for s in scores:
-            if s.ok:
-                by_label.setdefault(labels.get(s.doc_id, ""), []).append(s.value)
-        hist = stats.build_histogram(
-            by_label, config.hist_lower, config.hist_upper, config.hist_buckets
-        )
-        tsv = _hist_tsv(config, hist)
-        _write(out_dir, f"hist_{method}.tsv", tsv)
-        hist_blocks[method] = tsv
-
-    csv_text, md_text = _summary_lines(summaries)
-    _write(out_dir, "summary.csv", csv_text)
-    _write(out_dir, "summary.md", md_text)
-
-    report = ["# Coherence Report", "", "## Dataset statistics", ""]
-    report.append("| Category | #Articles | Sentences/Article Mean (SD) | Entities/Article Mean (SD) |")
-    report.append("|---|---|---|---|")
-    for label, e in stat_rows:
-        report.append(
-            f"| {label} | {e['article_count']} | {e['sentences_mean']:.2f} "
-            f"({e['sentences_sd']:.2f}) | {_fmt_opt(e['entities_mean'])} "
-            f"({_fmt_opt(e['entities_sd'])}) |"
-        )
+    md_text = _write_summary(config, per_method)
+    report = ["# Coherence Report", "", "## Dataset statistics", "", *stats_md]
     report += ["", "## Coherence comparison", "", md_text.rstrip(), ""]
-    for method, tsv in hist_blocks.items():
+    for method, tsv in _write_hists(config, per_method).items():
         report += [f"## Histogram ({method})", "", "```", tsv.rstrip(), "```", ""]
-    report += ["## Resolved configuration", "", "```"]
-    report += resolved_config_lines(config)
-    report += ["```", ""]
+    report += ["## Resolved configuration", "", "```", *resolved_config_lines(config), "```", ""]
     _write(out_dir, "report.md", "\n".join(report))
-    _write_resolved_config(config, out_dir)
     print(f"report -> {out_dir / 'report.md'}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -547,19 +475,23 @@ def main(argv: list[str] | None = None) -> int:
                 setattr(config, f.name, _coerce(f.name, str(raw)))
         validate(config, need_corpora=False, need_methods=False)
 
-        if args.command == "stats":
-            return cmd_stats(config)
-        if args.command == "score":
-            return cmd_score(config)
-        if args.command == "compare":
-            return cmd_compare(config, args.score_files or None)
-        if args.command == "hist":
-            return cmd_hist(config, args.score_files or None)
         if args.command == "build-esa-index":
-            return cmd_build_esa_index(config, args.out)
-        if args.command == "report":
-            return cmd_report(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+            cmd_build_esa_index(config, args.out)
+            return EXIT_OK
+        if args.command == "stats":
+            cmd_stats(config)
+        elif args.command == "score":
+            cmd_score(config)
+        elif args.command == "compare":
+            cmd_compare(config, args.score_files or None)
+        elif args.command == "hist":
+            cmd_hist(config, args.score_files or None)
+        else:
+            cmd_report(config)
+        # Every data command leaves its resolved configuration next to its outputs.
+        _write(Path(config.out_dir), "resolved_config.txt",
+               "\n".join(resolved_config_lines(config)) + "\n")
+        return EXIT_OK
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE

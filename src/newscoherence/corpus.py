@@ -5,10 +5,11 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .stats import mean_sd
 
 logger = logging.getLogger(__name__)
 
@@ -199,7 +200,7 @@ _JSONL_LABELS = {"fake": Label.FAKE, "legitimate": Label.LEGITIMATE}
 
 
 def load_jsonl(path: str | Path) -> LabeledCorpus:
-    """Load a JSONL corpus: one object per line with id, label, text, optional title."""
+    """Load a JSONL corpus: one object per line with string id, label, text, optional title."""
     p = _read_text_file(path)
     docs: list[Document] = []
     seen_ids: set[str] = set()
@@ -213,12 +214,20 @@ def load_jsonl(path: str | Path) -> LabeledCorpus:
                     obj = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise CorpusError(f"{p} line {lineno}: malformed JSON: {e}") from e
+                if not isinstance(obj, dict):
+                    raise CorpusError(f"{p} line {lineno}: expected a JSON object")
                 try:
                     doc_id = obj["id"]
                     raw_label = obj["label"]
                     text = obj["text"]
                 except KeyError as e:
                     raise CorpusError(f"{p} line {lineno}: missing field {e}") from e
+                title = obj.get("title")
+                for name, value in (("id", doc_id), ("label", raw_label), ("text", text),
+                                    ("title", "" if title is None else title)):
+                    if not isinstance(value, str):
+                        raise CorpusError(f"{p} line {lineno}: field {name!r} must be a string, "
+                                          f"not {type(value).__name__}")
                 if raw_label not in _JSONL_LABELS:
                     raise CorpusError(f"{p} line {lineno}: unknown label {raw_label!r}")
                 if doc_id in seen_ids:
@@ -232,7 +241,7 @@ def load_jsonl(path: str | Path) -> LabeledCorpus:
                         id=doc_id,
                         label=_JSONL_LABELS[raw_label],
                         text=text,
-                        title=obj.get("title"),
+                        title=title,
                     )
                 )
     except UnicodeDecodeError as e:
@@ -251,16 +260,6 @@ def write_jsonl(corpus: LabeledCorpus, path: str | Path) -> None:
             f.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def _mean_sd(values: list[float], sample: bool) -> tuple[float, float]:
-    n = len(values)
-    mean = sum(values) / n
-    if n == 1:
-        return mean, 0.0
-    ss = sum((v - mean) ** 2 for v in values)
-    sd = math.sqrt(ss / (n - 1 if sample else n))
-    return mean, sd
-
-
 def corpus_stats(corpus: LabeledCorpus, sample_sd: bool = False) -> dict[str, dict]:
     """Per-label article counts plus sentences/entities per article mean and SD.
 
@@ -277,7 +276,7 @@ def corpus_stats(corpus: LabeledCorpus, sample_sd: bool = False) -> dict[str, di
         if any(d.sentences is None for d in docs):
             raise CorpusError("corpus_stats requires segmentation to have run")
         sent_counts = [float(len(d.sentences)) for d in docs]
-        smean, ssd = _mean_sd(sent_counts, sample_sd)
+        smean, ssd = mean_sd(sent_counts, sample_sd)
         entry = {
             "article_count": len(docs),
             "sentences_mean": smean,
@@ -289,7 +288,7 @@ def corpus_stats(corpus: LabeledCorpus, sample_sd: bool = False) -> dict[str, di
             ent_counts = [
                 float(len({m.entity_id for m in d.entity_mentions})) for d in docs
             ]
-            emean, esd = _mean_sd(ent_counts, sample_sd)
+            emean, esd = mean_sd(ent_counts, sample_sd)
             entry["entities_mean"] = emean
             entry["entities_sd"] = esd
         stats[label] = entry

@@ -153,26 +153,32 @@ def load_index(path: str | Path) -> EsaIndex:
         header = f.readline().rstrip("\n").split("\t")
         if len(header) != 3 or header[0] != "ESA1":
             raise EsaError(f"{p}: not an ESA index file")
-        doc_count = int(header[1])
+        try:
+            doc_count = int(header[1])
+        except ValueError as e:
+            raise EsaError(f"{p} line 1: bad concept count: {e}") from e
         weighting = header[2]
         concepts: list[str] = []
         inverted: dict[str, dict[int, float]] = {}
         df: dict[str, int] = {}
         for lineno, line in enumerate(f, start=2):
             parts = line.rstrip("\n").split("\t")
-            if parts[0] == "C":
-                concepts.append(parts[1])
-            elif parts[0] == "T":
-                token, token_df, cells = parts[1], int(parts[2]), parts[3]
-                row: dict[int, float] = {}
-                if cells:
-                    for cell in cells.split(" "):
-                        cid, w = cell.split(":")
-                        row[int(cid)] = float(w)
-                inverted[token] = row
-                df[token] = token_df
-            else:
-                raise EsaError(f"{p} line {lineno}: unknown record type {parts[0]!r}")
+            try:
+                if parts[0] == "C":
+                    concepts.append(parts[1])
+                elif parts[0] == "T":
+                    token, token_df, cells = parts[1], int(parts[2]), parts[3]
+                    row: dict[int, float] = {}
+                    if cells:
+                        for cell in cells.split(" "):
+                            cid, w = cell.split(":")
+                            row[int(cid)] = float(w)
+                    inverted[token] = row
+                    df[token] = token_df
+                else:
+                    raise EsaError(f"{p} line {lineno}: unknown record type {parts[0]!r}")
+            except (IndexError, ValueError) as e:
+                raise EsaError(f"{p} line {lineno}: malformed {parts[0]!r} record: {e}") from e
     return EsaIndex(
         concepts=concepts, inverted=inverted, doc_count=doc_count, df=df, weighting=weighting
     )

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from scipy import stats as sps
 
-from .coherence import CoherenceScore
+if TYPE_CHECKING:  # coherence imports corpus, which imports mean_sd from here
+    from .coherence import CoherenceScore
 
 __all__ = [
     "StatsError",

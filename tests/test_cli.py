@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from newscoherence.cli import (
     EXIT_DATA,
@@ -76,6 +79,10 @@ def workspace(tmp_path):
     _write_vectors(tmp_path / "entities.txt", ENTITY_VECTORS)
     (tmp_path / "kb.jsonl").write_text(
         "\n".join(json.dumps(d) for d in KB_DOCS) + "\n"
+    )
+    # Not in run.conf: tests that want aliases pass --alias-path.
+    (tmp_path / "aliases.tsv").write_text(
+        "Recipe\tKitchen_Stadium\nHouses of Parliament\tParliament\n"
     )
     (tmp_path / "run.conf").write_text(
         "\n".join(
@@ -264,7 +271,68 @@ class TestHistCommand:
         assert first.startswith("#") and "buckets" in first
 
 
+def _write_jsonl(path, records):
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+
+
+class TestInputsHonoured:
+    @pytest.mark.parametrize("command", ["stats", "score", "report"])
+    def test_label_other_than_file_role_rejected(self, workspace, capsys, command):
+        stray = {"id": "x1", "label": "legitimate", "text": "Treasury budget. Parliament vote."}
+        _write_jsonl(workspace / "fake.jsonl", FAKE_DOCS + [stray])
+        rc = main([command, "--config", str(workspace / "run.conf")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "fake.jsonl" in err and "'x1'" in err
+
+    def test_id_in_both_files_rejected(self, workspace, capsys):
+        twin = {"id": "l1", "label": "fake", "text": "Treasury budget. Parliament vote."}
+        _write_jsonl(workspace / "fake.jsonl", FAKE_DOCS + [twin])
+        rc = main(["compare", "--config", str(workspace / "run.conf")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "'l1'" in err and "fake.jsonl" in err and "legit.jsonl" in err
+        assert not (workspace / "out" / "summary.csv").exists()
+
+
+_ANY = st.one_of(st.text(max_size=20), st.integers(), st.none(),
+                 st.lists(st.integers(), max_size=2))
+_PROSE = st.lists(st.sampled_from([*WORD_VECTORS, "Parliament", "Treasury", "."]),
+                  max_size=12).map(" ".join)
+
+
+def _records(label):
+    """JSONL rows for one file: well-formed ones, or ones with any field missing or of any type."""
+    valid = st.fixed_dictionaries({"id": st.text(max_size=8), "label": st.just(label),
+                                   "text": _PROSE}, optional={"title": st.text(max_size=8)})
+    wild = st.fixed_dictionaries({}, optional={
+        "id": _ANY, "label": st.one_of(st.sampled_from(["fake", "legitimate"]), _ANY),
+        "text": st.one_of(_PROSE, _ANY), "title": _ANY})
+    return st.lists(st.one_of(valid, valid, valid, wild), max_size=3)
+
+
+class TestRandomJsonl:
+    @given(fake=_records("fake"), legit=_records("legitimate"))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_report_exits_ok_or_data_error(self, workspace, fake, legit):
+        _write_jsonl(workspace / "fake.jsonl", FAKE_DOCS + fake)
+        _write_jsonl(workspace / "legit.jsonl", LEGIT_DOCS + legit)
+        rc = main(["report", "--config", str(workspace / "run.conf"), "--methods", "embedding"])
+        assert rc in (EXIT_OK, EXIT_DATA)
+
+
 class TestBuildEsaIndex:
+    def test_missing_index_without_kb_exits_2(self, workspace, monkeypatch, capsys):
+        # A *.txt file in the working directory must not be taken for a KB.
+        monkeypatch.chdir(workspace)
+        (workspace / "Stray.txt").write_text("policy vote budget")
+        rc = main(["score", "--config", str(workspace / "run.conf"), "--methods", "esa",
+                   "--esa-kb-path", "", "--esa-index-path", str(workspace / "missing.esa")])
+        assert rc == EXIT_DATA
+        assert "missing.esa" in capsys.readouterr().err
+        assert not (workspace / "out" / "scores_esa.csv").exists()
+
     def test_build_and_reuse(self, workspace):
         index_path = workspace / "kb.esa"
         rc = main(["build-esa-index", "--config", str(workspace / "run.conf"),
@@ -306,3 +374,150 @@ class TestReport:
         main(["report", "--config", str(workspace / "run.conf"), "--workers", "3"])
         second = _snapshot(workspace / "out")
         assert first == second
+
+
+# One run per subcommand shape. "{ws}" is the workspace; "{out}" the run's out_dir.
+GOLDEN_RUNS = {
+    "stats": ["stats", "--alias-path", "{ws}/aliases.tsv"],
+    "stats-no-entities": ["stats", "--entity-vectors-path", ""],
+    "score": ["score", "--alias-path", "{ws}/aliases.tsv"],
+    "compare": ["compare"],
+    "compare-files": ["compare", "{ws}/scores/scores_embedding.csv",
+                      "{ws}/scores/scores_entity.csv"],
+    "hist": ["hist", "--hist-buckets", "5"],
+    "hist-files": ["hist", "{ws}/scores/scores_esa.csv", "{ws}/scores/scores_entity.csv"],
+    "build-esa-index": ["build-esa-index", "--out", "{out}/kb.esa"],
+    "report": ["report", "--alias-path", "{ws}/aliases.tsv"],
+}
+
+# SHA-256 of each output file and of stdout, with the workspace path replaced
+# by "<ws>". A refactor keeps these; a change here is a change to what the
+# program writes and needs its own reason.
+GOLDEN_SHA256 = {
+    "build-esa-index": {
+        "kb.esa":
+            "bc7646bebf499b2a8501e3e72953d3f53424cc289309013d43122347e9574e6a",
+        "<stdout>":
+            "de0a03dc903780b50f7b65111c30cdca3e6845fbab22d729cb633bd06fabd808",
+    },
+    "compare": {
+        "resolved_config.txt":
+            "2bee495941ba23983e2b1789dd9e3ef29e7f70e8d8301b459f16c1776a92099a",
+        "summary.csv":
+            "c3a561da8809676a0d34a4d612552d33f1d2622b0f8e20fdb7dd6865fc359748",
+        "summary.md":
+            "afa11101568fe704cc70caf4f08075870e1bc4f275c05ed73f027e5c961a5aa1",
+        "<stdout>":
+            "afa11101568fe704cc70caf4f08075870e1bc4f275c05ed73f027e5c961a5aa1",
+    },
+    "compare-files": {
+        "resolved_config.txt":
+            "2bee495941ba23983e2b1789dd9e3ef29e7f70e8d8301b459f16c1776a92099a",
+        "summary.csv":
+            "c0427d499275fee557f7c2d7ece6eae9b5d93763f2807744fbff9dceebb5020c",
+        "summary.md":
+            "eb8f3b2b95213d1f3353b6ed1f3442bf641a90f88656c1193d473a8aef2f3ecb",
+        "<stdout>":
+            "eb8f3b2b95213d1f3353b6ed1f3442bf641a90f88656c1193d473a8aef2f3ecb",
+    },
+    "hist": {
+        "hist_embedding.tsv":
+            "c263fc34c0445e4ae64450357d3f8576efbe0ee597e13fb7207f88d6b6d24119",
+        "hist_entity.tsv":
+            "f0f971fd175e3c47bb22ce7720156699e098cc567af77e31f632caec1e4f4678",
+        "hist_esa.tsv":
+            "a065454a36f5bc0d0a8802d9cbc5a6463baf78bab0e789da264660f941587f6a",
+        "resolved_config.txt":
+            "bb30ee62a5f1c2cecfecb8944231faccc60078cf0f74d5459800990101cf0285",
+        "<stdout>":
+            "d72601f965fa4d9f0ab28dfacedb63ada96ed9424bb0d7803515249f7ce19589",
+    },
+    "hist-files": {
+        "hist_entity.tsv":
+            "1b2519db42692f51e5fadefe45a7ec12b765bb98e904b3b390546ae07b1adb90",
+        "hist_esa.tsv":
+            "74df3944bd9c4c91465c757d05e00f019f2bed5b609f1040a53faf0fd3075932",
+        "resolved_config.txt":
+            "2bee495941ba23983e2b1789dd9e3ef29e7f70e8d8301b459f16c1776a92099a",
+        "<stdout>":
+            "9364ab8b8b1ec610d1236e1b2a4a2cd2a3b8b904ce5900168205b0cd26d8eced",
+    },
+    "report": {
+        "hist_embedding.tsv":
+            "167d7656ac307552814cad9b4ca2355c5668e0bf9bc928ec568cab2c115410ac",
+        "hist_entity.tsv":
+            "1b2519db42692f51e5fadefe45a7ec12b765bb98e904b3b390546ae07b1adb90",
+        "hist_esa.tsv":
+            "74df3944bd9c4c91465c757d05e00f019f2bed5b609f1040a53faf0fd3075932",
+        "report.md":
+            "593082cb8c705a4cb68ab3309b250dc0cafe0ceba402e368c07dfb48fd558127",
+        "resolved_config.txt":
+            "bb7f35a7b580aacbc7092b8f1bb4cfe9f2855ee250bb9e45398e1d3d894bdbbb",
+        "scores_embedding.csv":
+            "a10c4950d800330afe915fa88c4d0621565d2d76df162b00221ff2268ab138ca",
+        "scores_entity.csv":
+            "1a3b15eb200f20221c92ac03d3a89b2fc12ad37972e58b2b4a187b46ee949b36",
+        "scores_esa.csv":
+            "6e5f6858281ee509ba67427f197b8e1ea5dc5579265accaaf9d065091f7021af",
+        "summary.csv":
+            "c3a561da8809676a0d34a4d612552d33f1d2622b0f8e20fdb7dd6865fc359748",
+        "summary.md":
+            "afa11101568fe704cc70caf4f08075870e1bc4f275c05ed73f027e5c961a5aa1",
+        "<stdout>":
+            "b6eea0c5592a030704218ffe9f09daa69ad66bbc01095c135148de2ca5417dba",
+    },
+    "score": {
+        "resolved_config.txt":
+            "bb7f35a7b580aacbc7092b8f1bb4cfe9f2855ee250bb9e45398e1d3d894bdbbb",
+        "scores_embedding.csv":
+            "a10c4950d800330afe915fa88c4d0621565d2d76df162b00221ff2268ab138ca",
+        "scores_entity.csv":
+            "1a3b15eb200f20221c92ac03d3a89b2fc12ad37972e58b2b4a187b46ee949b36",
+        "scores_esa.csv":
+            "6e5f6858281ee509ba67427f197b8e1ea5dc5579265accaaf9d065091f7021af",
+        "<stdout>":
+            "cc5b4e423c6378ff4cfe283b22ba6bd18fff4fd36e5bcff5599d03e6d544b230",
+    },
+    "stats": {
+        "dataset_stats.csv":
+            "4b5c3dc5209a276d89a65a7fafbe7165fa9470f0730582ec4ed553910ed95235",
+        "dataset_stats.md":
+            "4cd7e15970cf059dbc5f3fc828e995e92d748af0665b055fe6588eacb9934ed1",
+        "resolved_config.txt":
+            "bb7f35a7b580aacbc7092b8f1bb4cfe9f2855ee250bb9e45398e1d3d894bdbbb",
+        "<stdout>":
+            "4cd7e15970cf059dbc5f3fc828e995e92d748af0665b055fe6588eacb9934ed1",
+    },
+    "stats-no-entities": {
+        "dataset_stats.csv":
+            "057376dfa3629fd403328609a6278b236f938b07a94389a743ce7f7f1c9a658b",
+        "dataset_stats.md":
+            "d0a8f40201aec7bca8ebd588b50320415b26dc28bd89fd1afca3ded3cec39c71",
+        "resolved_config.txt":
+            "4ac5a2dadd26e3811e55dbfa8696017da09e623074f957e14678e27f89bbc61c",
+        "<stdout>":
+            "d0a8f40201aec7bca8ebd588b50320415b26dc28bd89fd1afca3ded3cec39c71",
+    },
+}
+
+
+def _sha(data: bytes, workspace) -> str:
+    return hashlib.sha256(data.replace(str(workspace).encode(), b"<ws>")).hexdigest()
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
+    def test_outputs_unchanged(self, workspace, capsys, case):
+        ws, out = str(workspace), str(workspace / "out")
+        if case.endswith("-files"):
+            assert main(["score", "--config", str(workspace / "run.conf"),
+                         "--out-dir", str(workspace / "scores")]) == EXIT_OK
+        capsys.readouterr()
+        (workspace / "out").mkdir()
+        args = [a.format(ws=ws, out=out) for a in GOLDEN_RUNS[case]]
+        rc = main(args[:1] + ["--config", str(workspace / "run.conf")] + args[1:])
+        assert rc == EXIT_OK
+        got = {p.name: _sha(p.read_bytes(), workspace)
+               for p in sorted((workspace / "out").iterdir())}
+        got["<stdout>"] = _sha(capsys.readouterr().out.encode(), workspace)
+        assert got == GOLDEN_SHA256[case]

@@ -160,6 +160,25 @@ class TestJsonl:
         with pytest.raises(CorpusError, match="line 2"):
             load_jsonl(p)
 
+    @pytest.mark.parametrize("record, field", [
+        ({"id": 7, "label": "fake", "text": "x."}, "'id'"),
+        ({"id": "a", "label": ["fake"], "text": "x."}, "'label'"),
+        ({"id": "a", "label": "fake", "text": None}, "'text'"),
+        ({"id": "a", "label": "fake", "text": "x.", "title": 3}, "'title'"),
+        (["a", "fake", "x."], "JSON object"),
+    ])
+    def test_wrong_field_type_names_line(self, tmp_path, record, field):
+        p = tmp_path / "c.jsonl"
+        p.write_text(json.dumps({"id": "b", "label": "fake", "text": "y."}) + "\n"
+                     + json.dumps(record) + "\n")
+        with pytest.raises(CorpusError, match=f"line 2: .*{field}"):
+            load_jsonl(p)
+
+    def test_null_title_allowed(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text(json.dumps({"id": "a", "label": "fake", "text": "x.", "title": None}) + "\n")
+        assert load_jsonl(p).documents[0].title is None
+
     def test_round_trip(self, tmp_path):
         docs = [
             Document(id="a", label=Label.FAKE, text="One. Two.", title="T"),

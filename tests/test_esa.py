@@ -156,3 +156,16 @@ class TestInvariants:
         assert loaded.df == index.df
         for token, row in index.inverted.items():
             assert loaded.inverted[token] == pytest.approx(row)
+
+
+class TestLoadIndexErrors:
+    @pytest.mark.parametrize("text, line", [
+        ("ESA1\tx\ttfidf\n", "line 1"),
+        ("ESA1\t1\ttf\nC\tA\nT\tx\n", "line 3"),
+        ("ESA1\t1\ttf\nC\tA\nT\tx\t1\t0:zz\n", "line 3"),
+    ], ids=["count-not-integer", "t-row-missing-fields", "bad-cell"])
+    def test_malformed_index_names_line(self, tmp_path, text, line):
+        p = tmp_path / "bad.esa"
+        p.write_text(text)
+        with pytest.raises(EsaError, match=f"bad.esa {line}"):
+            load_index(p)
