@@ -186,21 +186,30 @@ def _load_kb(path: str | Path) -> list[tuple[str, str]]:
     if p.is_dir():
         docs = []
         for child in sorted(p.glob("*.txt")):
-            docs.append((child.stem, child.read_text(encoding="utf-8")))
+            try:
+                docs.append((child.stem, child.read_text(encoding="utf-8")))
+            except UnicodeDecodeError as e:
+                raise CorpusError(f"{child}: invalid UTF-8 input: {e}") from e
         if not docs:
             raise CorpusError(f"{p}: no .txt knowledge-base articles found")
         return docs
     if p.is_file():
         docs = []
-        with open(p, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
+        with open(p, "rb") as f:
+            for lineno, raw in enumerate(f, start=1):
+                if not raw.strip():
                     continue
+                where = f"{p} line {lineno}"
                 try:
-                    obj = json.loads(line)
-                    docs.append((obj["title"], obj["text"]))
-                except (json.JSONDecodeError, KeyError) as e:
-                    raise CorpusError(f"{p} line {lineno}: bad KB record: {e}") from e
+                    obj = json.loads(raw.decode("utf-8"))  # UnicodeDecodeError is a ValueError
+                    record = (obj["title"], obj["text"]) if isinstance(obj, dict) else None
+                except (ValueError, KeyError) as e:
+                    raise CorpusError(f"{where}: bad KB record: {e}") from e
+                if record is None:
+                    raise CorpusError(f"{where}: bad KB record: expected a JSON object")
+                for name, value in zip(("title", "text"), record):
+                    corpus_mod.require_string(value, name, where)
+                docs.append(record)
         return docs
     raise CorpusError(f"knowledge base not found: {p}")
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from . import embeddings as emb
 from . import esa as esa_mod
@@ -89,28 +90,44 @@ def sentence_rep_esa(
     return rep or None
 
 
-def _sim(u, v) -> float:
-    if isinstance(u, dict):
-        return esa_mod.cosine_sparse(u, v)
-    return emb.cosine(u, v)
+def _score(doc_id: str, method: str, rows) -> CoherenceScore:
+    """Mean pairwise cosine of the nonzero rows of a dense or CSR matrix.
+
+    With u_i the K unit rows and S their sum, |S|^2 = sum_i |u_i|^2 + sum_{i != j} u_i.u_j,
+    so the mean over the K(K-1) ordered pairs is (|S|^2 - sum_i |u_i|^2) / (K(K-1)),
+    in O(K d). Undefined when fewer than two rows are nonzero.
+    """
+    if sparse.issparse(rows):
+        sq = np.bincount(np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr)),
+                         weights=rows.data**2, minlength=rows.shape[0])
+    else:
+        sq = np.einsum("ij,ij->i", rows, rows)
+    keep = sq > 0.0
+    k = int(np.count_nonzero(keep))
+    if k < 2:
+        return _undefined(doc_id, method, element_count=k)
+    scale = 1.0 / np.sqrt(sq[keep])
+    unit = rows[keep]  # a copy, scaled in place
+    if sparse.issparse(unit):
+        unit.data *= np.repeat(scale, np.diff(unit.indptr))
+        values = unit.data
+        cols = unit.indices
+        if unit.shape[1] > len(cols):  # wider than its nonzeros: sum the columns that occur
+            cols = np.unique(cols, return_inverse=True)[1]
+        total = np.bincount(cols, weights=values)
+    else:
+        unit *= scale[:, None]
+        values = unit.ravel()
+        total = unit.sum(axis=0)
+    value = float(total @ total - values @ values) / (k * (k - 1))
+    return CoherenceScore(doc_id=doc_id, method=method, value=value, element_count=k,
+                          pair_count=k * (k - 1) // 2, status="ok")
 
 
-def _mean_pairwise(reps: list) -> tuple[float, int]:
-    """Mean cosine over all unordered pairs (equals the ordered i != j mean)."""
-    k = len(reps)
-    total = 0.0
-    pairs = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            total += _sim(reps[i], reps[j])
-            pairs += 1
-    return total / pairs, pairs
-
-
-def _has_norm(rep) -> bool:
-    if isinstance(rep, dict):
-        return any(w != 0.0 for w in rep.values())
-    return bool(np.any(rep))
+def _sentences(doc: Document) -> list[Sentence]:
+    if doc.sentences is None:
+        raise CoherenceError(f"document {doc.id!r} has not been segmented")
+    return doc.sentences
 
 
 def coherence_sentences(doc: Document, rep) -> CoherenceScore:
@@ -118,29 +135,18 @@ def coherence_sentences(doc: Document, rep) -> CoherenceScore:
 
     Sentences with undefined or zero representations are dropped; fewer than
     two usable sentences makes the score undefined. `rep` maps a Sentence to a
-    dense array, a sparse dict, or None.
+    dense array (method "embedding"), a sparse dict (method "esa"), or None.
     """
+    reps = [r for r in (rep(s) for s in _sentences(doc)) if r is not None]
     method = "embedding"
-    if doc.sentences is None:
-        raise CoherenceError(f"document {doc.id!r} has not been segmented")
-    reps = []
-    for sentence in doc.sentences:
-        r = rep(sentence)
-        if r is not None and _has_norm(r):
-            reps.append(r)
-    if reps and isinstance(reps[0], dict):
+    if not reps:
+        rows = np.zeros((0, 0))
+    elif isinstance(reps[0], dict):
         method = "esa"
-    if len(reps) < 2:
-        return _undefined(doc.id, method, element_count=len(reps))
-    value, pairs = _mean_pairwise(reps)
-    return CoherenceScore(
-        doc_id=doc.id,
-        method=method,
-        value=value,
-        element_count=len(reps),
-        pair_count=pairs,
-        status="ok",
-    )
+        rows = esa_mod.sparse_rows(reps)
+    else:
+        rows = np.array(reps, dtype=np.float64)
+    return _score(doc.id, method, rows)
 
 
 def coherence_entities(
@@ -156,42 +162,9 @@ def coherence_entities(
         ids = [m.entity_id for m in doc.entity_mentions]
     else:
         ids = entity_set(doc.entity_mentions)
-    vectors = [v for v in (entity_table.lookup(i) for i in ids) if v is not None and np.any(v)]
-    if len(vectors) < 2:
-        return _undefined(doc.id, "entity", element_count=len(vectors))
-    value, pairs = _mean_pairwise(vectors)
-    return CoherenceScore(
-        doc_id=doc.id,
-        method="entity",
-        value=value,
-        element_count=len(vectors),
-        pair_count=pairs,
-        status="ok",
-    )
-
-
-def _score_one(
-    doc: Document,
-    method: str,
-    embedding_table: EmbeddingTable | None,
-    esa_index: EsaIndex | None,
-    entity_table: EmbeddingTable | None,
-    unique_tokens: bool,
-    entity_multiset: bool,
-) -> CoherenceScore:
-    if method == "embedding":
-        score = coherence_sentences(
-            doc, lambda s: sentence_rep_embedding(s, embedding_table, unique_tokens)
-        )
-    elif method == "esa":
-        score = coherence_sentences(
-            doc, lambda s: sentence_rep_esa(s, esa_index, unique_tokens)
-        )
-        score.method = "esa"
-    else:
-        score = coherence_entities(doc, entity_table, multiset=entity_multiset)
-    score.method = method
-    return score
+    vectors = [v for v in (entity_table.lookup(i) for i in ids) if v is not None]
+    rows = np.array(vectors, dtype=np.float64).reshape(len(vectors), entity_table.dim)
+    return _score(doc.id, "entity", rows)
 
 
 def score_corpus(
@@ -206,9 +179,8 @@ def score_corpus(
 ) -> list[CoherenceScore]:
     """One CoherenceScore per document, ordered by doc id.
 
-    Scoring is a pure function of (document, resources); with `workers` > 1
-    documents are scored in parallel and results re-sorted, so output is
-    identical to the serial run.
+    Scoring runs in the calling thread. `workers` is accepted so that existing
+    callers keep working; the output is the same for any value.
     """
     if method not in METHODS:
         raise CoherenceError(f"unknown method {method!r}")
@@ -225,14 +197,19 @@ def score_corpus(
             if doc.entity_mentions is None:
                 doc.entity_mentions = extract_entities(doc, gaz)
 
-    args = (embedding_table, esa_index, entity_table, unique_tokens, entity_multiset)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = list(pool.map(lambda d: _score_one(d, method, *args), corpus.documents))
-    else:
-        scores = [_score_one(doc, method, *args) for doc in corpus.documents]
+    scores = []
+    for doc in corpus.documents:
+        if method == "embedding":
+            score = coherence_sentences(
+                doc, lambda s: sentence_rep_embedding(s, embedding_table, unique_tokens)
+            )
+        elif method == "esa":
+            # Sums of token vectors have the direction of sentence_rep_esa's means.
+            tokens = [set(s.tokens) if unique_tokens else s.tokens for s in _sentences(doc)]
+            score = _score(doc.id, "esa", esa_mod.sentence_matrix(esa_index, tokens))
+        else:
+            score = coherence_entities(doc, entity_table, multiset=entity_multiset)
+        scores.append(score)
     return sorted(scores, key=lambda s: s.doc_id)
 
 

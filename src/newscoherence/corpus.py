@@ -25,6 +25,7 @@ __all__ = [
     "segment_corpus",
     "load_csv",
     "load_jsonl",
+    "require_string",
     "write_jsonl",
     "corpus_stats",
 ]
@@ -199,6 +200,20 @@ def load_csv(
 _JSONL_LABELS = {"fake": Label.FAKE, "legitimate": Label.LEGITIMATE}
 
 
+def require_string(value, name: str, where: str) -> None:
+    """Raise CorpusError unless a JSON field holds a string that UTF-8 can encode.
+
+    `json.loads` keeps a lone surrogate escape such as "\\ud800" as a character
+    that no output file could be written with.
+    """
+    if not isinstance(value, str):
+        raise CorpusError(f"{where}: field {name!r} must be a string, not {type(value).__name__}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise CorpusError(f"{where}: field {name!r} is not valid Unicode: {e}") from e
+
+
 def load_jsonl(path: str | Path) -> LabeledCorpus:
     """Load a JSONL corpus: one object per line with string id, label, text, optional title."""
     p = _read_text_file(path)
@@ -225,9 +240,7 @@ def load_jsonl(path: str | Path) -> LabeledCorpus:
                 title = obj.get("title")
                 for name, value in (("id", doc_id), ("label", raw_label), ("text", text),
                                     ("title", "" if title is None else title)):
-                    if not isinstance(value, str):
-                        raise CorpusError(f"{p} line {lineno}: field {name!r} must be a string, "
-                                          f"not {type(value).__name__}")
+                    require_string(value, name, f"{p} line {lineno}")
                 if raw_label not in _JSONL_LABELS:
                     raise CorpusError(f"{p} line {lineno}: unknown label {raw_label!r}")
                 if doc_id in seen_ids:

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
+from scipy import sparse
 
 from .corpus import tokenize
 
@@ -17,6 +21,8 @@ __all__ = [
     "DEFAULT_STOPWORDS",
     "build_esa_index",
     "esa_word_vector",
+    "sentence_matrix",
+    "sparse_rows",
     "mean_sparse",
     "cosine_sparse",
     "save_index",
@@ -46,10 +52,22 @@ class EsaIndex:
     doc_count: int
     df: dict[str, int]
     weighting: str = "tfidf"
+    _matrix: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.doc_count != len(self.concepts):
             raise EsaError("doc_count must equal the number of concepts")
+
+    def token_matrix(self) -> tuple[dict[str, int], sparse.csr_matrix]:
+        """Token -> row map and the tokens x concepts CSR matrix of `inverted`.
+
+        Built at first use and cached, so `inverted` must not change afterwards.
+        """
+        if self._matrix is None:
+            rows = {token: i for i, token in enumerate(self.inverted)}
+            matrix = sparse_rows(list(self.inverted.values()), self.doc_count)
+            self._matrix = (rows, matrix)
+        return self._matrix
 
 
 def build_esa_index(
@@ -111,6 +129,45 @@ def esa_word_vector(index: EsaIndex, token: str) -> SparseVector | None:
     return index.inverted.get(token)
 
 
+def sparse_rows(vectors: list[SparseVector], width: int | None = None) -> sparse.csr_matrix:
+    """Stack sparse vectors as the rows of a CSR matrix with `width` columns
+    (default: one past the largest concept id)."""
+    indptr = np.cumsum([0] + [len(v) for v in vectors])
+    indices = np.fromiter(chain.from_iterable(vectors), dtype=np.int64, count=indptr[-1])
+    data = np.fromiter(chain.from_iterable(v.values() for v in vectors), dtype=np.float64,
+                       count=indptr[-1])
+    if width is None:
+        width = int(indices.max()) + 1 if len(indices) else 0
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(vectors), width))
+
+
+def sentence_matrix(index: EsaIndex, token_lists: list[list[str]]) -> sparse.csr_matrix:
+    """One row per token list: the sum of its tokens' concept vectors.
+
+    The product of a (lists x tokens used) count matrix with those tokens'
+    rows of the index's token matrix; out-of-vocabulary tokens add nothing.
+    When the index has more concepts than these rows have nonzeros, the
+    columns are only the concepts the rows touch, in increasing id order, so
+    the cost follows the nonzeros, not the index size. A row is its list's
+    `mean_sparse` times the list's in-vocabulary length, so it has the same
+    direction.
+    """
+    rows, matrix = index.token_matrix()
+    cols = [[rows[t] for t in tokens if t in rows] for tokens in token_lists]
+    indptr = np.cumsum([0] + [len(c) for c in cols])
+    flat = np.fromiter(chain.from_iterable(cols), dtype=np.int64, count=indptr[-1])
+    used, local = np.unique(flat, return_inverse=True)
+    sub = matrix[used]
+    if sub.shape[1] > sub.nnz:
+        concepts, sub_cols = np.unique(sub.indices, return_inverse=True)
+        sub = sparse.csr_matrix((sub.data, sub_cols, sub.indptr),
+                                shape=(len(used), len(concepts)))
+    counts = sparse.csr_matrix((np.ones(indptr[-1]), local, indptr),
+                               shape=(len(token_lists), len(used)))
+    counts.sum_duplicates()  # sorted indices: the product's sums run in a fixed order
+    return counts @ sub
+
+
 def mean_sparse(vectors: list[SparseVector]) -> SparseVector:
     """Keywise sum divided by list length (multiset over token occurrences)."""
     if not vectors:
@@ -147,10 +204,20 @@ def save_index(index: EsaIndex, path: str | Path) -> None:
             f.write(f"T\t{token}\t{index.df[token]}\t{cells}\n")
 
 
+def _decoded_lines(f, p: Path):
+    """(line number, text without its line end) for each line of a binary file."""
+    for lineno, raw in enumerate(f, start=1):
+        try:
+            yield lineno, raw.decode("utf-8").rstrip("\r\n")
+        except UnicodeDecodeError as e:
+            raise EsaError(f"{p} line {lineno}: invalid UTF-8: {e}") from e
+
+
 def load_index(path: str | Path) -> EsaIndex:
     p = Path(path)
-    with open(p, encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split("\t")
+    with open(p, "rb") as f:
+        lines = _decoded_lines(f, p)
+        header = next(lines, (1, ""))[1].split("\t")
         if len(header) != 3 or header[0] != "ESA1":
             raise EsaError(f"{p}: not an ESA index file")
         try:
@@ -161,8 +228,8 @@ def load_index(path: str | Path) -> EsaIndex:
         concepts: list[str] = []
         inverted: dict[str, dict[int, float]] = {}
         df: dict[str, int] = {}
-        for lineno, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").split("\t")
+        for lineno, line in lines:
+            parts = line.split("\t")
             try:
                 if parts[0] == "C":
                     concepts.append(parts[1])
@@ -173,6 +240,11 @@ def load_index(path: str | Path) -> EsaIndex:
                         for cell in cells.split(" "):
                             cid, w = cell.split(":")
                             row[int(cid)] = float(w)
+                    if row and not (min(row) >= 0 and max(row) < doc_count):
+                        raise EsaError(f"{p} line {lineno}: concept id out of range "
+                                       f"0..{doc_count - 1}")
+                    if not all(map(math.isfinite, row.values())):
+                        raise EsaError(f"{p} line {lineno}: non-finite weight")
                     inverted[token] = row
                     df[token] = token_df
                 else:

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from scipy import special
 from scipy import stats as sps
 
 if TYPE_CHECKING:  # coherence imports corpus, which imports mean_sd from here
@@ -119,9 +120,42 @@ def welch_t_test(a: list[float], b: list[float], pooled: bool = False) -> TTestR
         dof = 1.0 / (r1**2 / (n1 - 1) + r2**2 / (n2 - 1))
     t = (m1 - m2) / se
 
-    log_p = math.log(2.0) + sps.t.logsf(abs(t), dof)
+    log_p = _log_p_two_tailed(t, dof)
     p = min(1.0, math.exp(log_p))
     return TTestResult(t=t, dof=dof, p_two_tailed=p, log10_p=log_p / math.log(10.0))
+
+
+def _log_p_two_tailed(t: float, dof: float) -> float:
+    """ln P(|T| >= |t|) for Student's t with `dof` degrees of freedom.
+
+    scipy's logsf takes the log of a tail probability that underflows below
+    ~1e-308. There the probability is computed in log space as the
+    regularised incomplete beta I_x(dof/2, 1/2) with x = dof/(dof + t^2):
+    x^a (1-x)^b / (a B(a, b)) times its continued fraction (modified Lentz),
+    which converges fast because x < (a+1)/(a+b+2) whenever t^2 > 3.
+    """
+    log_p = math.log(2.0) + sps.t.logsf(abs(t), dof)
+    if log_p > -math.inf or math.isinf(t):
+        return log_p
+    a, b = dof / 2.0, 0.5
+    log_1mx = -math.log1p(dof / t / t)  # ln(t^2 / (dof + t^2)), finite for any t
+    log_x = math.log(dof) - 2.0 * math.log(abs(t)) + log_1mx
+    x = math.exp(log_x)
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    frac = d
+    for m in range(1, 100_000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            frac *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            break
+    return a * log_x + b * log_1mx - math.log(a) - special.betaln(a, b) + math.log(frac)
 
 
 def percent_difference(mean_fake: float, mean_legit: float) -> float:

@@ -295,6 +295,49 @@ class TestInputsHonoured:
         assert not (workspace / "out" / "summary.csv").exists()
 
 
+class TestBadBytesExitTwo:
+    """Malformed bytes in a corpus, KB or index exit 2 naming the line, never 3."""
+
+    def _run(self, workspace, capsys, *extra):
+        rc = main(["report", "--config", str(workspace / "run.conf"), *extra])
+        return rc, capsys.readouterr().err
+
+    def test_index_with_non_utf8_byte(self, workspace, capsys):
+        (workspace / "bad.esa").write_bytes(b"ESA1\t1\ttf\nC\t\xff\xfe\n")
+        rc, err = self._run(workspace, capsys, "--methods", "esa",
+                            "--esa-index-path", str(workspace / "bad.esa"))
+        assert rc == EXIT_DATA
+        assert "bad.esa line 2" in err
+
+    def test_jsonl_id_with_lone_surrogate(self, workspace, capsys):
+        bad = {"id": "x\ud800", "label": "fake", "text": "Treasury budget. Parliament vote."}
+        _write_jsonl(workspace / "fake.jsonl", FAKE_DOCS + [bad])
+        rc, err = self._run(workspace, capsys, "--methods", "embedding")
+        assert rc == EXIT_DATA
+        assert "fake.jsonl line 4" in err and "'id'" in err
+        assert not (workspace / "out" / "scores_embedding.csv").exists()
+
+    @pytest.mark.parametrize("line", [
+        b'{"title": "A", "text": null}',
+        b'{"title": 7, "text": "policy vote"}',
+        b'["A", "policy vote"]',
+        b'{"title": "A", "text": "policy \xff vote"}',
+    ], ids=["null-text", "int-title", "not-an-object", "non-utf8"])
+    def test_kb_record_of_wrong_type(self, workspace, capsys, line):
+        (workspace / "kb.jsonl").write_bytes(line + b"\n")
+        rc, err = self._run(workspace, capsys, "--methods", "esa")
+        assert rc == EXIT_DATA
+        assert "kb.jsonl line 1" in err
+
+    def test_kb_directory_with_non_utf8_article(self, workspace, capsys):
+        (workspace / "kb").mkdir()
+        (workspace / "kb" / "Politics.txt").write_bytes(b"policy \xff vote")
+        rc, err = self._run(workspace, capsys, "--methods", "esa",
+                            "--esa-kb-path", str(workspace / "kb"))
+        assert rc == EXIT_DATA
+        assert "Politics.txt" in err
+
+
 _ANY = st.one_of(st.text(max_size=20), st.integers(), st.none(),
                  st.lists(st.integers(), max_size=2))
 _PROSE = st.lists(st.sampled_from([*WORD_VECTORS, "Parliament", "Treasury", "."]),

@@ -18,10 +18,10 @@ from newscoherence.coherence import (
 )
 from newscoherence.corpus import Document, LabeledCorpus, Label, Sentence, segment_corpus
 from newscoherence.entitylink import EntityMention
-from newscoherence.esa import build_esa_index
+from newscoherence.esa import build_esa_index, load_index, save_index
 
 from conftest import make_doc, make_table
-from oracle import mean_pairwise_ref, sentence_coherence_ref
+from oracle import densify, entity_coherence_ref, mean_pairwise_ref, sentence_coherence_ref
 
 EXPECTED_MIXED = (0.0 + math.sqrt(2) / 2 + math.sqrt(2) / 2) / 3  # 0.4714045...
 
@@ -305,3 +305,107 @@ class TestScoreCorpus:
                 assert score.status == "undefined"
             else:
                 assert score.value == pytest.approx(want, abs=1e-9)
+
+
+def _esa_oracle(token_lists, index, unique_tokens):
+    """Plain-Python ESA coherence: dense mean concept vector per sentence, then
+    the ordered-pair double loop; None when under two usable sentences remain."""
+    width = index.doc_count
+    reps = []
+    for tokens in token_lists:
+        tokens = sorted(set(tokens)) if unique_tokens else tokens
+        known = [densify(index.inverted[t], width) for t in tokens if t in index.inverted]
+        if not known:
+            continue
+        rep = [sum(v[c] for v in known) / len(known) for c in range(width)]
+        if all(x == 0.0 for x in rep):
+            continue
+        reps.append(rep)
+    return mean_pairwise_ref(reps) if len(reps) >= 2 else None
+
+
+class TestKernelMatchesOracle:
+    """score_corpus for "esa" and "entity" against the double-loop oracle."""
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("unique_tokens", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_esa(self, tmp_path, seed, unique_tokens, wide):
+        rng = random.Random(seed)
+        # A wide index has more concepts than a document's token rows have
+        # nonzeros, so the kernel keeps only the concepts that occur.
+        n_words, n_concepts = (400, 200) if wide else (12, rng.randint(2, 6))
+        vocab = [f"w{i}" for i in range(n_words)]
+        kb = [(f"C{c}", " ".join(rng.choice(vocab) for _ in range(rng.randint(3, 10))))
+              for c in range(n_concepts)]
+        path = tmp_path / "kb.esa"
+        save_index(build_esa_index(kb, weighting=rng.choice(["tf", "tfidf"])), path)
+        with open(path, "a", encoding="utf-8") as f:
+            f.write("T\tempty\t0\t\n")  # a known token with an empty row
+        index = load_index(path)
+        assert index.inverted["empty"] == {}
+        words = vocab + ["empty", "oov"]
+        docs, token_lists_by_id = [], {}
+        for d in range(8):
+            token_lists = [[rng.choice(words) for _ in range(rng.randint(1, 5))]
+                           for _ in range(rng.randint(1, 6))]
+            token_lists.append(["oov", "empty", "oov"])  # no concept weight at all
+            doc = Document(id=f"d{d}", label=Label.FAKE, text="")
+            doc.sentences = [Sentence(index=i, text=" ".join(ts), tokens=ts)
+                             for i, ts in enumerate(token_lists)]
+            token_lists_by_id[doc.id] = token_lists
+            docs.append(doc)
+        scores = score_corpus(LabeledCorpus(documents=docs), "esa", esa_index=index,
+                              unique_tokens=unique_tokens)
+        assert len(scores) == len(docs)
+        by_id = {d.id: d for d in docs}
+        for score in scores:
+            want = _esa_oracle(token_lists_by_id[score.doc_id], index, unique_tokens)
+            # The dict path: sentence_rep_esa means stacked as CSR rows.
+            via_dicts = coherence_sentences(
+                by_id[score.doc_id], lambda s: sentence_rep_esa(s, index, unique_tokens))
+            assert score.method == "esa"
+            # With no usable sentence there is no rep to tell the method by.
+            assert via_dicts.method == ("esa" if via_dicts.element_count else "embedding")
+            assert via_dicts.element_count == score.element_count
+            if want is None:
+                assert score.status == via_dicts.status == "undefined"
+            else:
+                assert score.value == pytest.approx(want, abs=1e-12)
+                assert via_dicts.value == pytest.approx(want, abs=1e-12)
+                k = score.element_count
+                assert score.pair_count == k * (k - 1) // 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_entity(self, seed):
+        rng = random.Random(seed)
+        vectors = {f"E{i}": [rng.uniform(-1, 1) for _ in range(4)] for i in range(8)}
+        vectors["Zero"] = [0.0] * 4
+        table = make_table(vectors)
+        nonzero = {e: v for e, v in vectors.items() if e != "Zero"}
+        docs, ids_by_doc = [], {}
+        for d in range(10):
+            ids = [rng.choice([*vectors, "Unknown"]) for _ in range(rng.randint(0, 7))]
+            doc = Document(id=f"d{d}", label=Label.FAKE, text="x.")
+            doc.sentences = []
+            doc.entity_mentions = [EntityMention(i, 0, 1, i) for i in ids]
+            ids_by_doc[doc.id] = ids
+            docs.append(doc)
+        for score in score_corpus(LabeledCorpus(documents=docs), "entity", entity_table=table):
+            want = entity_coherence_ref(ids_by_doc[score.doc_id], nonzero)
+            if want is None:
+                assert score.status == "undefined"
+            else:
+                assert score.value == pytest.approx(want, abs=1e-12)
+
+    def test_near_collinear_rows_keep_precision(self):
+        rng = random.Random(3)
+        base = [rng.uniform(0.5, 1.5) for _ in range(50)]
+        rows = [[x + 1e-5 * rng.uniform(-1, 1) for x in base] for _ in range(40)]
+        table = make_table({f"E{i}": r for i, r in enumerate(rows)})
+        doc = Document(id="d", label=Label.FAKE, text="x.")
+        doc.entity_mentions = [EntityMention(f"E{i}", 0, 1, f"E{i}") for i in range(40)]
+        score = coherence_entities(doc, table)
+        want = mean_pairwise_ref(rows)
+        assert 1e-11 < 1.0 - want < 1e-8
+        assert score.value == pytest.approx(want, abs=1e-12)

@@ -169,3 +169,25 @@ class TestLoadIndexErrors:
         p.write_text(text)
         with pytest.raises(EsaError, match=f"bad.esa {line}"):
             load_index(p)
+
+
+class TestLoadIndexBytes:
+    @pytest.mark.parametrize("data, line", [
+        (b"ESA1\t1\ttf\nC\t\xff\xfe\n", "line 2"),
+        (b"ESA1\t1\ttf\nC\tA\nT\tx\t1\t1:2.0\n", "line 3"),
+        (b"ESA1\t1\ttf\nC\tA\nT\tx\t1\t-1:2.0\n", "line 3"),
+        (b"ESA1\t1\ttf\nC\tA\nT\tx\t1\t0:nan\n", "line 3"),
+        (b"ESA1\t1\ttf\nC\tA\nT\tx\t1\t0:inf\n", "line 3"),
+    ], ids=["non-utf8", "concept-id-past-end", "negative-concept-id", "nan-weight",
+            "inf-weight"])
+    def test_malformed_bytes_name_line(self, tmp_path, data, line):
+        p = tmp_path / "bad.esa"
+        p.write_bytes(data)
+        with pytest.raises(EsaError, match=f"bad.esa {line}"):
+            load_index(p)
+
+    def test_crlf_line_ends_read_like_lf(self, tmp_path):
+        lf, crlf = tmp_path / "lf.esa", tmp_path / "crlf.esa"
+        save_index(build_esa_index([("Art One", "x x y"), ("Art Two", "y z w")]), lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_index(crlf) == load_index(lf)

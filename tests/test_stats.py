@@ -15,6 +15,7 @@ from newscoherence.stats import (
     percent_difference,
     welch_t_test,
 )
+from newscoherence.stats import _log_p_two_tailed
 
 
 def _score(value, ok=True, doc_id="d"):
@@ -110,6 +111,27 @@ class TestWelch:
         assert got.degenerate
         assert got.p_two_tailed == 0.0
         assert got.t == -math.inf
+
+    def test_log_p_past_float_underflow(self):
+        # mpmath, 50 digits: log10 I_x(256, 1/2) at x = 512 / (512 + 220^2).
+        assert _log_p_two_tailed(220.0, 512.0) / math.log(10) == pytest.approx(
+            -508.368, abs=0.01)
+        assert _log_p_two_tailed(-220.0, 512.0) == _log_p_two_tailed(220.0, 512.0)
+
+    def test_separated_samples_give_finite_log_p(self):
+        import mpmath
+
+        a = [1.0 + 0.001 * i for i in range(300)]
+        b = [0.001 * i for i in range(300)]
+        got = welch_t_test(a, b)
+        assert got.p_two_tailed == 0.0
+        with mpmath.workdps(50):
+            t, dof = mpmath.mpf(got.t), mpmath.mpf(got.dof)
+            p = mpmath.betainc(dof / 2, mpmath.mpf(1) / 2, 0, dof / (dof + t * t),
+                               regularized=True)
+            want = float(mpmath.log10(p))
+        assert want < -308
+        assert got.log10_p == pytest.approx(want, abs=0.01)
 
     def test_pooled_variant(self):
         a, b = [1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 3.0, 4.0, 5.0, 6.0]
