@@ -14,7 +14,9 @@ from newscoherence import (
     Label,
     LabeledCorpus,
     build_esa_index,
+    build_gazetteer,
     compare,
+    link_corpus,
     score_corpus,
     segment_corpus,
 )
@@ -67,6 +69,7 @@ def main():
 
     word_table = table(WORDS, "toy-words")
     entity_table = table(ENTITIES, "toy-entities")
+    link_corpus(corpus, build_gazetteer(entity_table))  # the entity method scores linked documents
     esa_index = build_esa_index(KB, weighting="tfidf")
 
     for method, kwargs in (

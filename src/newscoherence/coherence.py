@@ -7,13 +7,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from . import embeddings as emb
 from . import esa as esa_mod
 from .corpus import Document, LabeledCorpus, Sentence
 from .embeddings import EmbeddingTable
-from .entitylink import build_gazetteer, entity_set, extract_entities
+from .entitylink import entity_set
 from .esa import EsaIndex
 
 __all__ = [
@@ -91,15 +90,17 @@ def sentence_rep_esa(
 
 
 def _score(doc_id: str, method: str, rows) -> CoherenceScore:
-    """Mean pairwise cosine of the nonzero rows of a dense or CSR matrix.
+    """Mean pairwise cosine of the nonzero rows of a dense matrix or of CSR arrays.
 
     With u_i the K unit rows and S their sum, |S|^2 = sum_i |u_i|^2 + sum_{i != j} u_i.u_j,
     so the mean over the K(K-1) ordered pairs is (|S|^2 - sum_i |u_i|^2) / (K(K-1)),
     in O(K d). Undefined when fewer than two rows are nonzero.
     """
-    if sparse.issparse(rows):
-        sq = np.bincount(np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr)),
-                         weights=rows.data**2, minlength=rows.shape[0])
+    if isinstance(rows, tuple):
+        indptr, cols, values = rows
+        lengths = np.diff(indptr)
+        sq = np.bincount(np.repeat(np.arange(len(lengths)), lengths), weights=values**2,
+                         minlength=len(lengths))
     else:
         sq = np.einsum("ij,ij->i", rows, rows)
     keep = sq > 0.0
@@ -107,16 +108,15 @@ def _score(doc_id: str, method: str, rows) -> CoherenceScore:
     if k < 2:
         return _undefined(doc_id, method, element_count=k)
     scale = 1.0 / np.sqrt(sq[keep])
-    unit = rows[keep]  # a copy, scaled in place
-    if sparse.issparse(unit):
-        unit.data *= np.repeat(scale, np.diff(unit.indptr))
-        values = unit.data
-        cols = unit.indices
-        if unit.shape[1] > len(cols):  # wider than its nonzeros: sum the columns that occur
+    if isinstance(rows, tuple):
+        nonzero = np.repeat(keep, lengths)
+        values = values[nonzero] * np.repeat(scale, lengths[keep])
+        cols = cols[nonzero]
+        if cols.max() >= len(cols):  # wider than its nonzeros: sum the columns that occur
             cols = np.unique(cols, return_inverse=True)[1]
         total = np.bincount(cols, weights=values)
     else:
-        unit *= scale[:, None]
+        unit = rows[keep] * scale[:, None]
         values = unit.ravel()
         total = unit.sum(axis=0)
     value = float(total @ total - values @ values) / (k * (k - 1))
@@ -179,8 +179,10 @@ def score_corpus(
 ) -> list[CoherenceScore]:
     """One CoherenceScore per document, ordered by doc id.
 
-    Scoring runs in the calling thread. `workers` is accepted so that existing
-    callers keep working; the output is the same for any value.
+    Method "entity" needs documents linked by `entitylink.link_corpus`; an
+    unlinked one raises CoherenceError. Scoring runs in the calling thread.
+    `workers` is accepted so that existing callers keep working; the output is
+    the same for any value.
     """
     if method not in METHODS:
         raise CoherenceError(f"unknown method {method!r}")
@@ -190,12 +192,6 @@ def score_corpus(
         raise CoherenceError("method 'esa' requires an ESA index")
     if method == "entity" and entity_table is None:
         raise CoherenceError("method 'entity' requires an entity vector table")
-
-    if method == "entity" and any(d.entity_mentions is None for d in corpus.documents):
-        gaz = build_gazetteer(entity_table)
-        for doc in corpus.documents:
-            if doc.entity_mentions is None:
-                doc.entity_mentions = extract_entities(doc, gaz)
 
     scores = []
     for doc in corpus.documents:

@@ -9,7 +9,6 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import tokenize
 
@@ -31,6 +30,8 @@ __all__ = [
 
 # Sparse vectors are plain dicts: concept id -> nonnegative weight, zeros implicit.
 SparseVector = dict
+# Sparse matrices are CSR arrays (indptr, indices, data); row i is slice indptr[i]:indptr[i+1].
+Csr = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # Without stopword removal, raw-tf concept vectors are dominated by function
 # words and similarities saturate near 1.
@@ -58,14 +59,14 @@ class EsaIndex:
         if self.doc_count != len(self.concepts):
             raise EsaError("doc_count must equal the number of concepts")
 
-    def token_matrix(self) -> tuple[dict[str, int], sparse.csr_matrix]:
-        """Token -> row map and the tokens x concepts CSR matrix of `inverted`.
+    def token_matrix(self) -> tuple[dict[str, int], Csr]:
+        """Token -> row map and the tokens x concepts CSR arrays of `inverted`.
 
         Built at first use and cached, so `inverted` must not change afterwards.
         """
         if self._matrix is None:
             rows = {token: i for i, token in enumerate(self.inverted)}
-            matrix = sparse_rows(list(self.inverted.values()), self.doc_count)
+            matrix = sparse_rows(list(self.inverted.values()))
             self._matrix = (rows, matrix)
         return self._matrix
 
@@ -129,43 +130,33 @@ def esa_word_vector(index: EsaIndex, token: str) -> SparseVector | None:
     return index.inverted.get(token)
 
 
-def sparse_rows(vectors: list[SparseVector], width: int | None = None) -> sparse.csr_matrix:
-    """Stack sparse vectors as the rows of a CSR matrix with `width` columns
-    (default: one past the largest concept id)."""
+def sparse_rows(vectors: list[SparseVector]) -> Csr:
+    """Stack sparse vectors as the rows of CSR arrays; columns are concept ids."""
     indptr = np.cumsum([0] + [len(v) for v in vectors])
     indices = np.fromiter(chain.from_iterable(vectors), dtype=np.int64, count=indptr[-1])
     data = np.fromiter(chain.from_iterable(v.values() for v in vectors), dtype=np.float64,
                        count=indptr[-1])
-    if width is None:
-        width = int(indices.max()) + 1 if len(indices) else 0
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(vectors), width))
+    return indptr, indices, data
 
 
-def sentence_matrix(index: EsaIndex, token_lists: list[list[str]]) -> sparse.csr_matrix:
-    """One row per token list: the sum of its tokens' concept vectors.
-
-    The product of a (lists x tokens used) count matrix with those tokens'
-    rows of the index's token matrix; out-of-vocabulary tokens add nothing.
-    When the index has more concepts than these rows have nonzeros, the
-    columns are only the concepts the rows touch, in increasing id order, so
-    the cost follows the nonzeros, not the index size. A row is its list's
-    `mean_sparse` times the list's in-vocabulary length, so it has the same
-    direction.
-    """
-    rows, matrix = index.token_matrix()
-    cols = [[rows[t] for t in tokens if t in rows] for tokens in token_lists]
-    indptr = np.cumsum([0] + [len(c) for c in cols])
-    flat = np.fromiter(chain.from_iterable(cols), dtype=np.int64, count=indptr[-1])
-    used, local = np.unique(flat, return_inverse=True)
-    sub = matrix[used]
-    if sub.shape[1] > sub.nnz:
-        concepts, sub_cols = np.unique(sub.indices, return_inverse=True)
-        sub = sparse.csr_matrix((sub.data, sub_cols, sub.indptr),
-                                shape=(len(used), len(concepts)))
-    counts = sparse.csr_matrix((np.ones(indptr[-1]), local, indptr),
-                               shape=(len(token_lists), len(used)))
-    counts.sum_duplicates()  # sorted indices: the product's sums run in a fixed order
-    return counts @ sub
+def sentence_matrix(index: EsaIndex, token_lists: list[list[str]]) -> Csr:
+    """One CSR row per token list: the sum of its tokens' concept vectors, which
+    points the way of their `mean_sparse`; out-of-vocabulary tokens add nothing.
+    Each row holds only the concepts it touches, so the cost follows the
+    nonzeros, not the index size."""
+    rows, (indptr, indices, data) = index.token_matrix()
+    ids = [[rows[t] for t in tokens if t in rows] for tokens in token_lists]
+    lengths = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
+    flat = np.fromiter(chain.from_iterable(ids), dtype=np.int64, count=int(lengths.sum()))
+    starts, widths = indptr[flat], indptr[flat + 1] - indptr[flat]
+    # Gather every occurrence's row slice: element j of slice i sits at starts[i] + j.
+    pos = np.arange(widths.sum()) + np.repeat(starts - np.cumsum(widths) + widths, widths)
+    sentence = np.repeat(np.repeat(np.arange(len(ids)), lengths), widths)
+    # Sum the entries of each (sentence, concept) cell, in sentence-major order.
+    cells, cell = np.unique(sentence * index.doc_count + indices[pos], return_inverse=True)
+    counts = np.bincount(cells // index.doc_count, minlength=len(ids))
+    return (np.concatenate(([0], np.cumsum(counts))), cells % index.doc_count,
+            np.bincount(cell, weights=data[pos]))
 
 
 def mean_sparse(vectors: list[SparseVector]) -> SparseVector:

@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from newscoherence.corpus import Document, LabeledCorpus, Label, segment_corpus
 from newscoherence.embeddings import EmbeddingTable
+from newscoherence.entitylink import build_gazetteer, link_corpus
 
 
 def make_table(vectors: dict[str, list[float]], name: str = "toy") -> EmbeddingTable:
@@ -83,7 +84,8 @@ def synthetic_corpus(seed: int = 7, docs_per_label: int = 100) -> tuple:
     """100 single-topic 'legitimate' documents vs 100 topic-mixed 'fake' ones.
 
     Each sentence opens with an entity surface so the entity method has at
-    least two distinct linkable entities per document.
+    least two distinct linkable entities per document. The corpus comes back
+    segmented and linked against the entity table.
     """
     rng = np.random.default_rng(seed)
     word_table = synthetic_word_table(rng)
@@ -109,4 +111,5 @@ def synthetic_corpus(seed: int = 7, docs_per_label: int = 100) -> tuple:
         )
     corpus = LabeledCorpus(documents=documents, source="synthetic")
     segment_corpus(corpus)
+    link_corpus(corpus, build_gazetteer(entity_table))
     return corpus, word_table, entity_table

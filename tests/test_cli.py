@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import newscoherence
 from newscoherence.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -410,6 +415,25 @@ class TestReport:
                      "hist_entity.tsv", "resolved_config.txt"):
             assert (out / name).is_file()
         assert "Resolved configuration" in (out / "report.md").read_text()
+
+    def test_report_imports_no_scipy(self, workspace):
+        # Every method needs numpy only; a stray scipy import would add its start-up
+        # time to every run without failing any other test.
+        code = ("import json, sys\n"
+                "from newscoherence.cli import main\n"
+                "rc = main(sys.argv[1:])\n"
+                "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
+        src = str(Path(newscoherence.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "report", "--config", str(workspace / "run.conf"),
+             "--methods", "embedding,esa,entity"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        rc, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+        assert rc == EXIT_OK
+        assert (workspace / "out" / "scores_esa.csv").is_file()
+        assert scipy_modules == []
 
     def test_deterministic_across_runs_and_workers(self, workspace):
         main(["report", "--config", str(workspace / "run.conf")])

@@ -271,14 +271,16 @@ class TestScoreCorpus:
         parallel = score_corpus(corpus, "embedding", embedding_table=toy_table, workers=4)
         assert serial == parallel
 
-    def test_entity_method_auto_links(self):
+    def test_entity_method_requires_linked_documents(self):
+        # Linking needs the caller's gazetteer (with its aliases), so an
+        # unlinked document is an error, not linked here by other rules.
         table = make_table({"Alpha": [1.0, 0.0], "Beta": [0.0, 1.0]})
         docs = [Document(id="d0", label=Label.FAKE, text="Alpha met Beta today.")]
         corpus = LabeledCorpus(documents=docs)
         segment_corpus(corpus)
-        scores = score_corpus(corpus, "entity", entity_table=table)
-        assert scores[0].ok
-        assert scores[0].value == pytest.approx(0.0)
+        with pytest.raises(CoherenceError, match="'d0' has not been entity-linked"):
+            score_corpus(corpus, "entity", entity_table=table)
+        assert docs[0].entity_mentions is None
 
     def test_six_doc_corpus_matches_oracle(self, toy_table):
         rng = random.Random(5)

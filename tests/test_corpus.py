@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newscoherence.corpus import (
+    DEFAULT_ABBREVIATIONS,
     CorpusError,
     Document,
     LabeledCorpus,
@@ -68,12 +69,25 @@ class TestSplitSentences:
         sents = split_sentences('He said no. "Fine." She left.')
         assert len(sents) == 3
 
-    words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
+    @pytest.mark.parametrize("text", ["Go to dr. Next", "Ask mr. Lee", "Ask MRS. Lee",
+                                      "Walk down St. Main", "Mr. Lee left"])
+    def test_abbreviation_merge_any_case(self, text):
+        assert [s.text for s in split_sentences(text)] == [text]
 
-    @given(st.lists(st.lists(words, min_size=1, max_size=6), min_size=1, max_size=100))
+    def test_abbreviation_must_be_a_whole_word(self):
+        assert len(split_sentences("Go to odr. Next")) == 2
+
+    words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
+    # A sentence ending in an abbreviation ("... dr.") is deliberately not split
+    # from the next one, so the last word of a generated sentence is never one.
+    last_words = words.filter(
+        lambda w: f"{w}." not in {a.lower() for a in DEFAULT_ABBREVIATIONS})
+
+    @given(st.lists(st.tuples(st.lists(words, max_size=5), last_words),
+                    min_size=1, max_size=100))
     @settings(max_examples=50, deadline=None)
     def test_concatenation_roundtrip(self, sentence_words):
-        sentences = [" ".join(ws).capitalize() + "." for ws in sentence_words]
+        sentences = [" ".join(ws + [last]).capitalize() + "." for ws, last in sentence_words]
         text = " ".join(sentences)
         assert len(split_sentences(text)) == len(sentences)
 

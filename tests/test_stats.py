@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from newscoherence.stats import (
     percent_difference,
     welch_t_test,
 )
-from newscoherence.stats import _log_p_two_tailed
+from newscoherence.stats import _log_beta_half, _log_p_two_tailed
 
 
 def _score(value, ok=True, doc_id="d"):
@@ -118,6 +119,11 @@ class TestWelch:
             -508.368, abs=0.01)
         assert _log_p_two_tailed(-220.0, 512.0) == _log_p_two_tailed(220.0, 512.0)
 
+    def test_log_p_at_extreme_t(self):
+        assert _log_p_two_tailed(5e-324, 4.0) == 0.0
+        assert _log_p_two_tailed(math.inf, 4.0) == -math.inf
+        assert _log_p_two_tailed(1e200, 4.0) == pytest.approx(-1840.2763149260085, rel=1e-12)  # mpmath
+
     def test_separated_samples_give_finite_log_p(self):
         import mpmath
 
@@ -132,6 +138,36 @@ class TestWelch:
             want = float(mpmath.log10(p))
         assert want < -308
         assert got.log10_p == pytest.approx(want, abs=0.01)
+
+    def test_log_p_matches_mpmath_on_a_grid(self):
+        import mpmath
+
+        rng = random.Random(11)
+        # dof up to 1e5 (ISOT-sized samples); t around the switch at |t| = 1 and t^2 = 3.
+        dofs = [1.0, 2.0, 3.5, 10.0, 44_000.0, 1e5] + [10 ** rng.uniform(0, 5) for _ in range(10)]
+        ts = ([0.0, 1e-9, 0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 3**0.5 - 1e-3, 3**0.5, 3**0.5 + 1e-3,
+               5.0, 20.0, 40.0]
+              + [rng.uniform(0.9, 1.1) for _ in range(5)] + [rng.uniform(0, 40) for _ in range(5)])
+        with mpmath.workdps(50):
+            for dof in dofs:
+                for t in ts:
+                    got = _log_p_two_tailed(t, dof)
+                    d, tt = mpmath.mpf(dof), mpmath.mpf(t)
+                    p = mpmath.betainc(d / 2, mpmath.mpf(1) / 2, 0, d / (d + tt * tt),
+                                       regularized=True)
+                    if p > mpmath.mpf("1e-300"):
+                        assert math.exp(got) == pytest.approx(float(p), rel=1e-10, abs=0), (t, dof)
+                    else:
+                        assert got / math.log(10) == pytest.approx(
+                            float(mpmath.log10(p)), abs=1e-6), (t, dof)
+
+    @pytest.mark.parametrize("a", [14.9, 15.0, 30.0, 2e4, 5e5])  # lgamma below 15, series above
+    def test_log_beta_half_matches_mpmath(self, a):
+        import mpmath
+
+        with mpmath.workdps(50):
+            want = float(mpmath.log(mpmath.beta(mpmath.mpf(a), mpmath.mpf(1) / 2)))
+        assert _log_beta_half(a) == pytest.approx(want, rel=0, abs=1e-14)
 
     def test_pooled_variant(self):
         a, b = [1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 3.0, 4.0, 5.0, 6.0]
@@ -155,8 +191,7 @@ class TestWelch:
            st.lists(st.floats(min_value=0, max_value=50), min_size=2, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_p_decreasing_in_abs_t(self, dof, ts):
-        from scipy import stats as sps
-        ps = [2 * sps.t.sf(abs(t), dof) for t in sorted(set(ts))]
+        ps = [math.exp(_log_p_two_tailed(t, dof)) for t in sorted(set(ts))]
         assert all(p1 >= p2 - 1e-15 for p1, p2 in zip(ps, ps[1:]))
 
 
