@@ -1,8 +1,9 @@
 """Generate a synthetic corpus on disk and run the full CLI report over it.
 
 Shows the file formats the command line expects (JSONL corpora, word2vec-style
-text vectors, JSONL knowledge base) and leaves every artifact under
-demo_out/ for inspection. Run with:
+text vectors, JSONL knowledge base). The inputs live in a temporary directory
+that is removed afterwards; the report's outputs stay under demo_out/ for
+inspection. Run with:
 
     python3 demos/histogram_report.py
 """
@@ -70,20 +71,21 @@ def write_inputs(root: Path):
 
 
 def main():
-    root = Path(tempfile.mkdtemp(prefix="newscoherence-demo-"))
-    write_inputs(root)
     out_dir = Path("demo_out")
-    rc = cli_main([
-        "report",
-        "--fake-path", str(root / "fake.jsonl"),
-        "--legit-path", str(root / "legit.jsonl"),
-        "--embeddings-path", str(root / "words.txt"),
-        "--entity-vectors-path", str(root / "entities.txt"),
-        "--esa-kb-path", str(root / "kb.jsonl"),
-        "--methods", "embedding,esa,entity",
-        "--hist-buckets", "12",
-        "--out-dir", str(out_dir),
-    ])
+    with tempfile.TemporaryDirectory(prefix="newscoherence-demo-") as tmp:
+        root = Path(tmp)
+        write_inputs(root)
+        rc = cli_main([
+            "report",
+            "--fake-path", str(root / "fake.jsonl"),
+            "--legit-path", str(root / "legit.jsonl"),
+            "--embeddings-path", str(root / "words.txt"),
+            "--entity-vectors-path", str(root / "entities.txt"),
+            "--esa-kb-path", str(root / "kb.jsonl"),
+            "--methods", "embedding,esa,entity",
+            "--hist-buckets", "12",
+            "--out-dir", str(out_dir),
+        ])
     if rc == 0:
         print("\nSummary table:\n")
         print((out_dir / "summary.md").read_text())

@@ -8,7 +8,6 @@ from .coherence import (
     coherence_sentences,
     score_corpus,
     sentence_rep_embedding,
-    sentence_rep_esa,
 )
 from .corpus import (
     Document,
@@ -32,7 +31,7 @@ from .entitylink import (
     extract_entities,
     link_corpus,
 )
-from .esa import EsaIndex, build_esa_index, cosine_sparse, esa_word_vector, mean_sparse
+from .esa import EsaIndex, build_esa_index, cosine_sparse, esa_word_vector
 from .stats import (
     ComparisonSummary,
     Histogram,

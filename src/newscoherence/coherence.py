@@ -20,7 +20,6 @@ __all__ = [
     "CoherenceError",
     "METHODS",
     "sentence_rep_embedding",
-    "sentence_rep_esa",
     "coherence_sentences",
     "coherence_entities",
     "score_corpus",
@@ -77,18 +76,6 @@ def sentence_rep_embedding(
     return rep
 
 
-def sentence_rep_esa(
-    s: Sentence, index: EsaIndex, unique_tokens: bool = False
-) -> dict | None:
-    """Mean of the known ESA token vectors; None when the result is empty."""
-    tokens = sorted(set(s.tokens)) if unique_tokens else s.tokens
-    vectors = [v for v in (esa_mod.esa_word_vector(index, t) for t in tokens) if v is not None]
-    if not vectors:
-        return None
-    rep = esa_mod.mean_sparse(vectors)
-    return rep or None
-
-
 def _score(doc_id: str, method: str, rows) -> CoherenceScore:
     """Mean pairwise cosine of the nonzero rows of a dense matrix or of CSR arrays.
 
@@ -131,22 +118,15 @@ def _sentences(doc: Document) -> list[Sentence]:
 
 
 def coherence_sentences(doc: Document, rep) -> CoherenceScore:
-    """Mean pairwise cosine between sentence representations.
+    """Mean pairwise cosine between sentence representations (method "embedding").
 
     Sentences with undefined or zero representations are dropped; fewer than
     two usable sentences makes the score undefined. `rep` maps a Sentence to a
-    dense array (method "embedding"), a sparse dict (method "esa"), or None.
+    dense array or None.
     """
     reps = [r for r in (rep(s) for s in _sentences(doc)) if r is not None]
-    method = "embedding"
-    if not reps:
-        rows = np.zeros((0, 0))
-    elif isinstance(reps[0], dict):
-        method = "esa"
-        rows = esa_mod.sparse_rows(reps)
-    else:
-        rows = np.array(reps, dtype=np.float64)
-    return _score(doc.id, method, rows)
+    rows = np.array(reps, dtype=np.float64) if reps else np.zeros((0, 0))
+    return _score(doc.id, "embedding", rows)
 
 
 def coherence_entities(
@@ -200,7 +180,7 @@ def score_corpus(
                 doc, lambda s: sentence_rep_embedding(s, embedding_table, unique_tokens)
             )
         elif method == "esa":
-            # Sums of token vectors have the direction of sentence_rep_esa's means.
+            # A sum of token vectors has the direction of their mean.
             tokens = [set(s.tokens) if unique_tokens else s.tokens for s in _sentences(doc)]
             score = _score(doc.id, "esa", esa_mod.sentence_matrix(esa_index, tokens))
         else:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ __all__ = [
     "EmbeddingError",
     "load_vectors_text",
     "save_vectors_text",
+    "text_lines",
     "mean_vector",
     "cosine",
 ]
@@ -59,47 +61,113 @@ class EmbeddingTable:
         return None
 
 
+def text_lines(f, p: Path, error: type[Exception] = EmbeddingError):
+    """(line number, text) of each line of a binary file, split at "\\n", "\\r\\n" or
+    "\\r" as text mode splits it. A line that is not UTF-8 raises `error` naming it."""
+    lineno = 0
+    for chunk in f:
+        # Most chunks hold one line ending in "\n"; splitlines would copy each of them.
+        for raw in chunk.splitlines() if b"\r" in chunk else (chunk,):
+            lineno += 1
+            try:
+                line = raw.decode("utf-8").rstrip("\n")
+            except UnicodeDecodeError as e:
+                raise error(f"{p} line {lineno}: invalid UTF-8: {e}") from e
+            yield lineno, line
+
+
+def _header(p: Path, lines) -> tuple[int, int]:
+    header = next(lines, (1, ""))[1].split()
+    if len(header) != 2:
+        raise EmbeddingError(f"{p}: header must be 'count dim'")
+    try:
+        count, dim = int(header[0]), int(header[1])
+    except ValueError as e:
+        raise EmbeddingError(f"{p}: non-numeric header: {e}") from e
+    if dim <= 0:
+        raise EmbeddingError(f"{p}: dimension must be positive")
+    return count, dim
+
+
+def _rows(lines):
+    """(line number, token, components text) of each non-blank line; the token ends
+    at the first space."""
+    for lineno, line in lines:
+        if line.strip():
+            token, _, rest = line.partition(" ")
+            yield lineno, token, rest
+
+
+def _parse(rests, dim: int) -> np.ndarray:
+    """One float64 row per components text: the V x dim matrix of the table."""
+    first = next(rests, None)
+    if first is None:  # loadtxt would warn that the input holds no data
+        return np.empty((0, 0))  # numpy cannot make (0, dim) for a huge header dim
+    # No buffering here: loadtxt pulls one line at a time into its growing array.
+    matrix = np.loadtxt(chain([first], rests), dtype=np.float64, ndmin=2, comments=None)
+    if matrix.shape[1] != dim:
+        raise EmbeddingError(f"expected {dim} components, got {matrix.shape[1]}")
+    if not np.isfinite(matrix).all():
+        raise EmbeddingError("non-finite component")
+    return matrix
+
+
+def _raise_first_bad_line(p: Path, dim: int) -> None:
+    """Re-read the file one row at a time and raise for its first malformed line,
+    warning first for the duplicates above it, as a line-by-line loader would."""
+    seen: set[str] = set()
+    with open(p, "rb") as f:
+        lines = text_lines(f, p)
+        next(lines)
+        for lineno, token, rest in _rows(lines):
+            found = len(rest.split())  # str.split and loadtxt split at the same whitespace
+            if found != dim:
+                raise EmbeddingError(f"{p} line {lineno}: expected {dim} components, got {found}")
+            try:
+                _parse(iter([rest]), dim)
+            except ValueError as e:
+                raise EmbeddingError(f"{p} line {lineno}: non-numeric component: {e}") from e
+            except EmbeddingError as e:
+                raise EmbeddingError(f"{p} line {lineno}: {e}") from e
+            if token in seen:
+                logger.warning("%s line %d: duplicate token %r overwritten", p, lineno, token)
+            seen.add(token)
+
+
 def load_vectors_text(path: str | Path, name: str = "") -> EmbeddingTable:
     """Parse the word2vec text format: header `count dim`, then `token v1 .. v_dim` lines.
 
-    Later duplicates of a token overwrite earlier ones with a warning.
+    The token runs up to the first space; the components are separated by any
+    whitespace. The file must be UTF-8. Later duplicates of a token overwrite
+    earlier ones with a warning. The entries are row views of one V x dim matrix.
     """
     p = Path(path)
-    with open(p, encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 2:
-            raise EmbeddingError(f"{p}: header must be 'count dim'")
+    row_of: dict[str, int] = {}
+    duplicates: list[tuple[int, str]] = []
+
+    def rests(rows):
+        for i, (lineno, token, rest) in enumerate(rows):
+            if token in row_of:
+                duplicates.append((lineno, token))
+            row_of[token] = i
+            if not rest.strip():  # loadtxt would skip the row
+                raise EmbeddingError(f"{p} line {lineno}: no components")
+            yield rest
+
+    with open(p, "rb") as f:
+        lines = text_lines(f, p)
+        count, dim = _header(p, lines)
         try:
-            count, dim = int(header[0]), int(header[1])
-        except ValueError as e:
-            raise EmbeddingError(f"{p}: non-numeric header: {e}") from e
-        if dim <= 0:
-            raise EmbeddingError(f"{p}: dimension must be positive")
-        entries: dict[str, np.ndarray] = {}
-        lines = 0
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            lines += 1
-            parts = line.rstrip("\n").split(" ")
-            token = parts[0]
-            comps = [c for c in parts[1:] if c]
-            if len(comps) != dim:
-                raise EmbeddingError(
-                    f"{p} line {lineno}: expected {dim} components, got {len(comps)}"
-                )
-            try:
-                vec = np.array(comps, dtype=np.float64)
-            except ValueError as e:
-                raise EmbeddingError(f"{p} line {lineno}: non-numeric component: {e}") from e
-            if not np.all(np.isfinite(vec)):
-                raise EmbeddingError(f"{p} line {lineno}: non-finite component")
-            if token in entries:
-                logger.warning("%s line %d: duplicate token %r overwritten", p, lineno, token)
-            entries[token] = vec
-    if lines != count:
-        raise EmbeddingError(f"{p}: header declares {count} vectors, file has {lines}")
-    return EmbeddingTable(dim=dim, entries=entries, name=name or p.stem)
+            matrix = _parse(rests(_rows(lines)), dim)
+        except (ValueError, EmbeddingError):
+            _raise_first_bad_line(p, dim)
+            raise  # no line is malformed: the fault is in this loader
+    for lineno, token in duplicates:
+        logger.warning("%s line %d: duplicate token %r overwritten", p, lineno, token)
+    if len(matrix) != count:
+        raise EmbeddingError(f"{p}: header declares {count} vectors, file has {len(matrix)}")
+    return EmbeddingTable(dim=dim, entries={t: matrix[i] for t, i in row_of.items()},
+                          name=name or p.stem)
 
 
 def save_vectors_text(table: EmbeddingTable, path: str | Path) -> None:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Document, LabeledCorpus
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, text_lines
 
 __all__ = [
     "EntityMention",
@@ -58,9 +58,8 @@ def build_gazetteer(entity_table: EmbeddingTable) -> Gazetteer:
 def load_aliases(path: str | Path, entity_table: EmbeddingTable, gaz: Gazetteer) -> None:
     """Extend a gazetteer from a TSV alias file (surface <tab> entity_id), in place."""
     p = Path(path)
-    with open(p, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
+    with open(p, "rb") as f:
+        for lineno, line in text_lines(f, p, EntityLinkError):
             if not line:
                 continue
             parts = line.split("\t")

@@ -22,7 +22,6 @@ __all__ = [
     "esa_word_vector",
     "sentence_matrix",
     "sparse_rows",
-    "mean_sparse",
     "cosine_sparse",
     "save_index",
     "load_index",
@@ -141,7 +140,7 @@ def sparse_rows(vectors: list[SparseVector]) -> Csr:
 
 def sentence_matrix(index: EsaIndex, token_lists: list[list[str]]) -> Csr:
     """One CSR row per token list: the sum of its tokens' concept vectors, which
-    points the way of their `mean_sparse`; out-of-vocabulary tokens add nothing.
+    points the way of their mean; out-of-vocabulary tokens add nothing.
     Each row holds only the concepts it touches, so the cost follows the
     nonzeros, not the index size."""
     rows, (indptr, indices, data) = index.token_matrix()
@@ -157,18 +156,6 @@ def sentence_matrix(index: EsaIndex, token_lists: list[list[str]]) -> Csr:
     counts = np.bincount(cells // index.doc_count, minlength=len(ids))
     return (np.concatenate(([0], np.cumsum(counts))), cells % index.doc_count,
             np.bincount(cell, weights=data[pos]))
-
-
-def mean_sparse(vectors: list[SparseVector]) -> SparseVector:
-    """Keywise sum divided by list length (multiset over token occurrences)."""
-    if not vectors:
-        raise EsaError("mean of an empty sparse-vector list")
-    n = len(vectors)
-    acc: dict[int, float] = {}
-    for vec in vectors:
-        for k, w in vec.items():
-            acc[k] = acc.get(k, 0.0) + w
-    return {k: s / n for k, s in acc.items() if s != 0.0}
 
 
 def cosine_sparse(u: SparseVector, v: SparseVector) -> float:

@@ -334,6 +334,20 @@ class TestBadBytesExitTwo:
         assert rc == EXIT_DATA
         assert "kb.jsonl line 1" in err
 
+    def test_vector_file_with_non_utf8_byte(self, workspace, capsys):
+        (workspace / "words.txt").write_bytes(b"2 3\npolicy 1 0 0\nvote \xff 1 0\n")
+        rc, err = self._run(workspace, capsys, "--methods", "embedding")
+        assert rc == EXIT_DATA
+        assert "words.txt line 3" in err
+
+    def test_alias_file_with_non_utf8_byte(self, workspace, capsys):
+        (workspace / "aliases.tsv").write_bytes(
+            b"Recipe\tKitchen_Stadium\nHouses\xff\tParliament\n")
+        rc, err = self._run(workspace, capsys, "--methods", "entity",
+                            "--alias-path", str(workspace / "aliases.tsv"))
+        assert rc == EXIT_DATA
+        assert "aliases.tsv line 2" in err
+
     def test_kb_directory_with_non_utf8_article(self, workspace, capsys):
         (workspace / "kb").mkdir()
         (workspace / "kb" / "Politics.txt").write_bytes(b"policy \xff vote")
@@ -367,6 +381,64 @@ class TestRandomJsonl:
         _write_jsonl(workspace / "fake.jsonl", FAKE_DOCS + fake)
         _write_jsonl(workspace / "legit.jsonl", LEGIT_DOCS + legit)
         rc = main(["report", "--config", str(workspace / "run.conf"), "--methods", "embedding"])
+        assert rc in (EXIT_OK, EXIT_DATA)
+
+
+_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.sampled_from(["0", "-0.0", "1e308", "-1e308", "1e-320"]))
+
+
+@st.composite
+def _vector_text(draw):
+    """A well-formed word2vec text table over the workspace's words and entities."""
+    dim = draw(st.integers(1, 3))
+    token = st.one_of(
+        st.sampled_from([*WORD_VECTORS, *ENTITY_VECTORS]),
+        st.text(st.characters(codec="utf-8", exclude_characters=" \r\n"), max_size=4))
+    rows = [" ".join([draw(token), *draw(st.lists(_NUMBER, min_size=dim, max_size=dim))])
+            for _ in range(draw(st.integers(1, 8)))]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join([f"{len(rows)} {dim}", *rows]) + end
+
+
+_ALIAS_TEXT = st.lists(
+    st.builds(lambda surface, target: f"{surface}\t{target}",
+              st.one_of(st.sampled_from(["Recipe", "Houses of Parliament", "", " "]),
+                        st.text(max_size=6)),
+              st.one_of(st.sampled_from([*ENTITY_VECTORS, "parliament", ""]), st.text(max_size=4))),
+    max_size=4).map("\n".join)
+
+
+def _mangled(text_strategy):
+    """UTF-8 of well-formed-looking text, with random bytes spliced in now and then."""
+    return st.one_of(
+        text_strategy.map(str.encode),
+        text_strategy.map(str.encode),
+        st.tuples(text_strategy.map(str.encode), st.binary(max_size=4), st.integers(0, 64)).map(
+            lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:]),
+        st.binary(max_size=40))
+
+
+class TestRandomResourceBytes:
+    """Random vector-table and alias bytes through `report`: exit 0 or 2, never 3."""
+
+    @given(words=_mangled(_vector_text()), entities=_mangled(_vector_text()))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_vector_files(self, workspace, words, entities):
+        (workspace / "words.txt").write_bytes(words)
+        (workspace / "entities.txt").write_bytes(entities)
+        rc = main(["report", "--config", str(workspace / "run.conf"),
+                   "--methods", "embedding,entity"])
+        assert rc in (EXIT_OK, EXIT_DATA)
+
+    @given(aliases=_mangled(_ALIAS_TEXT))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_alias_file(self, workspace, aliases):
+        (workspace / "aliases.tsv").write_bytes(aliases)
+        rc = main(["report", "--config", str(workspace / "run.conf"), "--methods", "entity",
+                   "--alias-path", str(workspace / "aliases.tsv")])
         assert rc in (EXIT_OK, EXIT_DATA)
 
 

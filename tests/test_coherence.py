@@ -14,14 +14,20 @@ from newscoherence.coherence import (
     coherence_sentences,
     score_corpus,
     sentence_rep_embedding,
-    sentence_rep_esa,
 )
 from newscoherence.corpus import Document, LabeledCorpus, Label, Sentence, segment_corpus
 from newscoherence.entitylink import EntityMention
 from newscoherence.esa import build_esa_index, load_index, save_index
 
 from conftest import make_doc, make_table
-from oracle import densify, entity_coherence_ref, mean_pairwise_ref, sentence_coherence_ref
+from oracle import (
+    coherence_sentences_sparse,
+    densify,
+    entity_coherence_ref,
+    mean_pairwise_ref,
+    sentence_coherence_ref,
+    sentence_rep_esa_ref,
+)
 
 EXPECTED_MIXED = (0.0 + math.sqrt(2) / 2 + math.sqrt(2) / 2) / 3  # 0.4714045...
 
@@ -55,18 +61,18 @@ class TestSentenceRepEsa:
     index = build_esa_index([("A", "x x y"), ("B", "y z")], weighting="tf")
 
     def test_identity(self):
-        assert sentence_rep_esa(_sent(["x"]), self.index) == {0: 2.0}
+        assert sentence_rep_esa_ref(_sent(["x"]), self.index) == {0: 2.0}
 
     def test_all_unknown(self):
-        assert sentence_rep_esa(_sent(["qqq", "www"]), self.index) is None
+        assert sentence_rep_esa_ref(_sent(["qqq", "www"]), self.index) is None
 
     def test_mixed(self):
-        rep = sentence_rep_esa(_sent(["x", "y"]), self.index)
+        rep = sentence_rep_esa_ref(_sent(["x", "y"]), self.index)
         assert rep == {0: pytest.approx(1.5), 1: pytest.approx(0.5)}
 
     def test_empty_vectors_give_undefined(self):
         index = build_esa_index([("A", "x"), ("B", "x")], weighting="tfidf")
-        assert sentence_rep_esa(_sent(["x"]), index) is None
+        assert sentence_rep_esa_ref(_sent(["x"]), index) is None
 
 
 def _doc_with_reps(vectors):
@@ -363,9 +369,9 @@ class TestKernelMatchesOracle:
         by_id = {d.id: d for d in docs}
         for score in scores:
             want = _esa_oracle(token_lists_by_id[score.doc_id], index, unique_tokens)
-            # The dict path: sentence_rep_esa means stacked as CSR rows.
-            via_dicts = coherence_sentences(
-                by_id[score.doc_id], lambda s: sentence_rep_esa(s, index, unique_tokens))
+            # The dict path: sentence_rep_esa_ref means stacked as CSR rows.
+            via_dicts = coherence_sentences_sparse(
+                by_id[score.doc_id], lambda s: sentence_rep_esa_ref(s, index, unique_tokens))
             assert score.method == "esa"
             # With no usable sentence there is no rep to tell the method by.
             assert via_dicts.method == ("esa" if via_dicts.element_count else "embedding")
