@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -81,14 +82,24 @@ def _score(doc_id: str, method: str, rows) -> CoherenceScore:
 
     With u_i the K unit rows and S their sum, |S|^2 = sum_i |u_i|^2 + sum_{i != j} u_i.u_j,
     so the mean over the K(K-1) ordered pairs is (|S|^2 - sum_i |u_i|^2) / (K(K-1)),
-    in O(K d). Undefined when fewer than two rows are nonzero.
+    in O(K d). Undefined when fewer than two rows are nonzero. Each row is first
+    scaled by the power of two that brings its largest component into [0.5, 1),
+    so no square overflows or underflows whatever the row's magnitude; that scaling
+    is exact, and the unit rows are the ones the unscaled rows give.
     """
     if isinstance(rows, tuple):
         indptr, cols, values = rows
         lengths = np.diff(indptr)
+        peaks = np.zeros(len(lengths))
+        filled = lengths > 0
+        if filled.any():  # each filled row runs up to the next filled row's start
+            peaks[filled] = np.maximum.reduceat(np.abs(values), indptr[:-1][filled])
+        values = np.ldexp(values, -np.repeat(np.frexp(peaks)[1], lengths))
         sq = np.bincount(np.repeat(np.arange(len(lengths)), lengths), weights=values**2,
                          minlength=len(lengths))
     else:
+        peaks = np.abs(rows).max(axis=1, initial=0.0)
+        rows = np.ldexp(rows, -np.frexp(peaks)[1][:, None])
         sq = np.einsum("ij,ij->i", rows, rows)
     keep = sq > 0.0
     k = int(np.count_nonzero(keep))
@@ -109,6 +120,48 @@ def _score(doc_id: str, method: str, rows) -> CoherenceScore:
     value = float(total @ total - values @ values) / (k * (k - 1))
     return CoherenceScore(doc_id=doc_id, method=method, value=value, element_count=k,
                           pair_count=k * (k - 1) // 2, status="ok")
+
+
+def _sentence_means(matrix: np.ndarray, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row i is the mean of the `counts[i]` rows of `matrix` that `ids` lists next,
+    added in that order; zeros when `counts[i]` is 0. A sum past the float range
+    is redone with its rows halved k times, 2**k > count, which keeps the mean's
+    direction and is exact."""
+    means = np.zeros((len(counts), matrix.shape[1]))
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+    spans = [(i, a, b) for i, (a, b) in enumerate(zip(bounds, bounds[1:])) if b > a]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, a, b in spans:
+            np.add.reduce(matrix.take(ids[a:b], axis=0), axis=0, out=means[i])
+    if not np.isfinite(means).all():
+        for i, a, b in spans:
+            rows = np.ldexp(matrix.take(ids[a:b], axis=0), -(b - a).bit_length())
+            np.add.reduce(rows, axis=0, out=means[i])
+    means /= np.maximum(counts, 1)[:, None]
+    return means
+
+
+def _embedding_scores(docs: list[Document], table: EmbeddingTable,
+                      unique_tokens: bool) -> list[CoherenceScore]:
+    """Method "embedding" for every document: each distinct token is looked up
+    once, and each document's tokens become one array of table rows."""
+    vocab: set[str] = set()
+    for doc in docs:
+        for s in _sentences(doc):
+            vocab.update(s.tokens)
+    row_of = {t: -1 if (row := table.row(t)) is None else row for t in vocab}
+    scores = []
+    for doc in docs:
+        token_lists = [sorted(set(s.tokens)) if unique_tokens else s.tokens for s in doc.sentences]
+        lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
+        ids = np.fromiter(map(row_of.__getitem__, chain.from_iterable(token_lists)),
+                          dtype=np.intp, count=int(lengths.sum()))
+        known = ids >= 0
+        counts = np.bincount(np.repeat(np.arange(len(lengths)), lengths)[known],
+                             minlength=len(lengths))
+        scores.append(_score(doc.id, "embedding",
+                             _sentence_means(table.matrix, ids[known], counts)))
+    return scores
 
 
 def _sentences(doc: Document) -> list[Sentence]:
@@ -173,13 +226,12 @@ def score_corpus(
     if method == "entity" and entity_table is None:
         raise CoherenceError("method 'entity' requires an entity vector table")
 
+    if method == "embedding":
+        return sorted(_embedding_scores(corpus.documents, embedding_table, unique_tokens),
+                      key=lambda s: s.doc_id)
     scores = []
     for doc in corpus.documents:
-        if method == "embedding":
-            score = coherence_sentences(
-                doc, lambda s: sentence_rep_embedding(s, embedding_table, unique_tokens)
-            )
-        elif method == "esa":
+        if method == "esa":
             # A sum of token vectors has the direction of their mean.
             tokens = [set(s.tokens) if unique_tokens else s.tokens for s in _sentences(doc)]
             score = _score(doc.id, "esa", esa_mod.sentence_matrix(esa_index, tokens))

@@ -9,6 +9,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .embeddings import text_lines
 from .stats import mean_sd
 
 logger = logging.getLogger(__name__)
@@ -22,6 +23,7 @@ __all__ = [
     "DEFAULT_ABBREVIATIONS",
     "split_sentences",
     "tokenize",
+    "token_spans",
     "segment_corpus",
     "load_csv",
     "load_jsonl",
@@ -48,6 +50,8 @@ class Sentence:
     index: int
     text: str
     tokens: list[str]
+    # Offset of `text` in the document's body text; None for a title sentence.
+    start: int | None = None
 
 
 @dataclass
@@ -82,17 +86,47 @@ _BOUNDARY_RE = re.compile(r"[.!?][\"'”’)]*\s+(?=[\"'“‘A-Z0-9])")
 
 def tokenize(text: str) -> list[str]:
     """Split on non-alphanumeric characters, lowercase, keep digit runs."""
-    return [m.group(0).lower() for m in _TOKEN_RE.finditer(text)]
+    return list(map(str.lower, _TOKEN_RE.findall(text)))
 
 
-def _ends_with_abbreviation(prefix: str, abbreviations: tuple[str, ...]) -> bool:
-    for abbr in abbreviations:
-        if not prefix.lower().endswith(abbr.lower()):
-            continue
-        before = prefix[: len(prefix) - len(abbr)]
-        if not before or not before[-1].isalnum():
-            return True
-    return False
+def token_spans(text: str) -> list[tuple[int, int]]:
+    """(start, end) in `text` of each token that `tokenize` yields."""
+    return [m.span() for m in _TOKEN_RE.finditer(text)]
+
+
+def _abbreviation_test(abbreviations: tuple[str, ...]):
+    """A test of whether `text[:end]` ends, in any case, in one of `abbreviations`
+    that is not the tail of a longer word.
+
+    It lower-cases only a tail as long as the longest lower-cased abbreviation: no
+    character lower-cases to nothing, so a match never needs more. A capital
+    sigma lower-cases by the letters before it, so a tail holding one reaches
+    back to a space, where that look-back stops.
+    """
+    lows = tuple(abbr.lower() for abbr in abbreviations)
+    reach = max(map(len, lows), default=0)
+
+    def ends_with_abbreviation(text: str, end: int) -> bool:
+        begin = max(end - reach, 0)
+        if "Σ" in text[begin:end]:
+            begin = max(text.rfind(" ", 0, begin), 0)
+        tail = text[begin:end].lower()
+        if not tail.endswith(lows):
+            return False
+        for abbr, low in zip(abbreviations, lows):
+            if not tail.endswith(low):
+                continue
+            # The text before the abbreviation is text[:end][:cut]. A lower-cased
+            # "İ" is two characters, so the abbreviation can be longer than the
+            # text it matched; then the cut counts from the end, and is at least 1.
+            cut = end - len(abbr)
+            if cut < 0:
+                cut += end
+            if cut == 0 or not text[cut - 1].isalnum():
+                return True
+        return False
+
+    return ends_with_abbreviation
 
 
 def split_sentences(
@@ -102,26 +136,21 @@ def split_sentences(
 
     A split happens after `.`, `!` or `?` (optionally followed by closing
     quotes) when whitespace and an uppercase letter, digit or quote follow,
-    unless the text up to the punctuation ends in a known abbreviation.
+    unless the text up to the punctuation ends in a known abbreviation. Each
+    sentence is stripped of surrounding whitespace and records its offset.
     """
-    pieces: list[str] = []
-    start = 0
-    for m in _BOUNDARY_RE.finditer(text):
-        candidate = text[start : m.end()].rstrip()
-        if _ends_with_abbreviation(text[: m.start() + 1], abbreviations):
-            continue
-        pieces.append(candidate)
-        start = m.end()
-    tail = text[start:].strip()
-    if tail:
-        pieces.append(tail)
-
+    is_abbreviation = _abbreviation_test(abbreviations)
+    ends = [m.end() for m in _BOUNDARY_RE.finditer(text)
+            if not is_abbreviation(text, m.start() + 1)]
     sentences = []
-    for piece in pieces:
-        piece = piece.strip()
-        if not piece:
-            continue
-        sentences.append(Sentence(index=len(sentences), text=piece, tokens=tokenize(piece)))
+    start = 0
+    for end in ends + [len(text)]:
+        raw = text[start:end]
+        piece = raw.strip()
+        if piece:
+            sentences.append(Sentence(index=len(sentences), text=piece, tokens=tokenize(piece),
+                                      start=start + raw.find(piece)))
+        start = end
     return sentences
 
 
@@ -132,15 +161,16 @@ def segment_corpus(
 ) -> None:
     """Populate `sentences` for every document, in place.
 
-    With `include_title`, the title (when present) is prepended as sentence 0.
+    With `include_title`, the title (when present) is prepended as sentence 0,
+    with no body offset.
     """
     for doc in corpus.documents:
         sentences = split_sentences(doc.text, abbreviations)
         if include_title and doc.title:
-            title_sent = Sentence(index=0, text=doc.title.strip(), tokens=tokenize(doc.title))
-            sentences = [title_sent] + [
-                Sentence(index=s.index + 1, text=s.text, tokens=s.tokens) for s in sentences
-            ]
+            for s in sentences:
+                s.index += 1
+            sentences.insert(0, Sentence(index=0, text=doc.title.strip(),
+                                         tokens=tokenize(doc.title)))
         doc.sentences = sentences
 
 
@@ -149,6 +179,17 @@ def _read_text_file(path: str | Path) -> Path:
     if not p.is_file():
         raise CorpusError(f"input file not found: {p}")
     return p
+
+
+def _utf8_error(p: Path, e: UnicodeDecodeError) -> CorpusError:
+    """The error for a text file that is not UTF-8, naming its first bad line."""
+    with open(p, "rb") as f:
+        try:
+            for _ in text_lines(f, p, CorpusError):
+                pass
+        except CorpusError as bad:
+            return bad
+    return CorpusError(f"{p}: invalid UTF-8 input: {e}")
 
 
 def load_csv(
@@ -191,7 +232,7 @@ def load_csv(
                     )
                 )
     except UnicodeDecodeError as e:
-        raise CorpusError(f"{p}: invalid UTF-8 input: {e}") from e
+        raise _utf8_error(p, e) from e
     except csv.Error as e:
         raise CorpusError(f"{p}: malformed CSV: {e}") from e
     return LabeledCorpus(documents=docs, source=str(p), skipped=skipped)
@@ -258,7 +299,7 @@ def load_jsonl(path: str | Path) -> LabeledCorpus:
                     )
                 )
     except UnicodeDecodeError as e:
-        raise CorpusError(f"{p}: invalid UTF-8 input: {e}") from e
+        raise _utf8_error(p, e) from e
     return LabeledCorpus(documents=docs, source=str(p), skipped=skipped)
 
 

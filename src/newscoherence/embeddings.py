@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import logging
 from itertools import chain
 from pathlib import Path
@@ -25,8 +26,21 @@ class EmbeddingError(Exception):
     """Raised for malformed vector files or invalid vector arithmetic."""
 
 
+def _case_fallback(rows: dict[str, int]) -> dict[str, str]:
+    """Lower case -> the first token with that lower case, where the two differ.
+
+    Pre-trained tables mix casing conventions. A lower case missing here is
+    itself the first token with that lower case, or no token has it.
+    """
+    first: dict[str, str] = {}
+    for token in rows:
+        first.setdefault(token.lower(), token)
+    return {low: token for low, token in first.items() if low != token}
+
+
 class EmbeddingTable:
-    """Immutable token -> float64 vector map (words or entity ids)."""
+    """Immutable token -> float64 vector map (words or entity ids): the rows of
+    one V x dim `matrix` and a token -> row map, `rows`."""
 
     def __init__(self, dim: int, entries: dict[str, np.ndarray], name: str = ""):
         if dim <= 0:
@@ -37,28 +51,45 @@ class EmbeddingTable:
                     f"vector for {token!r} has length {vec.shape[0]}, table dim is {dim}"
                 )
         self.dim = dim
-        self.entries = entries
         self.name = name
-        # Case fallback: pre-trained tables mix casing conventions.
-        self._lower = {}
-        for token in entries:
-            self._lower.setdefault(token.lower(), token)
+        # An empty table's matrix is 0 x 0: numpy has no 0 x dim shape for a huge dim.
+        self.matrix = (np.array(list(entries.values()), dtype=np.float64) if entries
+                       else np.empty((0, 0)))
+        self.rows = dict(zip(entries, range(len(entries))))
+        self._lower = _case_fallback(self.rows)
+
+    @classmethod
+    def from_matrix(cls, dim: int, matrix: np.ndarray, rows: dict[str, int],
+                    name: str = "") -> EmbeddingTable:
+        """A table over the rows of `matrix`, which it keeps without copying."""
+        table = cls(dim, {}, name)
+        table.matrix, table.rows, table._lower = matrix, rows, _case_fallback(rows)
+        return table
+
+    @functools.cached_property
+    def entries(self) -> dict[str, np.ndarray]:
+        """Token -> vector, as row views of `matrix`."""
+        return {token: self.matrix[row] for token, row in self.rows.items()}
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     def __contains__(self, token: str) -> bool:
-        return self.lookup(token) is not None
+        return self.row(token) is not None
+
+    def row(self, token: str) -> int | None:
+        """Row of `token` in `matrix`: exact match first, then the table's
+        original-cased variant."""
+        row = self.rows.get(token)
+        if row is None:
+            low = token.lower()
+            row = self.rows.get(self._lower.get(low, low))
+        return row
 
     def lookup(self, token: str) -> np.ndarray | None:
-        """Exact match first, then the table's original-cased variant."""
-        vec = self.entries.get(token)
-        if vec is not None:
-            return vec
-        alt = self._lower.get(token.lower())
-        if alt is not None:
-            return self.entries[alt]
-        return None
+        """Vector of `token`, found as `row` finds it."""
+        row = self.row(token)
+        return None if row is None else self.matrix[row]
 
 
 def text_lines(f, p: Path, error: type[Exception] = EmbeddingError):
@@ -139,7 +170,7 @@ def load_vectors_text(path: str | Path, name: str = "") -> EmbeddingTable:
 
     The token runs up to the first space; the components are separated by any
     whitespace. The file must be UTF-8. Later duplicates of a token overwrite
-    earlier ones with a warning. The entries are row views of one V x dim matrix.
+    earlier ones with a warning. The table keeps the V x dim matrix the rows are parsed into.
     """
     p = Path(path)
     row_of: dict[str, int] = {}
@@ -166,8 +197,7 @@ def load_vectors_text(path: str | Path, name: str = "") -> EmbeddingTable:
         logger.warning("%s line %d: duplicate token %r overwritten", p, lineno, token)
     if len(matrix) != count:
         raise EmbeddingError(f"{p}: header declares {count} vectors, file has {len(matrix)}")
-    return EmbeddingTable(dim=dim, entries={t: matrix[i] for t, i in row_of.items()},
-                          name=name or p.stem)
+    return EmbeddingTable.from_matrix(dim, matrix, row_of, name or p.stem)
 
 
 def save_vectors_text(table: EmbeddingTable, path: str | Path) -> None:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Document, LabeledCorpus
+from .corpus import Document, LabeledCorpus, Sentence, token_spans
 from .embeddings import EmbeddingTable, text_lines
 
 __all__ = [
@@ -39,8 +38,20 @@ class Gazetteer:
     def __init__(self, surfaces: dict[tuple[str, ...], str]):
         if not surfaces:
             raise EntityLinkError("empty gazetteer")
-        self.surfaces = surfaces
-        self.max_phrase_len = max(len(k) for k in surfaces)
+        self.surfaces: dict[tuple[str, ...], str] = {}
+        # First token -> the most tokens of a surface that starts with it.
+        self.longest: dict[str, int] = {}
+        for key, entity_id in surfaces.items():
+            self.add(key, entity_id)
+
+    def add(self, key: tuple[str, ...], entity_id: str) -> None:
+        """Map a surface, as its lower-cased tokens, to an entity id."""
+        self.surfaces[key] = entity_id
+        self.longest[key[0]] = max(self.longest.get(key[0], 0), len(key))
+
+    @property
+    def max_phrase_len(self) -> int:
+        return max(self.longest.values())
 
 
 def build_gazetteer(entity_table: EmbeddingTable) -> Gazetteer:
@@ -72,59 +83,48 @@ def load_aliases(path: str | Path, entity_table: EmbeddingTable, gaz: Gazetteer)
                 )
             key = tuple(surface.lower().split())
             if key:
-                gaz.surfaces[key] = entity_id
-    gaz.max_phrase_len = max(len(k) for k in gaz.surfaces)
-
-
-_TOKEN_SPAN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+                gaz.add(key, entity_id)
 
 
 def extract_entities(
     doc: Document, gaz: Gazetteer, require_uppercase: bool = True
 ) -> list[EntityMention]:
-    """Greedy longest-match left-to-right over each sentence's token stream.
+    """Greedy longest-match left-to-right over each body sentence's tokens.
 
     Matched spans never overlap. With `require_uppercase`, only spans whose
     original surface starts with an uppercase letter or digit are candidates.
+    A sentence with no body offset, such as a prepended title, is not linked.
     """
     if doc.sentences is None:
         raise EntityLinkError(f"document {doc.id!r} has not been segmented")
-    mentions: list[EntityMention] = []
-    cursor = 0
-    for sentence in doc.sentences:
-        sent_start = doc.text.find(sentence.text, cursor)
-        if sent_start < 0:
-            # Title prepended as sentence 0 is not part of the body text.
+    return [m for sentence in doc.sentences if sentence.start is not None
+            for m in _sentence_mentions(doc.text, sentence, gaz, require_uppercase)]
+
+
+def _sentence_mentions(text: str, sentence: Sentence, gaz: Gazetteer, require_uppercase: bool):
+    """Mentions in one body sentence, with offsets in the body `text`."""
+    tokens = sentence.tokens
+    spans = None  # token offsets in the sentence, found at its first surface match
+    resume = 0
+    for i, token in enumerate(tokens):
+        longest = gaz.longest.get(token)
+        if longest is None or i < resume:
             continue
-        cursor = sent_start + len(sentence.text)
-        spans = [
-            (m.group(0), sent_start + m.start(), sent_start + m.end())
-            for m in _TOKEN_SPAN_RE.finditer(sentence.text)
-        ]
-        i = 0
-        while i < len(spans):
-            matched = False
-            for length in range(min(gaz.max_phrase_len, len(spans) - i), 0, -1):
-                window = spans[i : i + length]
-                key = tuple(tok.lower() for tok, _, _ in window)
-                entity_id = gaz.surfaces.get(key)
-                if entity_id is None:
-                    continue
-                first_char = window[0][0][0]
-                if require_uppercase and not (first_char.isupper() or first_char.isdigit()):
-                    continue
-                start, end = window[0][1], window[-1][2]
-                mentions.append(
-                    EntityMention(
-                        surface=doc.text[start:end], start=start, end=end, entity_id=entity_id
-                    )
-                )
-                i += length
-                matched = True
-                break
-            if not matched:
-                i += 1
-    return mentions
+        for length in range(min(longest, len(tokens) - i), 0, -1):
+            entity_id = gaz.surfaces.get(tuple(tokens[i:i + length]))
+            if entity_id is None:
+                continue
+            if spans is None:
+                spans = token_spans(sentence.text)
+            first_char = sentence.text[spans[i][0]]
+            if require_uppercase and not (first_char.isupper() or first_char.isdigit()):
+                break  # every shorter surface here starts with the same character
+            start = sentence.start + spans[i][0]
+            end = sentence.start + spans[i + length - 1][1]
+            yield EntityMention(surface=text[start:end], start=start, end=end,
+                                entity_id=entity_id)
+            resume = i + length
+            break
 
 
 def entity_set(mentions: list[EntityMention]) -> list[str]:

@@ -1,19 +1,25 @@
 """Reference computations for the tests. Most are brute-force versions kept free
 of the package's vector code paths: plain-Python double loops over ordered
 pairs. The rest are routes the package no longer takes: dict-based ESA sentence
-means, and the line-by-line vector-file loader that the numpy loader is
-compared with."""
+means, the line-by-line vector-file loader that the numpy loader is compared
+with, the segmenter that lower-cased the whole text before each boundary, the
+linker that re-tokenized each sentence and found it with `str.find`, and
+per-sentence embedding means."""
 
 from __future__ import annotations
 
 import logging
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 
-from newscoherence.coherence import CoherenceScore, _score, _sentences
+from newscoherence import embeddings as emb
+from newscoherence.coherence import CoherenceScore, _score, _sentences, coherence_sentences
+from newscoherence.corpus import DEFAULT_ABBREVIATIONS, Sentence
 from newscoherence.embeddings import EmbeddingError, EmbeddingTable
+from newscoherence.entitylink import EntityLinkError, EntityMention
 from newscoherence.esa import EsaError, esa_word_vector, sparse_rows
 
 
@@ -149,3 +155,127 @@ def load_vectors_text_ref(path, name=""):
     if lines != count:
         raise EmbeddingError(f"{p}: header declares {count} vectors, file has {lines}")
     return EmbeddingTable(dim=dim, entries=entries, name=name or p.stem)
+
+
+_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+# Sentence boundary: terminal punctuation, whitespace, then an uppercase
+# letter, a digit, or an opening quote.
+_BOUNDARY_RE = re.compile(r"[.!?][\"'”’)]*\s+(?=[\"'“‘A-Z0-9])")
+
+
+def tokenize_ref(text: str) -> list[str]:
+    """Split on non-alphanumeric characters, lowercase, keep digit runs."""
+    return [m.group(0).lower() for m in _TOKEN_RE.finditer(text)]
+
+
+def _ends_with_abbreviation_ref(prefix: str, abbreviations: tuple[str, ...]) -> bool:
+    for abbr in abbreviations:
+        if not prefix.lower().endswith(abbr.lower()):
+            continue
+        before = prefix[: len(prefix) - len(abbr)]
+        if not before or not before[-1].isalnum():
+            return True
+    return False
+
+
+def split_sentences_ref(
+    text: str, abbreviations: tuple[str, ...] = DEFAULT_ABBREVIATIONS
+) -> list[Sentence]:
+    """Rule-based sentence segmentation with an abbreviation guard.
+
+    A split happens after `.`, `!` or `?` (optionally followed by closing
+    quotes) when whitespace and an uppercase letter, digit or quote follow,
+    unless the text up to the punctuation ends in a known abbreviation.
+    """
+    pieces: list[str] = []
+    start = 0
+    for m in _BOUNDARY_RE.finditer(text):
+        candidate = text[start : m.end()].rstrip()
+        if _ends_with_abbreviation_ref(text[: m.start() + 1], abbreviations):
+            continue
+        pieces.append(candidate)
+        start = m.end()
+    tail = text[start:].strip()
+    if tail:
+        pieces.append(tail)
+
+    sentences = []
+    for piece in pieces:
+        piece = piece.strip()
+        if not piece:
+            continue
+        sentences.append(Sentence(index=len(sentences), text=piece, tokens=tokenize_ref(piece)))
+    return sentences
+
+
+def extract_entities_ref(doc, gaz, require_uppercase: bool = True) -> list[EntityMention]:
+    """Greedy longest-match left-to-right over each sentence's token stream.
+
+    Matched spans never overlap. With `require_uppercase`, only spans whose
+    original surface starts with an uppercase letter or digit are candidates.
+    """
+    if doc.sentences is None:
+        raise EntityLinkError(f"document {doc.id!r} has not been segmented")
+    mentions: list[EntityMention] = []
+    cursor = 0
+    for sentence in doc.sentences:
+        sent_start = doc.text.find(sentence.text, cursor)
+        if sent_start < 0:
+            # Title prepended as sentence 0 is not part of the body text.
+            continue
+        cursor = sent_start + len(sentence.text)
+        spans = [
+            (m.group(0), sent_start + m.start(), sent_start + m.end())
+            for m in _TOKEN_RE.finditer(sentence.text)
+        ]
+        i = 0
+        while i < len(spans):
+            matched = False
+            for length in range(min(gaz.max_phrase_len, len(spans) - i), 0, -1):
+                window = spans[i : i + length]
+                key = tuple(tok.lower() for tok, _, _ in window)
+                entity_id = gaz.surfaces.get(key)
+                if entity_id is None:
+                    continue
+                first_char = window[0][0][0]
+                if require_uppercase and not (first_char.isupper() or first_char.isdigit()):
+                    continue
+                start, end = window[0][1], window[-1][2]
+                mentions.append(
+                    EntityMention(
+                        surface=doc.text[start:end], start=start, end=end, entity_id=entity_id
+                    )
+                )
+                i += length
+                matched = True
+                break
+            if not matched:
+                i += 1
+    return mentions
+
+
+def sentence_rep_embedding_ref(
+    s: Sentence, table: EmbeddingTable, unique_tokens: bool = False
+) -> np.ndarray | None:
+    """Mean of the in-vocabulary token vectors (occurrence-weighted by default).
+
+    None when no token is in-vocabulary or the mean is the zero vector.
+    """
+    tokens = sorted(set(s.tokens)) if unique_tokens else s.tokens
+    vectors = [v for v in (table.lookup(t) for t in tokens) if v is not None]
+    if not vectors:
+        return None
+    rep = emb.mean_vector(vectors)
+    if not np.any(rep):
+        return None
+    return rep
+
+
+def score_embedding_ref(docs, table: EmbeddingTable, unique_tokens: bool = False):
+    """Method "embedding" one sentence at a time, as `score_corpus` once ran it."""
+    scores = []
+    for doc in docs:
+        scores.append(coherence_sentences(
+            doc, lambda s: sentence_rep_embedding_ref(s, table, unique_tokens)))
+    return sorted(scores, key=lambda s: s.doc_id)

@@ -334,6 +334,22 @@ class TestBadBytesExitTwo:
         assert rc == EXIT_DATA
         assert "kb.jsonl line 1" in err
 
+    def test_jsonl_with_non_utf8_byte(self, workspace, capsys):
+        rows = b"".join(json.dumps(d).encode() + b"\n" for d in FAKE_DOCS)
+        (workspace / "fake.jsonl").write_bytes(
+            rows + b'{"id": "f4", "label": "fake", "text": "policy \xff vote"}\n')
+        rc, err = self._run(workspace, capsys, "--methods", "embedding")
+        assert rc == EXIT_DATA
+        assert "fake.jsonl line 4" in err
+
+    def test_csv_with_non_utf8_byte(self, workspace, capsys):
+        (workspace / "fake.csv").write_bytes(
+            b"title,text\nT1,Parliament policy vote. Treasury budget.\nT2,policy \xff vote\n")
+        rc, err = self._run(workspace, capsys, "--methods", "embedding", "--fake-format", "csv",
+                            "--fake-path", str(workspace / "fake.csv"))
+        assert rc == EXIT_DATA
+        assert "fake.csv line 3" in err
+
     def test_vector_file_with_non_utf8_byte(self, workspace, capsys):
         (workspace / "words.txt").write_bytes(b"2 3\npolicy 1 0 0\nvote \xff 1 0\n")
         rc, err = self._run(workspace, capsys, "--methods", "embedding")

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from newscoherence.coherence import (
@@ -26,6 +26,7 @@ from oracle import (
     entity_coherence_ref,
     mean_pairwise_ref,
     sentence_coherence_ref,
+    score_embedding_ref,
     sentence_rep_esa_ref,
 )
 
@@ -417,3 +418,87 @@ class TestKernelMatchesOracle:
         want = mean_pairwise_ref(rows)
         assert 1e-11 < 1.0 - want < 1e-8
         assert score.value == pytest.approx(want, abs=1e-12)
+
+
+def _docs(token_lists_per_doc):
+    docs = []
+    for d, token_lists in enumerate(token_lists_per_doc):
+        doc = Document(id=f"d{d}", label=Label.FAKE, text="")
+        doc.sentences = [Sentence(index=i, text=" ".join(ts), tokens=list(ts))
+                         for i, ts in enumerate(token_lists)]
+        docs.append(doc)
+    return docs
+
+
+# Query tokens: table tokens, their other casings (the case fallback), a token
+# and its negation (zero means) and tokens out of vocabulary.
+_QUERY = ["alpha", "Alpha", "ALPHA", "beta", "Beta", "gamma", "pos", "neg", "oov", "Oov"]
+
+
+@st.composite
+def _embedding_case(draw):
+    dim = draw(st.integers(1, 4))
+    vector = st.lists(st.floats(-4, 4, allow_subnormal=False), min_size=dim, max_size=dim)
+    names = draw(st.lists(st.sampled_from(["alpha", "Alpha", "BETA", "Beta", "gamma", "Gamma"]),
+                          unique=True, max_size=6))
+    entries = {name: draw(vector) for name in names}
+    entries["pos"] = draw(vector)
+    entries["neg"] = [-x for x in entries["pos"]]
+    sentence = st.lists(st.sampled_from(_QUERY), max_size=6)
+    docs = draw(st.lists(st.lists(sentence, max_size=7), min_size=1, max_size=5))
+    return entries, docs
+
+
+class TestEmbeddingMatchesReference:
+    """score_corpus for "embedding" against per-sentence means of looked-up vectors."""
+
+    @seed(20191108)
+    @given(_embedding_case(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_same_scores(self, case, unique_tokens):
+        entries, token_lists_per_doc = case
+        table = make_table(entries)
+        docs = _docs(token_lists_per_doc)
+        got = score_corpus(LabeledCorpus(documents=docs), "embedding", embedding_table=table,
+                           unique_tokens=unique_tokens)
+        want = score_embedding_ref(docs, table, unique_tokens)
+        assert [(s.doc_id, s.status, s.element_count, s.pair_count) for s in got] == \
+            [(s.doc_id, s.status, s.element_count, s.pair_count) for s in want]
+        for a, b in zip(got, want):
+            if a.ok:
+                assert a.value == pytest.approx(b.value, abs=1e-12)
+
+
+class TestExtremeMagnitudes:
+    """Cosine does not depend on scale, so neither may a score: rows are scaled by
+    powers of two before any square or sum can leave the float range."""
+
+    SENTENCES = [["alpha"], ["beta"], ["alpha", "beta"]]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-170, 1e308])
+    def test_dense_sentences(self, scale):
+        table = make_table({"alpha": [scale, scale], "beta": [scale, -scale]})
+        [score] = score_corpus(LabeledCorpus(documents=_docs([self.SENTENCES])), "embedding",
+                               embedding_table=table)
+        assert score.ok and score.element_count == 3
+        assert score.value == pytest.approx(EXPECTED_MIXED, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-170, 1e308])
+    def test_dense_entities(self, scale):
+        table = make_table({"A": [scale, scale], "B": [scale, -scale], "C": [scale, 0.0]})
+        doc = Document(id="d", label=Label.FAKE, text="x.")
+        doc.entity_mentions = [EntityMention(e, 0, 1, e) for e in "ABC"]
+        score = coherence_entities(doc, table)
+        assert score.ok and score.value == pytest.approx(EXPECTED_MIXED, abs=1e-12)
+
+    @pytest.mark.parametrize("weight", ["1e300", "3.5e300", "1e-170"])
+    def test_esa_index(self, tmp_path, weight):
+        path = tmp_path / "big.esa"
+        path.write_text(f"ESA1\t2\ttf\nC\tA\nC\tB\nT\talpha\t2\t0:{weight} 1:{weight}\n"
+                        f"T\tbeta\t1\t0:{weight}\nT\tgamma\t1\t1:{weight}\n")
+        docs = _docs([[["beta"], ["gamma"], ["alpha"]], [["alpha", "beta"], ["gamma"]]])
+        scores = score_corpus(LabeledCorpus(documents=docs), "esa", esa_index=load_index(path))
+        assert [s.status for s in scores] == ["ok", "ok"]
+        # (1, 0), (0, 1), (1, 1): cosines 0, 1/sqrt(2), 1/sqrt(2); then (2, 1) against (0, 1).
+        assert scores[0].value == pytest.approx(EXPECTED_MIXED, abs=1e-12)
+        assert scores[1].value == pytest.approx(1 / math.sqrt(5), abs=1e-12)

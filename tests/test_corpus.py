@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from newscoherence.corpus import (
@@ -20,6 +20,8 @@ from newscoherence.corpus import (
     tokenize,
     write_jsonl,
 )
+
+from oracle import split_sentences_ref
 
 
 class TestTokenize:
@@ -90,6 +92,55 @@ class TestSplitSentences:
         sentences = [" ".join(ws + [last]).capitalize() + "." for ws, last in sentence_words]
         text = " ".join(sentences)
         assert len(split_sentences(text)) == len(sentences)
+
+
+# Abbreviations with capital sigma (lower-cased by the letters before it), dotted
+# capital I (two characters lower-cased), sharp s and accents, some over 15 long.
+_ABBREVIATION = st.one_of(
+    st.sampled_from(DEFAULT_ABBREVIATIONS),
+    st.sampled_from(["Approx.Governmental.", "ΣΤΗΝ.", "İst.", "i\u0307.", "Straße.", "Σ."]),
+    st.text(alphabet="abİıΣσςßé.!?'", min_size=1, max_size=20),
+)
+
+
+@st.composite
+def _abbreviated_text(draw):
+    """Text built of abbreviations in any case, words, quotes and sentence ends."""
+    abbreviations = tuple(draw(st.lists(_ABBREVIATION, max_size=5)))
+    piece = st.one_of(
+        st.sampled_from(abbreviations or DEFAULT_ABBREVIATIONS).flatmap(
+            lambda a: st.sampled_from([a, a.lower(), a.upper(), a.capitalize()])),
+        st.text(alphabet="aZİıΣσςßé09_'\"”’)“‘.", min_size=1, max_size=6),
+        st.sampled_from([". ", "! ", "? ", '." ', " ", "\n", ".\t", ".  ", " A", " Σ"]),
+    )
+    return "".join(draw(st.lists(piece, max_size=40))), abbreviations
+
+
+class TestSegmenterMatchesReference:
+    """The segmenter against the one that lower-cased the whole prefix at each boundary."""
+
+    @seed(20191108)
+    @given(_abbreviated_text())
+    @settings(max_examples=400, deadline=None)
+    def test_same_sentences_and_tokens(self, case):
+        text, abbreviations = case
+        got = split_sentences(text, abbreviations)
+        want = split_sentences_ref(text, abbreviations)
+        assert [(s.index, s.text, s.tokens) for s in got] == \
+            [(s.index, s.text, s.tokens) for s in want]
+        for s in got:
+            assert text[s.start:s.start + len(s.text)] == s.text
+
+    def test_sigma_reads_the_letters_before_the_tail(self):
+        # "A.Σ." lower-cases to "a.ς." (a final sigma), "Σ." alone to "σ.".
+        text = "A.Σ. Next one."
+        assert len(split_sentences(text, ("σ.",))) == len(split_sentences_ref(text, ("σ.",))) == 2
+        assert len(split_sentences("B Σ. Next one.", ("σ.",))) == 1
+
+    def test_abbreviation_longer_than_its_match(self):
+        # "İ." lower-cases to the three characters of "i\u0307.", and the letter
+        # before the match is the "İ" itself, so "İ." is not an abbreviation.
+        assert [s.text for s in split_sentences("İ. A", ("i\u0307.",))] == ["İ.", "A"]
 
 
 class TestLoadCsv:

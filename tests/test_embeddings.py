@@ -203,6 +203,14 @@ class TestLookup:
         assert np.allclose(table.lookup("uk"), [0, 1])
         assert np.allclose(table.lookup("UK"), [1, 0])
 
+    def test_first_casing_wins_fallback(self):
+        table = make_table({"Apple": [1.0, 0.0], "apple": [0.0, 1.0], "APPLE": [1.0, 1.0],
+                            "kiwi": [2.0, 0.0], "KIWI": [0.0, 2.0]})
+        assert table.lookup("aPPle").tolist() == [1.0, 0.0]  # "Apple" came first
+        assert table.lookup("Kiwi").tolist() == [2.0, 0.0]  # "kiwi" came first
+        assert table.lookup("apple").tolist() == [0.0, 1.0]  # an exact match
+        assert table.lookup("pear") is None
+
 
 class TestMeanVector:
     def test_two(self):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
+from newscoherence.corpus import Document, LabeledCorpus, Label, segment_corpus
 from newscoherence.entitylink import (
     EntityLinkError,
     build_gazetteer,
@@ -11,6 +14,7 @@ from newscoherence.entitylink import (
 )
 
 from conftest import make_doc, make_table
+from oracle import extract_entities_ref
 
 
 @pytest.fixture
@@ -89,7 +93,6 @@ class TestExtractEntities:
             assert a.end <= b.start
 
     def test_requires_segmentation(self, entity_table):
-        from newscoherence.corpus import Document
         doc = Document(id="d", label="fake", text="UK votes.")
         with pytest.raises(EntityLinkError):
             extract_entities(doc, build_gazetteer(entity_table))
@@ -102,6 +105,80 @@ class TestExtractEntities:
         )
         gaz_rev = build_gazetteer(reversed_table)
         assert extract_entities(doc, gaz_fwd) == extract_entities(doc, gaz_rev)
+
+
+class TestTitleSentence:
+    """A title prepended as sentence 0 is never linked, and no body sentence is lost."""
+
+    @pytest.fixture
+    def gaz(self):
+        return build_gazetteer(make_table({"Barack_Obama": [1.0, 0.0], "Paris": [0.0, 1.0],
+                                           "Angela_Merkel": [1.0, 1.0]}))
+
+    def _mentions(self, gaz, text, title):
+        doc = Document(id="d", label=Label.FAKE, text=text, title=title)
+        segment_corpus(LabeledCorpus(documents=[doc]), include_title=True)
+        return [(m.entity_id, m.start, m.surface) for m in extract_entities(doc, gaz)]
+
+    def test_title_found_later_in_the_body(self, gaz):
+        text = "Barack Obama spoke. Paris hosted Angela Merkel. Barack Obama left."
+        assert self._mentions(gaz, text, "Paris") == [
+            ("Barack_Obama", 0, "Barack Obama"), ("Paris", 20, "Paris"),
+            ("Angela_Merkel", 33, "Angela Merkel"), ("Barack_Obama", 48, "Barack Obama")]
+
+    def test_title_is_a_fragment_of_the_first_sentence(self, gaz):
+        text = "Barack Obama spoke in Paris. Angela Merkel replied."
+        assert self._mentions(gaz, text, "Barack Obama") == [
+            ("Barack_Obama", 0, "Barack Obama"), ("Paris", 22, "Paris"),
+            ("Angela_Merkel", 29, "Angela Merkel")]
+
+
+# Name tokens with dotted capital I (two characters lower-cased), sigma in its
+# three forms, sharp s, digits and underscores.
+_NAMES = ["barack", "obama", "paris", "new", "york", "straße", "İstanbul", "ΣΙΣΥΦΟΣ",
+          "σίσυφος", "2020", "x1", "a"]
+_CASED = st.sampled_from(_NAMES).flatmap(
+    lambda w: st.sampled_from([w, w.lower(), w.upper(), w.capitalize()]))
+
+
+@st.composite
+def _linking_case(draw):
+    """An entity table, alias lines and a text built mostly of their surfaces."""
+    ids = draw(st.lists(st.lists(_CASED, min_size=1, max_size=3).map("_".join),
+                        min_size=1, max_size=8, unique=True))
+    aliases = draw(st.lists(st.tuples(st.lists(_CASED, min_size=1, max_size=3).map(" ".join),
+                                      st.sampled_from(ids)), max_size=4))
+    surface = st.one_of(st.sampled_from(ids).map(lambda e: e.replace("_", " ")),
+                        st.sampled_from([a for a, _ in aliases] or ids))
+    piece = st.one_of(surface, surface, _CASED,
+                      st.sampled_from(["the", "met", "in", "_", "-", "9", "x_y"]),
+                      st.sampled_from([". ", "! ", "? ", ", ", "'s ", " "]))
+    text = " ".join(draw(st.lists(piece, min_size=1, max_size=30)))
+    return ids, aliases, text, draw(st.one_of(st.none(), surface, _CASED))
+
+
+class TestLinkerMatchesReference:
+    """The linker against the one that re-tokenized each sentence and found it with
+    `str.find`: the same mentions, and a title never changes the body's."""
+
+    @seed(20191108)
+    @given(_linking_case(), st.booleans())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_mentions(self, tmp_path, case, require_uppercase):
+        ids, aliases, text, title = case
+        table = make_table({e: [1.0] for e in ids})
+        gaz = build_gazetteer(table)
+        alias_path = tmp_path / "aliases.tsv"
+        alias_path.write_text("".join(f"{a}\t{e}\n" for a, e in aliases), encoding="utf-8")
+        load_aliases(alias_path, table, gaz)
+        plain = Document(id="d", label=Label.FAKE, text=text)
+        titled = Document(id="t", label=Label.FAKE, text=text, title=title)
+        segment_corpus(LabeledCorpus(documents=[plain]))
+        segment_corpus(LabeledCorpus(documents=[titled]), include_title=True)
+        want = extract_entities_ref(plain, gaz, require_uppercase)
+        assert extract_entities(plain, gaz, require_uppercase) == want
+        assert extract_entities(titled, gaz, require_uppercase) == want
 
 
 class TestEntitySet:
