@@ -3,59 +3,60 @@
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import coherence as coh
 from . import corpus as corpus_mod
 from . import entitylink, esa, stats
 from .corpus import CorpusError, LabeledCorpus, Label
-from .embeddings import EmbeddingError, load_vectors_text
+from .embeddings import EmbeddingError, load_vectors_text, text_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
-_ENV_PATHS = {
-    "embeddings_path": "NEWSCOHERENCE_EMBEDDINGS",
-    "esa_index_path": "NEWSCOHERENCE_ESA_INDEX",
-    "esa_kb_path": "NEWSCOHERENCE_ESA_KB",
-    "entity_vectors_path": "NEWSCOHERENCE_ENTITY_VECTORS",
-    "alias_path": "NEWSCOHERENCE_ALIASES",
-}
-
 
 class ConfigError(Exception):
     """Invalid run configuration; the message names the offending field."""
 
 
+# Field kinds: one of a fixed set of values; a path an environment variable overrides.
+def _choice(default: str, *others: str):
+    return field(default=default, metadata={"choices": (default, *others)})
+
+
+def _env_path(var: str):
+    return field(default="", metadata={"env": var})
+
+
 @dataclass
 class RunConfig:
     fake_path: str = ""
-    fake_format: str = "jsonl"
+    fake_format: str = _choice("jsonl", "csv")
     legit_path: str = ""
-    legit_format: str = "jsonl"
+    legit_format: str = _choice("jsonl", "csv")
     csv_text_column: str = "text"
     csv_title_column: str = "title"
     methods: str = "embedding"
-    embeddings_path: str = ""
-    esa_kb_path: str = ""
-    esa_index_path: str = ""
-    entity_vectors_path: str = ""
-    alias_path: str = ""
+    embeddings_path: str = _env_path("NEWSCOHERENCE_EMBEDDINGS")
+    esa_kb_path: str = _env_path("NEWSCOHERENCE_ESA_KB")
+    esa_index_path: str = _env_path("NEWSCOHERENCE_ESA_INDEX")
+    entity_vectors_path: str = _env_path("NEWSCOHERENCE_ENTITY_VECTORS")
+    alias_path: str = _env_path("NEWSCOHERENCE_ALIASES")
     out_dir: str = "out"
     include_title: bool = False
-    sd_convention: str = "population"
-    esa_weighting: str = "tfidf"
+    sd_convention: str = _choice("population", "sample")
+    esa_weighting: str = _choice("tfidf", "tf")
     esa_min_weight: float = 0.0
     esa_stopwords: bool = True
     entity_multiset: bool = False
     unique_tokens: bool = False
-    t_test: str = "welch"
+    t_test: str = _choice("welch", "pooled")
     hist_lower: float = 0.0
     hist_upper: float = 1.0
     hist_buckets: int = 20
@@ -66,25 +67,24 @@ class RunConfig:
         return [m.strip() for m in self.methods.split(",") if m.strip()]
 
 
-_BOOL_FIELDS = {"include_title", "esa_stopwords", "entity_multiset", "unique_tokens"}
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+# Every spelling a boolean field accepts; the CLI flags offer the words.
+_BOOLS = {"true": True, "false": False, "on": True, "off": False, "yes": True, "no": False,
+          "1": True, "0": False}
 
 
 def _coerce(name: str, raw: str):
-    kind = {f.name: f.type for f in fields(RunConfig)}[name]
-    if name in _BOOL_FIELDS:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"field {name!r}: expected a boolean, got {raw!r}")
+    kind = _FIELDS[name].type
+    if "\0" in raw:  # only a config file can hold one; no path can
+        raise ConfigError(f"field {name!r}: holds a NUL character")
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
+        if kind == "bool":
+            return _BOOLS[raw.lower()]
+        return {"int": int, "float": float}.get(kind, str)(raw)
+    except KeyError:
+        raise ConfigError(f"field {name!r}: expected a boolean, got {raw!r}") from None
     except ValueError as e:
         raise ConfigError(f"field {name!r}: {e}") from e
-    return raw
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -95,26 +95,26 @@ def load_config(path: str | Path | None) -> RunConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"field 'config': file not found: {p}")
-    valid = {f.name for f in fields(RunConfig)}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{p} line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in valid:
-            raise ConfigError(f"{p} line {lineno}: unknown field {key!r}")
-        setattr(config, key, _coerce(key, value))
+    with open(p, "rb") as f:
+        for lineno, line in text_lines(f, p, ConfigError):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{p} line {lineno}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if key not in _FIELDS:
+                raise ConfigError(f"{p} line {lineno}: unknown field {key!r}")
+            setattr(config, key, _coerce(key, value))
     return config
 
 
 def apply_env(config: RunConfig) -> None:
-    for name, var in _ENV_PATHS.items():
-        value = os.environ.get(var)
+    for f in _FIELDS.values():
+        value = "env" in f.metadata and os.environ.get(f.metadata["env"])
         if value:
-            setattr(config, name, value)
+            setattr(config, f.name, value)
 
 
 def validate(config: RunConfig, need_corpora: bool, need_methods: bool) -> None:
@@ -125,43 +125,36 @@ def validate(config: RunConfig, need_corpora: bool, need_methods: bool) -> None:
             raise ConfigError(f"field 'methods': unknown method {m!r}")
     if need_methods and not methods:
         raise ConfigError("field 'methods': at least one method required")
-    if config.sd_convention not in ("population", "sample"):
-        raise ConfigError(f"field 'sd_convention': {config.sd_convention!r}")
-    if config.t_test not in ("welch", "pooled"):
-        raise ConfigError(f"field 't_test': {config.t_test!r}")
-    if config.esa_weighting not in ("tf", "tfidf"):
-        raise ConfigError(f"field 'esa_weighting': {config.esa_weighting!r}")
-    for fmt_field in ("fake_format", "legit_format"):
-        if getattr(config, fmt_field) not in ("csv", "jsonl"):
-            raise ConfigError(f"field {fmt_field!r}: {getattr(config, fmt_field)!r}")
+    for f in _FIELDS.values():
+        value = getattr(config, f.name)
+        if "choices" in f.metadata and value not in f.metadata["choices"]:
+            raise ConfigError(f"field {f.name!r}: {value!r}")
     if not (config.hist_lower < config.hist_upper):
         raise ConfigError("field 'hist_lower': must be < hist_upper")
+    if not math.isfinite(config.hist_upper - config.hist_lower):
+        raise ConfigError("field 'hist_upper': the histogram range must be finite")
     if config.hist_buckets < 1:
         raise ConfigError("field 'hist_buckets': must be >= 1")
     if config.workers < 1:
         raise ConfigError("field 'workers': must be >= 1")
-    if need_corpora:
-        if not config.fake_path:
-            raise ConfigError("field 'fake_path': required")
-        if not config.legit_path:
-            raise ConfigError("field 'legit_path': required")
-    if need_methods:
-        if "embedding" in methods and not config.embeddings_path:
-            raise ConfigError("field 'embeddings_path': required for method 'embedding'")
-        if "esa" in methods and not (config.esa_index_path or config.esa_kb_path):
-            raise ConfigError("field 'esa_index_path': an index or KB is required for 'esa'")
-        if "entity" in methods and not config.entity_vectors_path:
-            raise ConfigError("field 'entity_vectors_path': required for method 'entity'")
+    used = methods if need_methods else []
+    required = [  # (needed, field, what for)
+        (need_corpora, "fake_path", "required"),
+        (need_corpora, "legit_path", "required"),
+        ("embedding" in used, "embeddings_path", "required for method 'embedding'"),
+        ("esa" in used, "esa_index_path", "an index or KB is required for 'esa'"),
+        ("entity" in used, "entity_vectors_path", "required for method 'entity'"),
+    ]
+    for needed, name, why in required:
+        value = getattr(config, name) or name == "esa_index_path" and config.esa_kb_path
+        if needed and not value:
+            raise ConfigError(f"field {name!r}: {why}")
 
 
 def resolved_config_lines(config: RunConfig) -> list[str]:
     # workers is excluded: output is identical for any worker count.
-    lines = []
-    for f in sorted(fields(RunConfig), key=lambda f: f.name):
-        if f.name == "workers":
-            continue
-        lines.append(f"{f.name} = {getattr(config, f.name)}")
-    return lines
+    return [f"{f.name} = {getattr(config, f.name)}"
+            for f in sorted(_FIELDS.values(), key=lambda f: f.name) if f.name != "workers"]
 
 
 def _load_corpus(config: RunConfig, label: str) -> LabeledCorpus:
@@ -194,23 +187,7 @@ def _load_kb(path: str | Path) -> list[tuple[str, str]]:
             raise CorpusError(f"{p}: no .txt knowledge-base articles found")
         return docs
     if p.is_file():
-        docs = []
-        with open(p, "rb") as f:
-            for lineno, raw in enumerate(f, start=1):
-                if not raw.strip():
-                    continue
-                where = f"{p} line {lineno}"
-                try:
-                    obj = json.loads(raw.decode("utf-8"))  # UnicodeDecodeError is a ValueError
-                    record = (obj["title"], obj["text"]) if isinstance(obj, dict) else None
-                except (ValueError, KeyError) as e:
-                    raise CorpusError(f"{where}: bad KB record: {e}") from e
-                if record is None:
-                    raise CorpusError(f"{where}: bad KB record: expected a JSON object")
-                for name, value in zip(("title", "text"), record):
-                    corpus_mod.require_string(value, name, where)
-                docs.append(record)
-        return docs
+        return [tuple(values) for _, values in corpus_mod.jsonl_records(p, ("title", "text"))]
     raise CorpusError(f"knowledge base not found: {p}")
 
 
@@ -229,10 +206,11 @@ def _esa_index(config: RunConfig) -> esa.EsaIndex:
     )
 
 
+Corpora = dict[str, LabeledCorpus]
 PerMethod = dict[str, tuple[list[coh.CoherenceScore], dict[str, str]]]
 
 
-def run(config: RunConfig, score: bool) -> tuple[dict[str, LabeledCorpus], PerMethod]:
+def run(config: RunConfig, score: bool) -> tuple[Corpora, PerMethod]:
     """The pipeline behind every data command: validate, load resources, load
     and segment both corpora, link, and with `score` score every method, each once.
 
@@ -273,74 +251,59 @@ def run(config: RunConfig, score: bool) -> tuple[dict[str, LabeledCorpus], PerMe
             entity_table=entity_table,
             unique_tokens=config.unique_tokens,
             entity_multiset=config.entity_multiset,
-            workers=config.workers,
         )
         per_method[method] = (scores, labels)
     return corpora, per_method
 
 
-def _write(out_dir: Path, name: str, text: str) -> None:
+def _write(config: RunConfig, files: dict[str, str]) -> dict[str, str]:
+    """The one writer of output files: each text to out_dir/<name>; returns `files`."""
+    out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text, encoding="utf-8")
+    for name, text in files.items():
+        (out_dir / name).write_text(text, encoding="utf-8", newline="")
+    return files
 
 
-def _stats_table(
-    config: RunConfig, corpora: dict[str, LabeledCorpus], mark: str
-) -> tuple[list[str], list[str]]:
-    """Dataset statistics as CSV and markdown lines; `mark` prefixes two md headers."""
+# An output part takes the run's corpora and per-method scores and returns what
+# its command prints and its files by name, which the caller writes.
+def _stats(config: RunConfig, corpora: Corpora, per_method: PerMethod,
+           mark: str = "#") -> tuple[str, dict]:
+    """Dataset statistics (Table 1); `mark` prefixes two markdown headers."""
     csv_lines = ["label,articles,sentences_mean,sentences_sd,entities_mean,entities_sd"]
-    md_lines = [
-        f"| Category | #Articles | {mark}Sentences/Article Mean (SD) "
-        f"| {mark}Entities/Article Mean (SD) |",
-        "|---|---|---|---|",
-    ]
+    md_lines = [f"| Category | #Articles | {mark}Sentences/Article Mean (SD) "
+                f"| {mark}Entities/Article Mean (SD) |", "|---|---|---|---|"]
     sample = config.sd_convention == "sample"
     for c in corpora.values():
         for label, e in corpus_mod.corpus_stats(c, sample_sd=sample).items():
-            # Entity columns read "-" when the corpus was not linked.
-            ent_mean, ent_sd = ("-" if e[k] is None else f"{e[k]:.2f}"
-                                for k in ("entities_mean", "entities_sd"))
-            csv_lines.append(
-                f"{label},{e['article_count']},{e['sentences_mean']:.2f},"
-                f"{e['sentences_sd']:.2f},{ent_mean},{ent_sd}"
-            )
-            md_lines.append(
-                f"| {label} | {e['article_count']} | {e['sentences_mean']:.2f} "
-                f"({e['sentences_sd']:.2f}) | {ent_mean} ({ent_sd}) |"
-            )
-    return csv_lines, md_lines
+            # One formatting for both tables; entity cells read "-" for an unlinked corpus.
+            row = [label, str(e["article_count"])] + [
+                "-" if e[k] is None else f"{e[k]:.2f}"
+                for k in ("sentences_mean", "sentences_sd", "entities_mean", "entities_sd")]
+            csv_lines.append(",".join(row))
+            md_lines.append("| {} | {} | {} ({}) | {} ({}) |".format(*row))
+    md_text = "\n".join(md_lines) + "\n"
+    return md_text, {"dataset_stats.csv": "\n".join(csv_lines) + "\n", "dataset_stats.md": md_text}
 
 
-def cmd_stats(config: RunConfig) -> None:
-    corpora, _ = run(config, score=False)
-    out_dir = Path(config.out_dir)
-    csv_lines, md_lines = _stats_table(config, corpora, mark="#")
-    _write(out_dir, "dataset_stats.csv", "\n".join(csv_lines) + "\n")
-    _write(out_dir, "dataset_stats.md", "\n".join(md_lines) + "\n")
-    print("\n".join(md_lines))
-
-
-def cmd_score(config: RunConfig) -> None:
-    _, per_method = run(config, score=True)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _scores(config: RunConfig, corpora: Corpora, per_method: PerMethod) -> tuple[str, dict]:
+    printed, files = [], {}
     for method, (scores, labels) in per_method.items():
-        path = out_dir / f"scores_{method}.csv"
-        coh.write_scores_csv(scores, labels, path)
+        name = f"scores_{method}.csv"
+        files[name] = coh.scores_csv(scores, labels)
         undefined = sum(1 for s in scores if not s.ok)
-        print(f"{method}: {len(scores)} documents scored, {undefined} undefined -> {path}")
+        printed.append(f"{method}: {len(scores)} documents scored, {undefined} undefined "
+                       f"-> {Path(config.out_dir) / name}\n")
+    return "".join(printed), files
 
 
-def _write_summary(config: RunConfig, per_method: PerMethod) -> str:
-    """Compare fake with legitimate per method; write summary.csv/.md, return the md."""
-    csv_lines = [
-        "method,fake_n,fake_mean,fake_sd,legit_n,legit_mean,legit_sd,"
-        "difference_pct,t,dof,p_value,log10_p,excluded_fake,excluded_legit"
-    ]
-    md_lines = [
-        "| Method | Fake Mean (SD) | Legitimate Mean (SD) | Difference in % | p-value |",
-        "|---|---|---|---|---|",
-    ]
+def _summary(config: RunConfig, corpora: Corpora,
+             per_method: PerMethod) -> tuple[str, dict]:
+    """Compare fake with legitimate per method: summary.csv and summary.md."""
+    csv_lines = ["method,fake_n,fake_mean,fake_sd,legit_n,legit_mean,legit_sd,"
+                 "difference_pct,t,dof,p_value,log10_p,excluded_fake,excluded_legit"]
+    md_lines = ["| Method | Fake Mean (SD) | Legitimate Mean (SD) | Difference in % | p-value |",
+                "|---|---|---|---|---|"]
     for method, (scores, labels) in per_method.items():
         fake = [s for s in scores if labels.get(s.doc_id) == Label.FAKE]
         legit = [s for s in scores if labels.get(s.doc_id) == Label.LEGITIMATE]
@@ -359,147 +322,116 @@ def _write_summary(config: RunConfig, per_method: PerMethod) -> str:
             f"| {s.legitimate.mean:.6f} ({s.legitimate.sd:.6f}) "
             f"| {s.percent_difference:.2f}% | {s.p_value:.6E} |"
         )
-    out_dir = Path(config.out_dir)
-    _write(out_dir, "summary.csv", "\n".join(csv_lines) + "\n")
-    _write(out_dir, "summary.md", "\n".join(md_lines) + "\n")
-    return "\n".join(md_lines) + "\n"
+    md_text = "\n".join(md_lines) + "\n"
+    return md_text, {"summary.csv": "\n".join(csv_lines) + "\n", "summary.md": md_text}
 
 
-def _write_hists(config: RunConfig, per_method: PerMethod) -> dict[str, str]:
-    """Histogram of the ok scores by label per method; write hist_<method>.tsv, return the TSVs."""
-    tsvs = {}
+def _hists(config: RunConfig, corpora: Corpora, per_method: PerMethod) -> tuple[str, dict]:
+    """Histogram TSV of the ok scores by label per method."""
+    printed, files = [], {}
     for method, (scores, labels) in per_method.items():
-        by_label: dict[str, list[float]] = {}
-        for s in scores:
-            if s.ok:
-                by_label.setdefault(labels.get(s.doc_id, ""), []).append(s.value)
-        for lab in (Label.FAKE, Label.LEGITIMATE):
-            if not by_label.get(lab):
+        by_label = {lab: [s.value for s in scores if s.ok and labels.get(s.doc_id) == lab]
+                    for lab in (Label.FAKE, Label.LEGITIMATE)}
+        for lab, values in by_label.items():
+            if not values:
                 print(f"warning: no {lab} scores for method {method}, column omitted",
                       file=sys.stderr)
-        hist = stats.build_histogram(
-            by_label, config.hist_lower, config.hist_upper, config.hist_buckets
-        )
-        lines = [
-            f"# range [{hist.lower}, {hist.upper}], {hist.bucket_count} buckets, edge clamping",
-            "bucket_low\tbucket_high\tfake_pct\tlegit_pct",
-        ]
-        fake = hist.percentages.get(Label.FAKE)
-        legit = hist.percentages.get(Label.LEGITIMATE)
+        hist = stats.build_histogram(by_label, config.hist_lower, config.hist_upper,
+                                     config.hist_buckets)
+        head = f"# range [{hist.lower}, {hist.upper}], {hist.bucket_count} buckets, edge clamping"
+        lines = [head, "bucket_low\tbucket_high\tfake_pct\tlegit_pct"]
+        columns = [hist.percentages.get(lab) for lab in by_label]
         for i in range(hist.bucket_count):
-            f_pct = f"{fake[i]:.4f}" if fake else ""
-            l_pct = f"{legit[i]:.4f}" if legit else ""
-            lines.append(f"{hist.edges[i]:.6f}\t{hist.edges[i + 1]:.6f}\t{f_pct}\t{l_pct}")
-        tsvs[method] = "\n".join(lines) + "\n"
-        _write(Path(config.out_dir), f"hist_{method}.tsv", tsvs[method])
-    return tsvs
+            pcts = [f"{col[i]:.4f}" if col else "" for col in columns]
+            lines.append("\t".join([f"{hist.edges[i]:.6f}", f"{hist.edges[i + 1]:.6f}", *pcts]))
+        name = f"hist_{method}.tsv"
+        files[name] = "\n".join(lines) + "\n"
+        printed.append(f"{method}: histogram -> {Path(config.out_dir) / name}\n")
+    return "".join(printed), files
 
 
-def _scores_per_method(config: RunConfig, score_files: list[str] | None) -> PerMethod:
-    if not score_files:
-        return run(config, score=True)[1]
-    per_method = {}
-    for sf in score_files:
+def _report(config: RunConfig, corpora: Corpora, per_method: PerMethod) -> tuple[str, dict]:
+    """The score, summary and histogram parts, each written as soon as it is made,
+    and report.md composed of their tables."""
+    files: dict[str, str] = {}
+    for part in (_scores, _summary, _hists):
+        files |= _write(config, part(config, corpora, per_method)[1])
+    report = ["# Coherence Report", "", "## Dataset statistics", "",
+              _stats(config, corpora, per_method, mark="")[0].rstrip()]
+    report += ["", "## Coherence comparison", "", files["summary.md"].rstrip(), ""]
+    for method in per_method:
+        tsv = files[f"hist_{method}.tsv"].rstrip()
+        report += [f"## Histogram ({method})", "", "```", tsv, "```", ""]
+    report += ["## Resolved configuration", "", "```", *resolved_config_lines(config), "```", ""]
+    return f"report -> {Path(config.out_dir) / 'report.md'}\n", {"report.md": "\n".join(report)}
+
+
+# name -> (help, output part); build-esa-index writes no part.
+_COMMANDS = {
+    "stats": ("dataset statistics (Table-1 style)", _stats),
+    "score": ("per-document coherence score CSVs", _scores),
+    "compare": ("fake vs legitimate summary (Table-2 style)", _summary),
+    "hist": ("histogram TSVs", _hists),
+    "build-esa-index": ("build and serialize the ESA index", None),
+    "report": ("run everything and emit a combined markdown report", _report),
+}
+
+
+def _command(config: RunConfig, args: argparse.Namespace) -> str:
+    """Run one command and return what it prints. A data command runs `run()` once,
+    or reads the given score CSVs, and writes its part's files and resolved_config.txt."""
+    if args.command == "build-esa-index":
+        if not config.esa_kb_path:
+            raise ConfigError("field 'esa_kb_path': required for build-esa-index")
+        index = _esa_index(replace(config, esa_index_path=""))
+        esa.save_index(index, args.out)
+        return (f"ESA index: {index.doc_count} concepts, {len(index.inverted)} tokens "
+                f"-> {args.out}\n")
+    corpora, per_method = {}, {}
+    for sf in getattr(args, "score_files", None) or []:
         scores, labels = coh.read_scores_csv(sf)
         if not scores:
             raise stats.StatsError(f"{sf}: no scores")
         per_method[scores[0].method] = (scores, labels)
-    return per_method
-
-
-def cmd_compare(config: RunConfig, score_files: list[str] | None = None) -> None:
-    print(_write_summary(config, _scores_per_method(config, score_files)), end="")
-
-
-def cmd_hist(config: RunConfig, score_files: list[str] | None = None) -> None:
-    out_dir = Path(config.out_dir)
-    for method in _write_hists(config, _scores_per_method(config, score_files)):
-        print(f"{method}: histogram -> {out_dir / f'hist_{method}.tsv'}")
-
-
-def cmd_build_esa_index(config: RunConfig, out_path: str) -> None:
-    if not config.esa_kb_path:
-        raise ConfigError("field 'esa_kb_path': required for build-esa-index")
-    index = _esa_index(replace(config, esa_index_path=""))
-    esa.save_index(index, out_path)
-    print(f"ESA index: {index.doc_count} concepts, {len(index.inverted)} tokens -> {out_path}")
-
-
-def cmd_report(config: RunConfig) -> None:
-    corpora, per_method = run(config, score=True)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _, stats_md = _stats_table(config, corpora, mark="")
-    for method, (scores, labels) in per_method.items():
-        coh.write_scores_csv(scores, labels, out_dir / f"scores_{method}.csv")
-    md_text = _write_summary(config, per_method)
-    report = ["# Coherence Report", "", "## Dataset statistics", "", *stats_md]
-    report += ["", "## Coherence comparison", "", md_text.rstrip(), ""]
-    for method, tsv in _write_hists(config, per_method).items():
-        report += [f"## Histogram ({method})", "", "```", tsv.rstrip(), "```", ""]
-    report += ["## Resolved configuration", "", "```", *resolved_config_lines(config), "```", ""]
-    _write(out_dir, "report.md", "\n".join(report))
-    print(f"report -> {out_dir / 'report.md'}")
+    if not per_method:
+        corpora, per_method = run(config, score=args.command != "stats")
+    printed, files = _COMMANDS[args.command][1](config, corpora, per_method)
+    files["resolved_config.txt"] = "\n".join(resolved_config_lines(config)) + "\n"
+    _write(config, files)
+    return printed
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
-    for f in fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.name in _BOOL_FIELDS:
-            common.add_argument(flag, dest=f.name, default=None,
-                                choices=["true", "false", "on", "off", "yes", "no"])
-        else:
-            common.add_argument(flag, dest=f.name, default=None)
+    for f in _FIELDS.values():
+        words = [word for word in _BOOLS if word.isalpha()] if f.type == "bool" else None
+        common.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None,
+                            choices=words)
     parser = argparse.ArgumentParser(
         prog="newscoherence",
         description="Textual coherence scoring and fake/legitimate comparison.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("stats", parents=[common], help="dataset statistics (Table-1 style)")
-    sub.add_parser("score", parents=[common], help="per-document coherence score CSVs")
-    p_cmp = sub.add_parser("compare", parents=[common],
-                           help="fake vs legitimate summary (Table-2 style)")
-    p_cmp.add_argument("score_files", nargs="*", help="reuse existing score CSVs")
-    p_hist = sub.add_parser("hist", parents=[common], help="histogram TSVs")
-    p_hist.add_argument("score_files", nargs="*", help="reuse existing score CSVs")
-    p_esa = sub.add_parser("build-esa-index", parents=[common],
-                           help="build and serialize the ESA index")
-    p_esa.add_argument("--out", required=True, help="index output path")
-    sub.add_parser("report", parents=[common],
-                   help="run everything and emit a combined markdown report")
+    for name, (help_text, _) in _COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        if name in ("compare", "hist"):
+            command.add_argument("score_files", nargs="*", help="reuse existing score CSVs")
+        elif name == "build-esa-index":
+            command.add_argument("--out", required=True, help="index output path")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
         apply_env(config)
-        for f in fields(RunConfig):
-            raw = getattr(args, f.name, None)
-            if raw is not None:
-                setattr(config, f.name, _coerce(f.name, str(raw)))
+        for name in _FIELDS:
+            if getattr(args, name) is not None:
+                setattr(config, name, _coerce(name, getattr(args, name)))
         validate(config, need_corpora=False, need_methods=False)
-
-        if args.command == "build-esa-index":
-            cmd_build_esa_index(config, args.out)
-            return EXIT_OK
-        if args.command == "stats":
-            cmd_stats(config)
-        elif args.command == "score":
-            cmd_score(config)
-        elif args.command == "compare":
-            cmd_compare(config, args.score_files or None)
-        elif args.command == "hist":
-            cmd_hist(config, args.score_files or None)
-        else:
-            cmd_report(config)
-        # Every data command leaves its resolved configuration next to its outputs.
-        _write(Path(config.out_dir), "resolved_config.txt",
-               "\n".join(resolved_config_lines(config)) + "\n")
+        print(_command(config, args), end="")
         return EXIT_OK
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -24,7 +25,7 @@ __all__ = [
     "coherence_sentences",
     "coherence_entities",
     "score_corpus",
-    "write_scores_csv",
+    "scores_csv",
     "read_scores_csv",
 ]
 
@@ -208,14 +209,11 @@ def score_corpus(
     entity_table: EmbeddingTable | None = None,
     unique_tokens: bool = False,
     entity_multiset: bool = False,
-    workers: int = 1,
 ) -> list[CoherenceScore]:
     """One CoherenceScore per document, ordered by doc id.
 
     Method "entity" needs documents linked by `entitylink.link_corpus`; an
-    unlinked one raises CoherenceError. Scoring runs in the calling thread.
-    `workers` is accepted so that existing callers keep working; the output is
-    the same for any value.
+    unlinked one raises CoherenceError.
     """
     if method not in METHODS:
         raise CoherenceError(f"unknown method {method!r}")
@@ -241,21 +239,18 @@ def score_corpus(
     return sorted(scores, key=lambda s: s.doc_id)
 
 
-def write_scores_csv(
-    scores: list[CoherenceScore], labels: dict[str, str], path: str | Path
-) -> None:
-    """doc_id,label,method,value,element_count,pair_count,status with 6-decimal values."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["doc_id", "label", "method", "value", "element_count", "pair_count", "status"]
-        )
-        for s in scores:
-            value = f"{s.value:.6f}" if s.ok else ""
-            writer.writerow(
-                [s.doc_id, labels.get(s.doc_id, ""), s.method, value,
-                 s.element_count, s.pair_count, s.status]
-            )
+def scores_csv(scores: list[CoherenceScore], labels: dict[str, str]) -> str:
+    """doc_id,label,method,value,element_count,pair_count,status with 6-decimal
+    values, as the text of a CSV file (lines end in \\r\\n)."""
+    f = io.StringIO()
+    writer = csv.writer(f)
+    writer.writerow(
+        ["doc_id", "label", "method", "value", "element_count", "pair_count", "status"])
+    for s in scores:
+        value = f"{s.value:.6f}" if s.ok else ""
+        writer.writerow([s.doc_id, labels.get(s.doc_id, ""), s.method, value,
+                         s.element_count, s.pair_count, s.status])
+    return f.getvalue()
 
 
 def read_scores_csv(path: str | Path) -> tuple[list[CoherenceScore], dict[str, str]]:

@@ -27,6 +27,7 @@ __all__ = [
     "segment_corpus",
     "load_csv",
     "load_jsonl",
+    "jsonl_records",
     "require_string",
     "write_jsonl",
     "corpus_stats",
@@ -255,51 +256,51 @@ def require_string(value, name: str, where: str) -> None:
         raise CorpusError(f"{where}: field {name!r} is not valid Unicode: {e}") from e
 
 
+def jsonl_records(path: str | Path, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+    """(where, values) for each non-blank line of a JSONL file, read by `text_lines`.
+
+    `where` is "<file> line N"; `values` holds the `required` fields, then the
+    `optional` ones (None when absent or null), each a string `require_string` accepts.
+    """
+    p = Path(path)
+    with open(p, "rb") as f:
+        for lineno, line in text_lines(f, p, CorpusError):
+            if not line.strip():
+                continue
+            where = f"{p} line {lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise CorpusError(f"{where}: malformed JSON: {e}") from e
+            if not isinstance(obj, dict):
+                raise CorpusError(f"{where}: expected a JSON object")
+            try:
+                values = [obj[name] for name in required] + [obj.get(name) for name in optional]
+            except KeyError as e:
+                raise CorpusError(f"{where}: missing field {e}") from e
+            for name, value in zip(required + optional, values):
+                if value is not None or name in required:
+                    require_string(value, name, where)
+            yield where, values
+
+
 def load_jsonl(path: str | Path) -> LabeledCorpus:
     """Load a JSONL corpus: one object per line with string id, label, text, optional title."""
     p = _read_text_file(path)
     docs: list[Document] = []
     seen_ids: set[str] = set()
     skipped = 0
-    try:
-        with open(p, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise CorpusError(f"{p} line {lineno}: malformed JSON: {e}") from e
-                if not isinstance(obj, dict):
-                    raise CorpusError(f"{p} line {lineno}: expected a JSON object")
-                try:
-                    doc_id = obj["id"]
-                    raw_label = obj["label"]
-                    text = obj["text"]
-                except KeyError as e:
-                    raise CorpusError(f"{p} line {lineno}: missing field {e}") from e
-                title = obj.get("title")
-                for name, value in (("id", doc_id), ("label", raw_label), ("text", text),
-                                    ("title", "" if title is None else title)):
-                    require_string(value, name, f"{p} line {lineno}")
-                if raw_label not in _JSONL_LABELS:
-                    raise CorpusError(f"{p} line {lineno}: unknown label {raw_label!r}")
-                if doc_id in seen_ids:
-                    raise CorpusError(f"{p} line {lineno}: duplicate id {doc_id!r}")
-                seen_ids.add(doc_id)
-                if not text.strip():
-                    skipped += 1
-                    continue
-                docs.append(
-                    Document(
-                        id=doc_id,
-                        label=_JSONL_LABELS[raw_label],
-                        text=text,
-                        title=title,
-                    )
-                )
-    except UnicodeDecodeError as e:
-        raise _utf8_error(p, e) from e
+    for where, (doc_id, raw_label, text, title) in jsonl_records(
+            p, ("id", "label", "text"), ("title",)):
+        if raw_label not in _JSONL_LABELS:
+            raise CorpusError(f"{where}: unknown label {raw_label!r}")
+        if doc_id in seen_ids:
+            raise CorpusError(f"{where}: duplicate id {doc_id!r}")
+        seen_ids.add(doc_id)
+        if not text.strip():
+            skipped += 1
+            continue
+        docs.append(Document(id=doc_id, label=_JSONL_LABELS[raw_label], text=text, title=title))
     return LabeledCorpus(documents=docs, source=str(p), skipped=skipped)
 
 

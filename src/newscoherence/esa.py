@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import tokenize
+from .embeddings import text_lines
 
 logger = logging.getLogger(__name__)
 
@@ -142,7 +143,9 @@ def sentence_matrix(index: EsaIndex, token_lists: list[list[str]]) -> Csr:
     """One CSR row per token list: the sum of its tokens' concept vectors, which
     points the way of their mean; out-of-vocabulary tokens add nothing.
     Each row holds only the concepts it touches, so the cost follows the
-    nonzeros, not the index size."""
+    nonzeros, not the index size. A sum past the float range is redone with its
+    list's weights halved k times, 2**k > the list's length, which keeps the
+    row's direction and is exact."""
     rows, (indptr, indices, data) = index.token_matrix()
     ids = [[rows[t] for t in tokens if t in rows] for tokens in token_lists]
     lengths = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
@@ -154,8 +157,10 @@ def sentence_matrix(index: EsaIndex, token_lists: list[list[str]]) -> Csr:
     # Sum the entries of each (sentence, concept) cell, in sentence-major order.
     cells, cell = np.unique(sentence * index.doc_count + indices[pos], return_inverse=True)
     counts = np.bincount(cells // index.doc_count, minlength=len(ids))
-    return (np.concatenate(([0], np.cumsum(counts))), cells % index.doc_count,
-            np.bincount(cell, weights=data[pos]))
+    sums = np.bincount(cell, weights=data[pos])
+    if not np.isfinite(sums).all():
+        sums = np.bincount(cell, weights=np.ldexp(data[pos], -np.frexp(lengths)[1][sentence]))
+    return np.concatenate(([0], np.cumsum(counts))), cells % index.doc_count, sums
 
 
 def cosine_sparse(u: SparseVector, v: SparseVector) -> float:
@@ -171,7 +176,14 @@ def cosine_sparse(u: SparseVector, v: SparseVector) -> float:
 
 
 def save_index(index: EsaIndex, path: str | Path) -> None:
-    """Serialize deterministically: header, concept table, then sorted token rows."""
+    """Serialize deterministically: header, concept table, then sorted token rows.
+
+    A record is one tab-separated line, so a title holding a tab or line break
+    cannot be stored and raises EsaError before anything is written."""
+    for title in index.concepts:
+        if any(c in title for c in "\t\r\n"):
+            raise EsaError(f"concept title {title!r} holds a tab or line break; "
+                           f"an ESA index file cannot store it")
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"ESA1\t{index.doc_count}\t{index.weighting}\n")
         for title in index.concepts:
@@ -182,19 +194,10 @@ def save_index(index: EsaIndex, path: str | Path) -> None:
             f.write(f"T\t{token}\t{index.df[token]}\t{cells}\n")
 
 
-def _decoded_lines(f, p: Path):
-    """(line number, text without its line end) for each line of a binary file."""
-    for lineno, raw in enumerate(f, start=1):
-        try:
-            yield lineno, raw.decode("utf-8").rstrip("\r\n")
-        except UnicodeDecodeError as e:
-            raise EsaError(f"{p} line {lineno}: invalid UTF-8: {e}") from e
-
-
 def load_index(path: str | Path) -> EsaIndex:
     p = Path(path)
     with open(p, "rb") as f:
-        lines = _decoded_lines(f, p)
+        lines = text_lines(f, p, EsaError)
         header = next(lines, (1, ""))[1].split("\t")
         if len(header) != 3 or header[0] != "ESA1":
             raise EsaError(f"{p}: not an ESA index file")
@@ -208,7 +211,10 @@ def load_index(path: str | Path) -> EsaIndex:
         df: dict[str, int] = {}
         for lineno, line in lines:
             parts = line.split("\t")
+            width = {"C": 2, "T": 4}.get(parts[0])
             try:
+                if width is not None and len(parts) != width:
+                    raise ValueError(f"expected {width} tab-separated fields, got {len(parts)}")
                 if parts[0] == "C":
                     concepts.append(parts[1])
                 elif parts[0] == "T":
@@ -227,7 +233,7 @@ def load_index(path: str | Path) -> EsaIndex:
                     df[token] = token_df
                 else:
                     raise EsaError(f"{p} line {lineno}: unknown record type {parts[0]!r}")
-            except (IndexError, ValueError) as e:
+            except ValueError as e:
                 raise EsaError(f"{p} line {lineno}: malformed {parts[0]!r} record: {e}") from e
     return EsaIndex(
         concepts=concepts, inverted=inverted, doc_count=doc_count, df=df, weighting=weighting

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -147,6 +150,36 @@ class TestConfig:
                    "--methods", "telepathy"])
         assert rc == EXIT_USAGE
         assert "methods" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", [b"caf\xe9", b"a\x85b"], ids=["latin-1", "c1-byte"])
+    def test_non_utf8_config_exits_1_naming_line(self, workspace, capsys, raw):
+        p = workspace / "bad.conf"
+        p.write_bytes(b"# resources\nfake_path = " + raw + b"\n")
+        rc = main(["stats", "--config", str(p)])
+        assert rc == EXIT_USAGE
+        assert "bad.conf line 2" in capsys.readouterr().err
+
+    def test_nul_in_config_value_exits_1(self, workspace, capsys):
+        p = workspace / "nul.conf"
+        p.write_bytes((workspace / "run.conf").read_bytes() + b"embeddings_path = a\x00b\n")
+        assert main(["report", "--config", str(p)]) == EXIT_USAGE
+        assert "'embeddings_path'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bounds", [["--hist-lower=-inf"], ["--hist-upper=inf"],
+                                        ["--hist-lower=-1e308", "--hist-upper=1e308"]])
+    def test_histogram_range_must_be_finite(self, workspace, capsys, bounds):
+        rc = main(["report", "--config", str(workspace / "run.conf"), *bounds])
+        assert rc == EXIT_USAGE
+        assert "histogram range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\x85"], ids=["line-separator", "next-line"])
+    def test_unicode_line_separators_stay_in_the_value(self, tmp_path, sep):
+        # Only \n, \r\n and \r end a line, as in every other text input.
+        p = tmp_path / "run.conf"
+        p.write_text(f"csv_text_column = body{sep}text\nmethods = esa\n", encoding="utf-8")
+        config = load_config(p)
+        assert config.csv_text_column == f"body{sep}text"
+        assert config.methods == "esa"
 
     def test_data_error_exit_code(self, workspace):
         rc = main(["score", "--config", str(workspace / "run.conf"),
@@ -435,8 +468,59 @@ def _mangled(text_strategy):
         st.binary(max_size=40))
 
 
+@st.composite
+def _csv_text(draw):
+    """RFC 4180 text with a header and rows of articles or prose, and the name of
+    the mapped text column, which the header usually holds."""
+    column = draw(st.sampled_from(["text", "text", "body"]))
+    columns = draw(st.permutations(["text", "title", "body", "id"]).flatmap(
+        lambda names: st.integers(1, 4).map(lambda n: names[:n])))
+    cell = st.one_of(st.sampled_from([d["text"] for d in FAKE_DOCS]), _PROSE, st.text(max_size=8))
+    rows = draw(st.lists(st.lists(cell, min_size=len(columns), max_size=len(columns)),
+                         max_size=5))
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(
+        [columns, *rows])
+    return out.getvalue(), column
+
+
+_CORPUS_WORDS = sorted({w.lower() for d in FAKE_DOCS + LEGIT_DOCS for w in d["text"].split()})
+
+
+@st.composite
+def _esa_text(draw):
+    """An ESA1 index with a row for each corpus word and a few other tokens; now and
+    then a concept count or id is out of bounds."""
+    titles = draw(st.lists(st.text(st.characters(codec="utf-8", exclude_characters="\t\r\n"),
+                                   max_size=6), min_size=1, max_size=3))
+    n = len(titles)
+    count = draw(st.sampled_from([n] * 8 + [0, -1, 10**20]))
+    cell = st.builds("{}:{}".format, st.integers(0, n - 1),
+                     st.one_of(st.floats(0.01, 100).map(repr), _NUMBER))
+    rows = [f"T\t{token}\t1\t{' '.join(draw(st.lists(cell, max_size=3)))}"
+            for token in _CORPUS_WORDS + draw(st.lists(st.text(max_size=4), max_size=2))]
+    rows += draw(st.sampled_from([[]] * 8 + [[f"T\tzz\t1\t{n}:1.0"], ["T\tzz\t1\t-1:1.0"]]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    header = f"ESA1\t{count}\t{draw(st.sampled_from(['tf', 'tfidf']))}"
+    return end.join([header, *(f"C\t{t}" for t in titles), *rows]) + end
+
+
+_CONFIG_VALUE = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "true", "off", "maybe", "nan", "inf", "-inf",
+                     "1e308", "-1e308", "embedding", "esa,entity", "telepathy", "csv", "jsonl",
+                     "sample", "pooled", "tf", "", "missing.txt", ".", "a\x00b"]),
+    st.text(st.characters(codec="utf-8", exclude_categories=["Nd"]), max_size=6))
+# Every field but out_dir, which the test pins on the command line.
+_CONFIG_LINE = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from([f.name for f in fields(RunConfig)
+                                                 if f.name != "out_dir"] + ["no_such_key"]),
+              _CONFIG_VALUE),
+    st.text(max_size=12), st.just("# comment"), st.just(""))
+
+
 class TestRandomResourceBytes:
-    """Random vector-table and alias bytes through `report`: exit 0 or 2, never 3."""
+    """Random vector-table, alias, CSV and ESA1 bytes through `report` exit 0 or 2;
+    random config bytes exit 0, 1 or 2. Never 3."""
 
     @given(words=_mangled(_vector_text()), entities=_mangled(_vector_text()))
     @settings(max_examples=60, deadline=None,
@@ -456,6 +540,36 @@ class TestRandomResourceBytes:
         rc = main(["report", "--config", str(workspace / "run.conf"), "--methods", "entity",
                    "--alias-path", str(workspace / "aliases.tsv")])
         assert rc in (EXIT_OK, EXIT_DATA)
+
+    @given(case=_csv_text().flatmap(lambda t: st.tuples(_mangled(st.just(t[0])), st.just(t[1]))))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_csv_file(self, workspace, case):
+        data, column = case
+        (workspace / "fake.csv").write_bytes(data)
+        rc = main(["report", "--config", str(workspace / "run.conf"), "--methods", "embedding",
+                   "--fake-format", "csv", "--fake-path", str(workspace / "fake.csv"),
+                   "--csv-text-column", column])
+        assert rc in (EXIT_OK, EXIT_DATA)
+
+    @given(index=_mangled(_esa_text()))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_esa_index_file(self, workspace, index):
+        (workspace / "fuzz.esa").write_bytes(index)
+        rc = main(["report", "--config", str(workspace / "run.conf"), "--methods", "esa",
+                   "--esa-index-path", str(workspace / "fuzz.esa")])
+        assert rc in (EXIT_OK, EXIT_DATA)
+
+    @given(extra=_mangled(st.lists(_CONFIG_LINE, max_size=5).map("\n".join)))
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_config_file(self, workspace, monkeypatch, extra):
+        monkeypatch.chdir(workspace)  # relative paths drawn for resources resolve here
+        config = workspace / "fuzz.conf"
+        config.write_bytes((workspace / "run.conf").read_bytes() + extra)
+        rc = main(["report", "--config", str(config), "--out-dir", str(workspace / "out")])
+        assert rc in (EXIT_OK, EXIT_USAGE, EXIT_DATA)
 
 
 class TestBuildEsaIndex:
@@ -478,6 +592,16 @@ class TestBuildEsaIndex:
         rc = main(["score", "--config", str(workspace / "run.conf"),
                    "--methods", "esa", "--esa-index-path", str(index_path)])
         assert rc == EXIT_OK
+
+    @pytest.mark.parametrize("title", ["Art\tOne", "Art\nOne"], ids=["tab", "newline"])
+    def test_title_an_index_cannot_store_exits_2(self, workspace, capsys, title):
+        _write_jsonl(workspace / "kb.jsonl", KB_DOCS + [{"title": title, "text": "garlic vote"}])
+        index_path = workspace / "kb.esa"
+        rc = main(["build-esa-index", "--config", str(workspace / "run.conf"),
+                   "--out", str(index_path)])
+        assert rc == EXIT_DATA
+        assert "concept title" in capsys.readouterr().err
+        assert not index_path.exists()
 
     def test_prebuilt_index_gives_same_scores(self, workspace):
         main(["score", "--config", str(workspace / "run.conf"), "--methods", "esa"])

@@ -267,17 +267,6 @@ class TestScoreCorpus:
         with pytest.raises(CoherenceError):
             score_corpus(corpus, "nonsense", embedding_table=toy_table)
 
-    def test_parallel_equals_serial(self, toy_table):
-        corpus = _two_doc_corpus(toy_table)
-        for d in range(10):
-            corpus.documents.append(
-                Document(id=f"x{d}", label=Label.FAKE, text="A a. B b. C c.")
-            )
-        segment_corpus(corpus)
-        serial = score_corpus(corpus, "embedding", embedding_table=toy_table)
-        parallel = score_corpus(corpus, "embedding", embedding_table=toy_table, workers=4)
-        assert serial == parallel
-
     def test_entity_method_requires_linked_documents(self):
         # Linking needs the caller's gazetteer (with its aliases), so an
         # unlinked document is an error, not linked here by other rules.
@@ -502,3 +491,14 @@ class TestExtremeMagnitudes:
         # (1, 0), (0, 1), (1, 1): cosines 0, 1/sqrt(2), 1/sqrt(2); then (2, 1) against (0, 1).
         assert scores[0].value == pytest.approx(EXPECTED_MIXED, abs=1e-12)
         assert scores[1].value == pytest.approx(1 / math.sqrt(5), abs=1e-12)
+
+    def test_esa_sentence_sum_past_float_range(self, tmp_path):
+        # alpha + beta is (2e308, 1e308): past the float range unless rescaled.
+        path = tmp_path / "huge.esa"
+        path.write_text("ESA1\t2\ttf\nC\tA\nC\tB\nT\talpha\t2\t0:1e308 1:1e308\n"
+                        "T\tbeta\t1\t0:1e308\n")
+        docs = _docs([[["alpha", "beta"], ["gamma"], ["beta"]]])
+        [score] = score_corpus(LabeledCorpus(documents=docs), "esa", esa_index=load_index(path))
+        # (2, 1) against (1, 0); the out-of-vocabulary sentence is dropped.
+        assert score.ok and score.element_count == 2
+        assert score.value == pytest.approx(2 / math.sqrt(5), abs=1e-12)

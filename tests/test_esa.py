@@ -162,7 +162,11 @@ class TestLoadIndexErrors:
         ("ESA1\tx\ttfidf\n", "line 1"),
         ("ESA1\t1\ttf\nC\tA\nT\tx\n", "line 3"),
         ("ESA1\t1\ttf\nC\tA\nT\tx\t1\t0:zz\n", "line 3"),
-    ], ids=["count-not-integer", "t-row-missing-fields", "bad-cell"])
+        ("ESA1\t1\ttf\nC\tA\nT\tx\t1\t0:1.0\tjunk\n", "line 3"),
+        ("ESA1\t1\ttf\nC\tA\tB\n", "line 2"),
+        ("ESA1\t1\ttf\nC\n", "line 2"),
+    ], ids=["count-not-integer", "t-row-missing-fields", "bad-cell", "t-row-extra-field",
+            "c-row-extra-field", "c-row-no-title"])
     def test_malformed_index_names_line(self, tmp_path, text, line):
         p = tmp_path / "bad.esa"
         p.write_text(text)
@@ -185,8 +189,34 @@ class TestLoadIndexBytes:
         with pytest.raises(EsaError, match=f"bad.esa {line}"):
             load_index(p)
 
+    def test_bare_cr_ends_a_line(self, tmp_path):
+        p = tmp_path / "cr.esa"
+        p.write_bytes(b"ESA1\t1\ttf\rC\tA\rT\tx\t1\t0:2.0\r")
+        index = load_index(p)
+        assert index.concepts == ["A"] and index.inverted == {"x": {0: 2.0}}
+
     def test_crlf_line_ends_read_like_lf(self, tmp_path):
         lf, crlf = tmp_path / "lf.esa", tmp_path / "crlf.esa"
         save_index(build_esa_index([("Art One", "x x y"), ("Art Two", "y z w")]), lf)
         crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
         assert load_index(crlf) == load_index(lf)
+
+
+class TestTitleRoundTrip:
+    """A concept title comes back from save_index/load_index as it went in, or
+    save_index refuses it: a record is one tab-separated line."""
+
+    @pytest.mark.parametrize("title", ["a\tb", "a\nb", "a\rb", "a\r\nb"])
+    def test_title_with_tab_or_line_break_rejected(self, tmp_path, title):
+        index = build_esa_index([(title, "x x y"), ("B", "y z")])
+        path = tmp_path / "kb.esa"
+        with pytest.raises(EsaError, match="concept title"):
+            save_index(index, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("title", ["a b", "a\x85b", "a\u2028b", "caf\u00e9", ""])
+    def test_other_titles_round_trip(self, tmp_path, title):
+        index = build_esa_index([(title, "x x y"), ("B", "y z")])
+        path = tmp_path / "kb.esa"
+        save_index(index, path)
+        assert load_index(path).concepts == [title, "B"]
