@@ -387,12 +387,15 @@ def _command(config: RunConfig, args: argparse.Namespace) -> str:
         esa.save_index(index, args.out)
         return (f"ESA index: {index.doc_count} concepts, {len(index.inverted)} tokens "
                 f"-> {args.out}\n")
-    corpora, per_method = {}, {}
+    corpora, per_method, sources = {}, {}, {}
     for sf in getattr(args, "score_files", None) or []:
         scores, labels = coh.read_scores_csv(sf)
         if not scores:
             raise stats.StatsError(f"{sf}: no scores")
-        per_method[scores[0].method] = (scores, labels)
+        method = scores[0].method
+        if method in per_method:
+            raise coh.CoherenceError(f"{sf}: method {method!r} is also in {sources[method]}")
+        per_method[method], sources[method] = (scores, labels), sf
     if not per_method:
         corpora, per_method = run(config, score=args.command != "stats")
     printed, files = _COMMANDS[args.command][1](config, corpora, per_method)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 
 from . import embeddings as emb
 from . import esa as esa_mod
-from .corpus import Document, LabeledCorpus, Sentence
+from .corpus import Document, Label, LabeledCorpus, Sentence, csv_records
 from .embeddings import EmbeddingTable
 from .entitylink import entity_set
 from .esa import EsaIndex
@@ -21,6 +22,7 @@ __all__ = [
     "CoherenceScore",
     "CoherenceError",
     "METHODS",
+    "SCORE_COLUMNS",
     "sentence_rep_embedding",
     "coherence_sentences",
     "coherence_entities",
@@ -30,6 +32,7 @@ __all__ = [
 ]
 
 METHODS = ("embedding", "esa", "entity")
+SCORE_COLUMNS = ("doc_id", "label", "method", "value", "element_count", "pair_count", "status")
 
 
 class CoherenceError(Exception):
@@ -231,8 +234,9 @@ def score_corpus(
     for doc in corpus.documents:
         if method == "esa":
             # A sum of token vectors has the direction of their mean.
-            tokens = [set(s.tokens) if unique_tokens else s.tokens for s in _sentences(doc)]
-            score = _score(doc.id, "esa", esa_mod.sentence_matrix(esa_index, tokens))
+            tokens = [sorted(set(s.tokens)) if unique_tokens else s.tokens
+                      for s in _sentences(doc)]
+            score = _score(doc.id, "esa", esa_mod.sentence_matrix(esa_index, tokens)[0])
         else:
             score = coherence_entities(doc, entity_table, multiset=entity_multiset)
         scores.append(score)
@@ -244,8 +248,7 @@ def scores_csv(scores: list[CoherenceScore], labels: dict[str, str]) -> str:
     values, as the text of a CSV file (lines end in \\r\\n)."""
     f = io.StringIO()
     writer = csv.writer(f)
-    writer.writerow(
-        ["doc_id", "label", "method", "value", "element_count", "pair_count", "status"])
+    writer.writerow(SCORE_COLUMNS)
     for s in scores:
         value = f"{s.value:.6f}" if s.ok else ""
         writer.writerow([s.doc_id, labels.get(s.doc_id, ""), s.method, value,
@@ -254,20 +257,37 @@ def scores_csv(scores: list[CoherenceScore], labels: dict[str, str]) -> str:
 
 
 def read_scores_csv(path: str | Path) -> tuple[list[CoherenceScore], dict[str, str]]:
+    """The scores of a file that `scores_csv` wrote, and a doc id -> label map.
+
+    Every row must hold the seven columns: one method for the whole file, a
+    doc id seen once, the label fake or legitimate, a status "ok" with a value
+    in [-1, 1] or "undefined" with none, and counts that are integers >= 0.
+    Any other row raises CoherenceError naming its line."""
     scores: list[CoherenceScore] = []
     labels: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        for row in csv.DictReader(f):
-            value = float(row["value"]) if row["value"] else float("nan")
-            scores.append(
-                CoherenceScore(
-                    doc_id=row["doc_id"],
-                    method=row["method"],
-                    value=value,
-                    element_count=int(row["element_count"]),
-                    pair_count=int(row["pair_count"]),
-                    status=row["status"],
-                )
-            )
-            labels[row["doc_id"]] = row["label"]
+    for lineno, row in csv_records(path, SCORE_COLUMNS):
+        where = f"{path} line {lineno}"
+        if None in row or None in row.values():
+            raise CoherenceError(f"{where}: the row has not one field per header column")
+        doc_id, label, method, raw, elements, pairs, status = map(row.get, SCORE_COLUMNS)
+        if method not in METHODS or scores and method != scores[0].method:
+            raise CoherenceError(f"{where}: method {method!r}; a file holds one known method")
+        if doc_id in labels:
+            raise CoherenceError(f"{where}: duplicate doc_id {doc_id!r}")
+        if label not in (Label.FAKE, Label.LEGITIMATE):
+            raise CoherenceError(f"{where}: label {label!r} is neither fake nor legitimate")
+        try:
+            value = float(raw) if raw else math.nan
+            counts = int(elements), int(pairs)
+        except ValueError as e:
+            raise CoherenceError(f"{where}: {e}") from e
+        valid = (-1.0 <= value <= 1.0 if status == "ok"
+                 else status == "undefined" and not math.isfinite(value))
+        if not valid:
+            raise CoherenceError(f"{where}: status {status!r} with value {raw!r}; "
+                                 f"'ok' takes a value in [-1, 1], 'undefined' none")
+        if min(counts) < 0:
+            raise CoherenceError(f"{where}: a count is negative")
+        scores.append(CoherenceScore(doc_id, method, value, *counts, status))
+        labels[doc_id] = label
     return scores, labels

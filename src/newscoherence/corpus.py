@@ -25,6 +25,7 @@ __all__ = [
     "tokenize",
     "token_spans",
     "segment_corpus",
+    "csv_records",
     "load_csv",
     "load_jsonl",
     "jsonl_records",
@@ -193,6 +194,28 @@ def _utf8_error(p: Path, e: UnicodeDecodeError) -> CorpusError:
     return CorpusError(f"{p}: invalid UTF-8 input: {e}")
 
 
+def csv_records(path: str | Path, required: tuple[str, ...] = ()):
+    """(line number, row) of each record of a UTF-8 CSV file with a header row
+    that holds the `required` columns. A row maps the header's names to its
+    fields, as `csv.DictReader` makes it; its line number is that of the
+    record's last line."""
+    p = _read_text_file(path)
+    try:
+        with open(p, newline="", encoding="utf-8") as f:
+            reader = csv.DictReader(f)
+            if reader.fieldnames is None:
+                raise CorpusError(f"{p}: empty CSV (no header row)")
+            for name in required:
+                if name not in reader.fieldnames:
+                    raise CorpusError(f"{p} line 1: missing column {name!r}")
+            for row in reader:
+                yield reader.line_num, row
+    except UnicodeDecodeError as e:
+        raise _utf8_error(p, e) from e
+    except csv.Error as e:
+        raise CorpusError(f"{p}: malformed CSV: {e}") from e
+
+
 def load_csv(
     path: str | Path,
     label: str,
@@ -209,33 +232,16 @@ def load_csv(
         raise CorpusError(f"unknown label: {label!r}")
     docs: list[Document] = []
     skipped = 0
-    try:
-        with open(p, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames is None:
-                raise CorpusError(f"{p}: empty CSV (no header row)")
-            if text_column not in reader.fieldnames:
-                raise CorpusError(f"{p}: missing mapped text column {text_column!r}")
-            has_title = title_column is not None and title_column in reader.fieldnames
-            for rownum, row in enumerate(reader, start=1):
-                text = (row.get(text_column) or "").strip()
-                if not text:
-                    skipped += 1
-                    logger.warning("%s row %d: empty text, skipped", p, rownum)
-                    continue
-                title = (row.get(title_column) or "").strip() if has_title else None
-                docs.append(
-                    Document(
-                        id=f"{p.stem}-{rownum}",
-                        label=label,
-                        text=text,
-                        title=title or None,
-                    )
-                )
-    except UnicodeDecodeError as e:
-        raise _utf8_error(p, e) from e
-    except csv.Error as e:
-        raise CorpusError(f"{p}: malformed CSV: {e}") from e
+    for rownum, (_, row) in enumerate(csv_records(p, (text_column,)), start=1):
+        text = (row.get(text_column) or "").strip()
+        if not text:
+            skipped += 1
+            logger.warning("%s row %d: empty text, skipped", p, rownum)
+            continue
+        # A row's surplus fields sit under the key None, so no title column reads them.
+        title = (row.get(title_column) or "").strip() if title_column is not None else None
+        docs.append(Document(id=f"{p.stem}-{rownum}", label=label, text=text,
+                             title=title or None))
     return LabeledCorpus(documents=docs, source=str(p), skipped=skipped)
 
 

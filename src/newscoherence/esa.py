@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import io
 import logging
 import math
-from dataclasses import dataclass, field
-from itertools import chain
+from collections import Counter
+from collections.abc import Mapping
+from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,6 @@ __all__ = [
     "build_esa_index",
     "esa_word_vector",
     "sentence_matrix",
-    "sparse_rows",
     "cosine_sparse",
     "save_index",
     "load_index",
@@ -32,6 +34,8 @@ __all__ = [
 SparseVector = dict
 # Sparse matrices are CSR arrays (indptr, indices, data); row i is slice indptr[i]:indptr[i+1].
 Csr = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+WEIGHTINGS = ("tf", "tfidf")
 
 # Without stopword removal, raw-tf concept vectors are dominated by function
 # words and similarities saturate near 1.
@@ -46,29 +50,64 @@ class EsaError(Exception):
     """Raised for empty knowledge bases or invalid sparse-vector arithmetic."""
 
 
-@dataclass
+class _Rows(Mapping):
+    """Read-only token -> {concept id: weight} view of an index. Each row is
+    built from the CSR arrays when it is read and not kept."""
+
+    def __init__(self, index: EsaIndex):
+        self._index = index
+
+    def __getitem__(self, token: str) -> SparseVector:
+        ix = self._index
+        i = ix.rows[token]
+        a, b = ix.indptr[i:i + 2]
+        return dict(zip(ix.indices[a:b].tolist(), ix.data[a:b].tolist()))
+
+    def __contains__(self, token) -> bool:
+        return token in self._index.rows
+
+    def __iter__(self):
+        return iter(self._index.tokens)
+
+    def __len__(self) -> int:
+        return len(self._index.tokens)
+
+    @property
+    def nnz(self) -> int:
+        return len(self._index.indices)
+
+
+@dataclass(eq=False)
 class EsaIndex:
+    """A knowledge base's concept titles and its tokens x concepts weight matrix,
+    held only as CSR arrays: row i, for tokens[i], is indices/data[indptr[i]:indptr[i+1]]."""
+
     concepts: list[str]  # concept id -> title
-    inverted: dict[str, dict[int, float]]
-    doc_count: int
+    tokens: list[str]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     df: dict[str, int]
     weighting: str = "tfidf"
-    _matrix: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.doc_count != len(self.concepts):
-            raise EsaError("doc_count must equal the number of concepts")
+        self.rows = dict(zip(self.tokens, range(len(self.tokens))))
 
-    def token_matrix(self) -> tuple[dict[str, int], Csr]:
-        """Token -> row map and the tokens x concepts CSR arrays of `inverted`.
+    @property
+    def doc_count(self) -> int:
+        return len(self.concepts)
 
-        Built at first use and cached, so `inverted` must not change afterwards.
-        """
-        if self._matrix is None:
-            rows = {token: i for i, token in enumerate(self.inverted)}
-            matrix = sparse_rows(list(self.inverted.values()))
-            self._matrix = (rows, matrix)
-        return self._matrix
+    @property
+    def inverted(self) -> _Rows:
+        return _Rows(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, EsaIndex):
+            return NotImplemented
+        return ((self.concepts, self.tokens, self.df, self.weighting)
+                == (other.concepts, other.tokens, other.df, other.weighting)
+                and all(map(np.array_equal, (self.indptr, self.indices, self.data),
+                            (other.indptr, other.indices, other.data))))
 
 
 def build_esa_index(
@@ -83,45 +122,46 @@ def build_esa_index(
     ln(doc_count / df) and drops tokens present in every article.
     Articles with no tokens are skipped with a warning.
     """
-    if weighting not in ("tf", "tfidf"):
+    if weighting not in WEIGHTINGS:
         raise EsaError(f"unknown weighting {weighting!r}")
     if not kb_docs:
         raise EsaError("empty knowledge base")
     stop = stopwords or frozenset()
 
     concepts: list[str] = []
-    article_tfs: list[dict[str, int]] = []
+    article_tfs: list[Counter] = []
     for title, text in kb_docs:
-        tokens = [t for t in tokenize(text) if t not in stop]
-        if not tokens:
+        counts = Counter(t for t in tokenize(text) if t not in stop)
+        if not counts:
             logger.warning("knowledge-base article %r has no tokens, skipped", title)
             continue
-        counts: dict[str, int] = {}
-        for t in tokens:
-            counts[t] = counts.get(t, 0) + 1
         concepts.append(title)
         article_tfs.append(counts)
     if not concepts:
         raise EsaError("empty knowledge base (all articles skipped)")
 
-    doc_count = len(concepts)
-    df: dict[str, int] = {}
-    for counts in article_tfs:
-        for token in counts:
-            df[token] = df.get(token, 0) + 1
-
-    inverted: dict[str, dict[int, float]] = {token: {} for token in df}
-    for cid, counts in enumerate(article_tfs):
-        for token, tf in counts.items():
-            if weighting == "tf":
-                w = float(tf)
-            else:
-                w = tf * math.log(doc_count / df[token])
-            if w > 0.0 and w >= min_weight:
-                inverted[token][cid] = w
-
+    # Rows in order of first occurrence; one (token, article) pair per count.
+    tokens = list(dict.fromkeys(chain.from_iterable(article_tfs)))
+    row_of = dict(zip(tokens, range(len(tokens))))
+    pairs = sum(map(len, article_tfs))
+    row = np.fromiter(map(row_of.__getitem__, chain.from_iterable(article_tfs)),
+                      dtype=np.int64, count=pairs)
+    cid = np.repeat(np.arange(len(concepts)), [len(c) for c in article_tfs])
+    tf = np.fromiter(chain.from_iterable(c.values() for c in article_tfs),
+                     dtype=np.float64, count=pairs)
+    df = np.bincount(row, minlength=len(tokens))
+    if weighting == "tf":
+        weight = tf
+    else:  # math.log, once per distinct df: numpy's log may differ in the last bit
+        logs = {d: math.log(len(concepts) / d) for d in set(df.tolist())}
+        weight = tf * np.array([logs[d] for d in df.tolist()])[row]
+    keep = (weight > 0.0) & (weight >= min_weight)
+    order = np.argsort(row[keep], kind="stable")  # keeps each row's concept ids ascending
     return EsaIndex(
-        concepts=concepts, inverted=inverted, doc_count=doc_count, df=df, weighting=weighting
+        concepts=concepts, tokens=tokens,
+        indptr=np.concatenate(([0], np.cumsum(np.bincount(row[keep], minlength=len(tokens))))),
+        indices=cid[keep][order], data=weight[keep][order],
+        df=dict(zip(tokens, df.tolist())), weighting=weighting,
     )
 
 
@@ -130,37 +170,53 @@ def esa_word_vector(index: EsaIndex, token: str) -> SparseVector | None:
     return index.inverted.get(token)
 
 
-def sparse_rows(vectors: list[SparseVector]) -> Csr:
-    """Stack sparse vectors as the rows of CSR arrays; columns are concept ids."""
-    indptr = np.cumsum([0] + [len(v) for v in vectors])
-    indices = np.fromiter(chain.from_iterable(vectors), dtype=np.int64, count=indptr[-1])
-    data = np.fromiter(chain.from_iterable(v.values() for v in vectors), dtype=np.float64,
-                       count=indptr[-1])
-    return indptr, indices, data
+def _slices(starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The positions starts[i] .. starts[i] + widths[i] - 1 of every slice i, in order."""
+    return np.arange(widths.sum()) + np.repeat(starts - np.cumsum(widths) + widths, widths)
 
 
-def sentence_matrix(index: EsaIndex, token_lists: list[list[str]]) -> Csr:
-    """One CSR row per token list: the sum of its tokens' concept vectors, which
-    points the way of their mean; out-of-vocabulary tokens add nothing.
-    Each row holds only the concepts it touches, so the cost follows the
-    nonzeros, not the index size. A sum past the float range is redone with its
-    list's weights halved k times, 2**k > the list's length, which keeps the
+def sentence_matrix(index: EsaIndex,
+                    token_lists: list[list[str]]) -> tuple[np.ndarray | Csr, np.ndarray]:
+    """One row per token list: the sum of its tokens' concept vectors, which points
+    the way of their mean; out-of-vocabulary tokens add nothing. Returns the rows
+    and the concept id of each of their C columns, the concepts the lists touch.
+
+    Each token occurrence contributes its row's entries, E in all, and each cell
+    is their sum in occurrence order. The rows are a dense K x C array when
+    K x C <= E, else CSR arrays, so the output is never larger than the entries
+    gathered. A sum past the float range is redone with its list's weights
+    halved k times, 2**k > the list's in-index token count, which keeps the
     row's direction and is exact."""
-    rows, (indptr, indices, data) = index.token_matrix()
-    ids = [[rows[t] for t in tokens if t in rows] for tokens in token_lists]
-    lengths = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
-    flat = np.fromiter(chain.from_iterable(ids), dtype=np.int64, count=int(lengths.sum()))
-    starts, widths = indptr[flat], indptr[flat + 1] - indptr[flat]
-    # Gather every occurrence's row slice: element j of slice i sits at starts[i] + j.
-    pos = np.arange(widths.sum()) + np.repeat(starts - np.cumsum(widths) + widths, widths)
-    sentence = np.repeat(np.repeat(np.arange(len(ids)), lengths), widths)
-    # Sum the entries of each (sentence, concept) cell, in sentence-major order.
-    cells, cell = np.unique(sentence * index.doc_count + indices[pos], return_inverse=True)
-    counts = np.bincount(cells // index.doc_count, minlength=len(ids))
-    sums = np.bincount(cell, weights=data[pos])
+    indptr, indices, data = index.indptr, index.indices, index.data
+    k = len(token_lists)
+    lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=k)
+    flat = np.fromiter(map(index.rows.get, chain.from_iterable(token_lists), repeat(-1)),
+                       dtype=np.int64, count=int(lengths.sum()))
+    known = flat >= 0
+    sentence = np.repeat(np.arange(k), lengths)[known]
+    # The document's distinct tokens, their rows' entries and the concepts those touch.
+    tokens, occurrence = np.unique(flat[known], return_inverse=True)
+    widths = indptr[tokens + 1] - indptr[tokens]
+    pos = _slices(indptr[tokens], widths)
+    columns, column = np.unique(indices[pos], return_inverse=True)
+    c = len(columns)
+    # Each occurrence's entries: its token's slice of `pos`.
+    spans = widths[occurrence]
+    entry = _slices((np.cumsum(widths) - widths)[occurrence], spans)
+    key = np.repeat(sentence * c, spans) + column[entry]
+    weights = data[pos][entry]
+    dense = k * c <= len(key)
+    if not dense:
+        cells, key = np.unique(key, return_inverse=True)
+    sums = np.bincount(key, weights=weights, minlength=k * c if dense else 0)
     if not np.isfinite(sums).all():
-        sums = np.bincount(cell, weights=np.ldexp(data[pos], -np.frexp(lengths)[1][sentence]))
-    return np.concatenate(([0], np.cumsum(counts))), cells % index.doc_count, sums
+        halvings = np.frexp(np.bincount(sentence, minlength=k))[1][sentence]
+        sums = np.bincount(key, weights=np.ldexp(weights, -np.repeat(halvings, spans)),
+                           minlength=k * c if dense else 0)
+    if dense:
+        return sums.reshape(k, c), columns
+    counts = np.bincount(cells // c, minlength=k)
+    return (np.concatenate(([0], np.cumsum(counts))), cells % c, sums), columns
 
 
 def cosine_sparse(u: SparseVector, v: SparseVector) -> float:
@@ -184,57 +240,101 @@ def save_index(index: EsaIndex, path: str | Path) -> None:
         if any(c in title for c in "\t\r\n"):
             raise EsaError(f"concept title {title!r} holds a tab or line break; "
                            f"an ESA index file cannot store it")
+    rows = index.inverted
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"ESA1\t{index.doc_count}\t{index.weighting}\n")
         for title in index.concepts:
             f.write(f"C\t{title}\n")
-        for token in sorted(index.inverted):
-            row = index.inverted[token]
-            cells = " ".join(f"{cid}:{w!r}" for cid, w in sorted(row.items()))
+        for token in sorted(rows):
+            cells = " ".join(f"{cid}:{w!r}" for cid, w in sorted(rows[token].items()))
             f.write(f"T\t{token}\t{index.df[token]}\t{cells}\n")
 
 
+_CELL = np.dtype([("id", np.int64), ("weight", np.float64)])
+
+
+def _cells(rows: bytes, widths: list[int], doc_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Concept ids and weights of the space-separated `id:weight` cells of UTF-8
+    rows, one row per line, which must hold widths[i] cells each; parsed by one
+    numpy call, one cell per line. Raises ValueError for a malformed cell, an id
+    out of range, a non-finite or negative weight, or an id twice in one row."""
+    cells = (np.loadtxt(io.BytesIO(rows.replace(b" ", b"\n")), dtype=_CELL, delimiter=":",
+                        comments=None, ndmin=1, encoding="utf-8")
+             if rows.strip(b" \n") else np.empty(0, _CELL))  # loadtxt warns on no data
+    ids, weights = cells["id"].copy(), cells["weight"].copy()
+    if len(ids) != sum(widths):  # loadtxt skips the empty lines of doubled spaces
+        raise ValueError("empty cell")
+    if len(ids) and not (ids.min() >= 0 and ids.max() < doc_count):
+        raise ValueError(f"concept id out of range 0..{doc_count - 1}")
+    if not np.isfinite(weights).all():
+        raise ValueError("non-finite weight")
+    if (weights < 0).any():
+        raise ValueError("negative weight")
+    keys = np.repeat(np.arange(len(widths)), widths) * doc_count + ids
+    if (np.diff(np.sort(keys)) == 0).any():
+        raise ValueError("concept id twice in one row")
+    return ids, weights
+
+
 def load_index(path: str | Path) -> EsaIndex:
+    """Read an index file that `save_index` wrote. Records are split line by line;
+    the cells of all rows are parsed at once, and on any fault each row is parsed
+    again alone, by the same parser, to name the first bad line."""
     p = Path(path)
+    concepts: list[str] = []
+    tokens: list[str] = []
+    linenos: list[int] = []
+    widths: list[int] = []
+    # Every row's cell text, one row per line: one large buffer, not a string per row.
+    rows = bytearray()
+    df: dict[str, int] = {}
     with open(p, "rb") as f:
         lines = text_lines(f, p, EsaError)
         header = next(lines, (1, ""))[1].split("\t")
         if len(header) != 3 or header[0] != "ESA1":
-            raise EsaError(f"{p}: not an ESA index file")
+            raise EsaError(f"{p} line 1: not an ESA index file")
         try:
             doc_count = int(header[1])
         except ValueError as e:
             raise EsaError(f"{p} line 1: bad concept count: {e}") from e
         weighting = header[2]
-        concepts: list[str] = []
-        inverted: dict[str, dict[int, float]] = {}
-        df: dict[str, int] = {}
+        if weighting not in WEIGHTINGS:
+            raise EsaError(f"{p} line 1: unknown weighting {weighting!r}")
         for lineno, line in lines:
             parts = line.split("\t")
             width = {"C": 2, "T": 4}.get(parts[0])
+            if width is None:
+                raise EsaError(f"{p} line {lineno}: unknown record type {parts[0]!r}")
             try:
-                if width is not None and len(parts) != width:
+                if len(parts) != width:
                     raise ValueError(f"expected {width} tab-separated fields, got {len(parts)}")
                 if parts[0] == "C":
                     concepts.append(parts[1])
-                elif parts[0] == "T":
-                    token, token_df, cells = parts[1], int(parts[2]), parts[3]
-                    row: dict[int, float] = {}
-                    if cells:
-                        for cell in cells.split(" "):
-                            cid, w = cell.split(":")
-                            row[int(cid)] = float(w)
-                    if row and not (min(row) >= 0 and max(row) < doc_count):
-                        raise EsaError(f"{p} line {lineno}: concept id out of range "
-                                       f"0..{doc_count - 1}")
-                    if not all(map(math.isfinite, row.values())):
-                        raise EsaError(f"{p} line {lineno}: non-finite weight")
-                    inverted[token] = row
-                    df[token] = token_df
-                else:
-                    raise EsaError(f"{p} line {lineno}: unknown record type {parts[0]!r}")
+                    continue
+                token, token_df = parts[1], int(parts[2])
+                if token_df < 0:
+                    raise ValueError(f"negative df {token_df}")
             except ValueError as e:
                 raise EsaError(f"{p} line {lineno}: malformed {parts[0]!r} record: {e}") from e
-    return EsaIndex(
-        concepts=concepts, inverted=inverted, doc_count=doc_count, df=df, weighting=weighting
-    )
+            if token in df:
+                raise EsaError(f"{p} line {lineno}: duplicate token {token!r}")
+            df[token] = token_df
+            tokens.append(token)
+            linenos.append(lineno)
+            widths.append(parts[3].count(" ") + 1 if parts[3] else 0)
+            rows += parts[3].encode() + b"\n"
+    if doc_count != len(concepts):
+        raise EsaError(f"{p} line 1: header declares {doc_count} concepts, "
+                       f"the file has {len(concepts)}")
+    try:
+        indices, data = _cells(rows, widths, doc_count)
+    except ValueError:
+        for lineno, width, row in zip(linenos, widths, rows.split(b"\n")):
+            try:
+                _cells(row, [width], doc_count)
+            except ValueError as e:
+                raise EsaError(f"{p} line {lineno}: malformed 'T' record: {e}") from e
+        raise  # no row is malformed alone: the fault is in this loader
+    return EsaIndex(concepts=concepts, tokens=tokens,
+                    indptr=np.concatenate(([0], np.cumsum(widths, dtype=np.int64))),
+                    indices=indices, data=data, df=df, weighting=weighting)

@@ -1,7 +1,8 @@
 """Reference computations for the tests. Most are brute-force versions kept free
 of the package's vector code paths: plain-Python double loops over ordered
 pairs. The rest are routes the package no longer takes: dict-based ESA sentence
-means, the line-by-line vector-file loader that the numpy loader is compared
+means, ESA sentence sums through a sort of every gathered entry, the
+line-by-line `ESA1` and vector-file loaders that the numpy loaders are compared
 with, the segmenter that lower-cased the whole text before each boundary, the
 linker that re-tokenized each sentence and found it with `str.find`, and
 per-sentence embedding means."""
@@ -11,6 +12,8 @@ from __future__ import annotations
 import logging
 import math
 import re
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,8 @@ from newscoherence.coherence import CoherenceScore, _score, _sentences, coherenc
 from newscoherence.corpus import DEFAULT_ABBREVIATIONS, Sentence
 from newscoherence.embeddings import EmbeddingError, EmbeddingTable
 from newscoherence.entitylink import EntityLinkError, EntityMention
-from newscoherence.esa import EsaError, esa_word_vector, sparse_rows
+from newscoherence.embeddings import text_lines
+from newscoherence.esa import EsaError, esa_word_vector
 
 
 def cosine_ref(u, v):
@@ -102,6 +106,92 @@ def sentence_rep_esa_ref(s, index, unique_tokens=False):
     if not vectors:
         return None
     return mean_sparse_ref(vectors) or None
+
+
+def sparse_rows(vectors):
+    """Stack sparse vectors as the rows of CSR arrays; columns are concept ids."""
+    indptr = np.cumsum([0] + [len(v) for v in vectors])
+    indices = np.fromiter(chain.from_iterable(vectors), dtype=np.int64, count=indptr[-1])
+    data = np.fromiter(chain.from_iterable(v.values() for v in vectors), dtype=np.float64,
+                       count=indptr[-1])
+    return indptr, indices, data
+
+
+def sentence_matrix_ref(index, token_lists):
+    """ESA sentence sums as CSR arrays with concept-id columns, as `esa.sentence_matrix`
+    made them before its per-document block: every gathered (sentence, concept)
+    entry is sorted with `np.unique`, and each cell is summed in occurrence order."""
+    rows = {token: i for i, token in enumerate(index.inverted)}
+    indptr, indices, data = sparse_rows(list(index.inverted.values()))
+    ids = [[rows[t] for t in tokens if t in rows] for tokens in token_lists]
+    lengths = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
+    flat = np.fromiter(chain.from_iterable(ids), dtype=np.int64, count=int(lengths.sum()))
+    starts, widths = indptr[flat], indptr[flat + 1] - indptr[flat]
+    pos = np.arange(widths.sum()) + np.repeat(starts - np.cumsum(widths) + widths, widths)
+    sentence = np.repeat(np.repeat(np.arange(len(ids)), lengths), widths)
+    cells, cell = np.unique(sentence * index.doc_count + indices[pos], return_inverse=True)
+    counts = np.bincount(cells // index.doc_count, minlength=len(ids))
+    sums = np.bincount(cell, weights=data[pos])
+    if not np.isfinite(sums).all():
+        sums = np.bincount(cell, weights=np.ldexp(data[pos], -np.frexp(lengths)[1][sentence]))
+    return np.concatenate(([0], np.cumsum(counts))), cells % index.doc_count, sums
+
+
+@dataclass
+class EsaIndexRef:
+    concepts: list[str]
+    inverted: dict[str, dict[int, float]]
+    doc_count: int
+    df: dict[str, int]
+    weighting: str
+
+
+def load_index_ref(path) -> EsaIndexRef:
+    """The `ESA1` reader one line and one cell at a time, with `int` and `float`,
+    and the checks of `esa.load_index`."""
+    p = Path(path)
+    with open(p, "rb") as f:
+        lines = text_lines(f, p, EsaError)
+        header = next(lines, (1, ""))[1].split("\t")
+        if len(header) != 3 or header[0] != "ESA1":
+            raise EsaError(f"{p} line 1: not an ESA index file")
+        try:
+            doc_count = int(header[1])
+        except ValueError as e:
+            raise EsaError(f"{p} line 1: bad concept count: {e}") from e
+        weighting = header[2]
+        if weighting not in ("tf", "tfidf"):
+            raise EsaError(f"{p} line 1: unknown weighting {weighting!r}")
+        concepts, inverted, df, cells_at = [], {}, {}, {}
+        for lineno, line in lines:
+            parts = line.split("\t")
+            if parts[0] not in ("C", "T") or len(parts) != {"C": 2, "T": 4}[parts[0]]:
+                raise EsaError(f"{p} line {lineno}: malformed record")
+            if parts[0] == "C":
+                concepts.append(parts[1])
+                continue
+            token = parts[1]
+            try:
+                df[token] = int(parts[2])
+            except ValueError as e:
+                raise EsaError(f"{p} line {lineno}: malformed df: {e}") from e
+            if df[token] < 0 or token in inverted:
+                raise EsaError(f"{p} line {lineno}: negative df or duplicate token")
+            inverted[token], cells_at[token] = {}, (lineno, parts[3])
+    if doc_count != len(concepts):
+        raise EsaError(f"{p} line 1: concept count")
+    for token, (lineno, cells) in cells_at.items():
+        row = inverted[token]
+        for cell in cells.split(" ") if cells else []:
+            try:
+                cid, w = cell.split(":")
+                cid, w = int(cid), float(w)
+            except ValueError as e:
+                raise EsaError(f"{p} line {lineno}: malformed cell: {e}") from e
+            if not (0 <= cid < doc_count and math.isfinite(w) and w >= 0) or cid in row:
+                raise EsaError(f"{p} line {lineno}: bad cell {cell!r}")
+            row[cid] = w
+    return EsaIndexRef(concepts, inverted, doc_count, df, weighting)
 
 
 def coherence_sentences_sparse(doc, rep) -> CoherenceScore:

@@ -25,7 +25,7 @@ from newscoherence.cli import (
     main,
     validate,
 )
-from newscoherence.coherence import read_scores_csv
+from newscoherence.coherence import METHODS, SCORE_COLUMNS, read_scores_csv, scores_csv
 
 from oracle import entity_coherence_ref, sentence_coherence_ref
 
@@ -295,6 +295,76 @@ class TestCompareCommand:
         assert int(row[12]) == 1
 
 
+    def test_score_files_round_trip(self, workspace):
+        conf = str(workspace / "run.conf")
+        assert main(["score", "--config", conf, "--out-dir", str(workspace / "scores")]) == EXIT_OK
+        files = [workspace / "scores" / f"scores_{m}.csv" for m in METHODS]
+        for f in files:  # the reader gives back what the writer wrote
+            assert scores_csv(*read_scores_csv(f)).encode() == f.read_bytes()
+        assert main(["compare", "--config", conf]) == EXIT_OK
+        fresh = (workspace / "out" / "summary.csv").read_text().splitlines()
+        assert main(["compare", "--config", conf, *map(str, files)]) == EXIT_OK
+        from_files = (workspace / "out" / "summary.csv").read_text().splitlines()
+        # The same rows and counts; the score files hold 6-decimal values, so the
+        # statistics computed from them agree with the fresh ones to that rounding.
+        assert from_files[0] == fresh[0] and len(from_files) == len(fresh) == 4
+        for got, want in zip(from_files[1:], fresh[1:]):
+            got, want = got.split(","), want.split(",")
+            counts = [0, 1, 4, 12, 13]
+            assert [got[i] for i in counts] == [want[i] for i in counts]
+            for i in set(range(len(want))) - set(counts):
+                assert float(got[i]) == pytest.approx(float(want[i]), rel=1e-4, abs=2e-6)
+
+    _GOOD = ["f1,fake,embedding,0.500000,3,3,ok", "l1,legitimate,embedding,0.600000,3,3,ok"]
+
+    @pytest.mark.parametrize("lines, line", [
+        (["f1,fake,embedding,abc,3,3,ok"], 2),
+        (["f1,fake,embedding,nan,3,3,ok"], 2),
+        (["f1,fake,embedding,inf,3,3,ok"], 2),
+        (["f1,fake,embedding,1.500000,3,3,ok"], 2),
+        (["f1,fake,embedding,,3,3,ok"], 2),
+        (["f1,fake,embedding,0.500000,1,0,undefined"], 2),
+        (["f1,fake,embedding,0.500000,3,3,maybe"], 2),
+        (["f1,fake,telepathy,0.500000,3,3,ok"], 2),
+        (_GOOD + ["l2,legitimate,esa,0.600000,3,3,ok"], 4),
+        (_GOOD + ["l1,legitimate,embedding,0.700000,3,3,ok"], 4),
+        (_GOOD + ["x1,Fake,embedding,0.100000,3,3,ok"], 4),
+        (["f1,fake,embedding,0.500000,-1,3,ok"], 2),
+        (["f1,fake,embedding,0.500000,3,2.5,ok"], 2),
+        (["f1,fake,embedding,0.500000,3,3"], 2),
+        (["f1,fake,embedding,0.500000,3,3,ok,extra"], 2),
+    ], ids=["value-not-a-number", "nan-with-ok", "inf-with-ok", "value-out-of-range",
+            "no-value-with-ok", "value-with-undefined", "unknown-status", "unknown-method",
+            "two-methods", "duplicate-doc-id", "unknown-label", "negative-count",
+            "count-not-integer", "field-missing", "field-extra"])
+    def test_malformed_score_file_names_line(self, workspace, capsys, lines, line):
+        scores = workspace / "s.csv"
+        scores.write_text("\n".join([",".join(SCORE_COLUMNS), *lines]) + "\n")
+        for command in ("compare", "hist"):
+            rc = main([command, "--config", str(workspace / "run.conf"), str(scores)])
+            assert rc == EXIT_DATA
+            assert f"s.csv line {line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, line", [
+        (b"doc_id,label,method,element_count,pair_count,status\n", 1),
+        (b"doc_id,label,method,value,element_count,pair_count,status\n"
+         b"f1,fake,embedding,0.5,3,3,ok\nf\xff,fake,embedding,0.5,3,3,ok\n", 3),
+    ], ids=["no-value-column", "non-utf8"])
+    def test_unreadable_score_file_names_line(self, workspace, capsys, data, line):
+        (workspace / "s.csv").write_bytes(data)
+        rc = main(["compare", "--config", str(workspace / "run.conf"), str(workspace / "s.csv")])
+        assert rc == EXIT_DATA
+        assert f"s.csv line {line}:" in capsys.readouterr().err
+
+    def test_two_files_of_one_method_rejected(self, workspace, capsys):
+        for name in ("a.csv", "b.csv"):
+            (workspace / name).write_text("\n".join([",".join(SCORE_COLUMNS), *self._GOOD]) + "\n")
+        rc = main(["compare", "--config", str(workspace / "run.conf"),
+                   str(workspace / "a.csv"), str(workspace / "b.csv")])
+        assert rc == EXIT_DATA
+        assert "b.csv: method 'embedding' is also in" in capsys.readouterr().err
+
+
 class TestHistCommand:
     def test_tsv_row_count(self, workspace):
         rc = main(["hist", "--config", str(workspace / "run.conf"),
@@ -505,6 +575,41 @@ def _esa_text(draw):
     return end.join([header, *(f"C\t{t}" for t in titles), *rows]) + end
 
 
+@st.composite
+def _score_csv_text(draw):
+    """Score-CSV text as `score` writes it, now and then a column short. Most rows
+    are well formed; the others hold any status, values in and out of [-1, 1],
+    counts of any sign, an odd method or doc id, or a field too few or too many."""
+    columns = list(SCORE_COLUMNS)
+    if draw(st.integers(0, 9)) == 0:
+        del columns[draw(st.integers(0, len(columns) - 1))]
+    method = draw(st.sampled_from(METHODS))
+    count = st.one_of(st.integers(0, 5).map(str), st.sampled_from(["-1", "2.5", ""]))
+    rows = []
+    for i in range(draw(st.integers(0, 8))):
+        label = draw(st.sampled_from(["fake", "legitimate"]))
+        ok = draw(st.booleans())
+        row = {"doc_id": f"{label[0]}{i}", "label": label, "method": method,
+               "value": draw(st.floats(-1, 1).map("{:.6f}".format)) if ok else "",
+               "element_count": "3" if ok else "1", "pair_count": "3" if ok else "0",
+               "status": "ok" if ok else "undefined"}
+        if draw(st.integers(0, 14)) == 0:
+            name = draw(st.sampled_from(SCORE_COLUMNS))
+            row[name] = draw({
+                "doc_id": st.sampled_from(["f0", "l0", ""]),
+                "label": st.sampled_from(["", "Fake", "unlabeled"]),
+                "method": st.sampled_from([*METHODS, "telepathy", ""]),
+                "value": st.one_of(_NUMBER, st.sampled_from(["", "nan", "inf", "abc", "1.000001"])),
+                "status": st.sampled_from(["ok", "undefined", "maybe", ""]),
+            }.get(name, count))
+        fields_ = [row[c] for c in columns]
+        rows.append(draw(st.sampled_from([fields_] * 28 + [fields_[:-1], fields_ + ["x"]])))
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(
+        [columns, *rows])
+    return out.getvalue()
+
+
 _CONFIG_VALUE = st.one_of(
     st.sampled_from(["0", "1", "-1", "2", "true", "off", "maybe", "nan", "inf", "-inf",
                      "1e308", "-1e308", "embedding", "esa,entity", "telepathy", "csv", "jsonl",
@@ -519,8 +624,9 @@ _CONFIG_LINE = st.one_of(
 
 
 class TestRandomResourceBytes:
-    """Random vector-table, alias, CSV and ESA1 bytes through `report` exit 0 or 2;
-    random config bytes exit 0, 1 or 2. Never 3."""
+    """Random vector-table, alias, CSV and ESA1 bytes through `report`, and random
+    score-CSV bytes through `compare` and `hist`, exit 0 or 2; random config bytes
+    exit 0, 1 or 2. Never 3."""
 
     @given(words=_mangled(_vector_text()), entities=_mangled(_vector_text()))
     @settings(max_examples=60, deadline=None,
@@ -559,6 +665,18 @@ class TestRandomResourceBytes:
         (workspace / "fuzz.esa").write_bytes(index)
         rc = main(["report", "--config", str(workspace / "run.conf"), "--methods", "esa",
                    "--esa-index-path", str(workspace / "fuzz.esa")])
+        assert rc in (EXIT_OK, EXIT_DATA)
+
+    @given(files=st.lists(_mangled(_score_csv_text()), min_size=1, max_size=2),
+           command=st.sampled_from(["compare", "hist"]))
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_score_files(self, workspace, files, command):
+        paths = []
+        for i, data in enumerate(files):
+            paths.append(workspace / f"scores{i}.csv")
+            paths[-1].write_bytes(data)
+        rc = main([command, "--config", str(workspace / "run.conf"), *map(str, paths)])
         assert rc in (EXIT_OK, EXIT_DATA)
 
     @given(extra=_mangled(st.lists(_CONFIG_LINE, max_size=5).map("\n".join)))

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import newscoherence
 from newscoherence.coherence import (
     CoherenceError,
     coherence_entities,
@@ -502,3 +508,39 @@ class TestExtremeMagnitudes:
         # (2, 1) against (1, 0); the out-of-vocabulary sentence is dropped.
         assert score.ok and score.element_count == 2
         assert score.value == pytest.approx(2 / math.sqrt(5), abs=1e-12)
+
+
+_ESA_UNIQUE_TOKENS_RUN = """
+import json, random
+from newscoherence.coherence import score_corpus
+from newscoherence.corpus import Document, LabeledCorpus, Label, Sentence
+from newscoherence.esa import build_esa_index
+rng = random.Random(7)
+vocab = [f"w{i}" for i in range(60)]
+kb = [(f"C{c}", " ".join(rng.choice(vocab) for _ in range(80))) for c in range(8)]
+docs = []
+for d in range(6):
+    doc = Document(id=f"d{d}", label=Label.FAKE, text="")
+    doc.sentences = [Sentence(index=i, text="", tokens=[rng.choice(vocab) for _ in range(25)])
+                     for i in range(5)]
+    docs.append(doc)
+scores = score_corpus(LabeledCorpus(documents=docs), "esa",
+                      esa_index=build_esa_index(kb, weighting="tfidf"), unique_tokens=True)
+print(json.dumps([repr(s.value) for s in scores]))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_esa_unique_tokens_scores_do_not_follow_hash_order(self):
+        # A sentence's distinct tokens are summed in sorted order, not set order,
+        # so every bit of a score is the same under any PYTHONHASHSEED.
+        src = str(Path(newscoherence.__file__).parent.parent)
+        runs = []
+        for hash_seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            proc = subprocess.run([sys.executable, "-c", _ESA_UNIQUE_TOKENS_RUN], env=env,
+                                  capture_output=True, text=True, timeout=120, check=True)
+            runs.append(json.loads(proc.stdout))
+        assert len(runs[0]) == 6
+        assert runs[0] == runs[1] == runs[2]

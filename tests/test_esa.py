@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import math
+import re
+from collections.abc import Mapping
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -11,14 +13,17 @@ import numpy as np
 from newscoherence.embeddings import cosine
 from newscoherence.esa import (
     EsaError,
+    EsaIndex,
     build_esa_index,
     cosine_sparse,
     esa_word_vector,
     load_index,
     save_index,
+    sentence_matrix,
 )
 
-from oracle import densify, mean_sparse_ref
+from oracle import densify, load_index_ref, mean_sparse_ref, sentence_matrix_ref, sparse_rows
+from test_cli import _esa_text, _mangled
 
 KB = [("A", "x x y"), ("B", "y z")]
 
@@ -165,12 +170,36 @@ class TestLoadIndexErrors:
         ("ESA1\t1\ttf\nC\tA\nT\tx\t1\t0:1.0\tjunk\n", "line 3"),
         ("ESA1\t1\ttf\nC\tA\tB\n", "line 2"),
         ("ESA1\t1\ttf\nC\n", "line 2"),
+        ("ESA1\t1\ttf\nC\tA\nT\tx\t1\t0:1.0\nT\tx\t1\t0:2.0\n", "line 4"),
+        ("ESA1\t2\ttf\nC\tA\nC\tB\nT\tx\t1\t0:1.0 1:1.0\nT\ty\t1\t1:1.0 1:2.0\n", "line 5"),
+        ("ESA1\t1\ttf\nC\tA\nT\tx\t1\t0:-1.0\n", "line 3"),
+        ("ESA1\t1\ttf\nC\tA\nT\tx\t-1\t0:1.0\n", "line 3"),
+        ("ESA1\t1\tbogus\nC\tA\n", "line 1"),
+        ("ESA1\t2\ttf\nC\tA\n", "line 1"),
+        ("ESA1\t1\ttf\nC\tA\nT\tx\t1\t0:1_0\n", "line 3"),
+        ("ESA1\t1\ttf\nC\tA\nT\tx\t1\t\u0660:1.0\n", "line 3"),
+        ("ESA1\t1\ttf\nC\tA\nT\tx\t1\t0:1.0 \n", "line 3"),
+        ("ESA1\t1\ttf\nC\tA\nT\tx\t1\t \n", "line 3"),
+        ("ESA1\t2\ttf\nC\tA\nC\tB\nT\tx\t1\t0:1.0\nT\ty\t1\t\nT\tz\t1\t1:1.0\n"
+         "T\tw\t1\t0:1.0  1:1.0\nT\tv\t1\t2:1.0\n", "line 7"),
+        ("", "line 1"),
     ], ids=["count-not-integer", "t-row-missing-fields", "bad-cell", "t-row-extra-field",
-            "c-row-extra-field", "c-row-no-title"])
+            "c-row-extra-field", "c-row-no-title", "duplicate-token", "duplicate-concept-id",
+            "negative-weight", "negative-df", "unknown-weighting", "concept-count-mismatch",
+            "underscore-in-number", "non-ascii-digit", "trailing-space", "space-only-cells",
+            "first-of-two-bad-rows", "empty-file"])
     def test_malformed_index_names_line(self, tmp_path, text, line):
         p = tmp_path / "bad.esa"
-        p.write_text(text)
-        with pytest.raises(EsaError, match=f"bad.esa {line}"):
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(EsaError, match=f"bad.esa {line}:"):
+            load_index(p)
+
+
+    @pytest.mark.parametrize("cells", ["0:1.0 ", "0:1.0  1:1.0", " 0:1.0"])
+    def test_a_stray_space_is_an_empty_cell(self, tmp_path, cells):
+        p = tmp_path / "bad.esa"
+        p.write_text(f"ESA1\t2\ttf\nC\tA\nC\tB\nT\tx\t1\t1:1.0\nT\ty\t1\t{cells}\n")
+        with pytest.raises(EsaError, match="bad.esa line 5: malformed 'T' record: empty cell"):
             load_index(p)
 
 
@@ -220,3 +249,133 @@ class TestTitleRoundTrip:
         path = tmp_path / "kb.esa"
         save_index(index, path)
         assert load_index(path).concepts == [title, "B"]
+
+
+class TestInvertedView:
+    """`inverted` is a read-only token -> {concept id: weight} view of the CSR arrays."""
+
+    def test_view_over_csr_arrays(self):
+        index = build_esa_index(KB, weighting="tf")
+        assert isinstance(index.inverted, Mapping) and not isinstance(index.inverted, dict)
+        assert index.inverted == {"x": {0: 2.0}, "y": {0: 1.0, 1: 1.0}, "z": {1: 1.0}}
+        assert index.inverted.nnz == len(index.indices) == len(index.data) == 4
+        assert index.indptr.tolist() == [0, 1, 3, 4]
+        assert "x" in index.inverted and "qqq" not in index.inverted
+        with pytest.raises(TypeError):
+            index.inverted["x"] = {}  # type: ignore[index]
+
+    def test_rows_are_built_on_each_read(self):
+        index = build_esa_index(KB, weighting="tf")
+        row = index.inverted["y"]
+        row[0] = 99.0
+        assert index.inverted["y"] == {0: 1.0, 1: 1.0}
+        assert index.inverted["y"] is not index.inverted["y"]
+
+    def test_index_holds_arrays_not_per_nonzero_objects(self):
+        index = build_esa_index(KB, weighting="tf")
+        assert {name: type(v).__name__ for name, v in vars(index).items()} == {
+            "concepts": "list", "tokens": "list", "indptr": "ndarray", "indices": "ndarray",
+            "data": "ndarray", "df": "dict", "weighting": "str", "rows": "dict"}
+        assert index.indices.dtype == np.int64 and index.data.dtype == np.float64
+
+    def test_equality(self, tmp_path):
+        save_index(build_esa_index(KB), tmp_path / "kb.esa")
+        assert load_index(tmp_path / "kb.esa") == load_index(tmp_path / "kb.esa")
+        assert build_esa_index(KB, weighting="tf") != build_esa_index(KB, weighting="tfidf")
+
+
+def _index(rows: dict[str, dict[int, float]], n_concepts: int) -> EsaIndex:
+    """An index holding `rows` as they are given, in their order."""
+    indptr, indices, data = sparse_rows(list(rows.values()))
+    return EsaIndex(concepts=[f"C{i}" for i in range(n_concepts)], tokens=list(rows),
+                    indptr=indptr, indices=indices, data=data,
+                    df={t: len(r) for t, r in rows.items()})
+
+
+def _full(matrix, columns, k: int, width: int) -> np.ndarray:
+    """Sentence rows from `sentence_matrix` as a dense K x width array over concept ids."""
+    full = np.zeros((k, width))
+    if isinstance(matrix, tuple):
+        indptr, cols, values = matrix
+        full[np.repeat(np.arange(k), np.diff(indptr)), columns[cols]] = values
+    else:
+        full[:, columns] = matrix
+    return full
+
+
+_WEIGHT = st.one_of(st.floats(1e-3, 1e3), st.floats(1e307, 1.7e308), st.just(0.0))
+
+
+@st.composite
+def _rows_and_sentences(draw):
+    """A small index, some rows empty, and token lists over its tokens and an
+    out-of-vocabulary one; weights near 1e308 make some sentence sums overflow."""
+    n = draw(st.integers(1, 8))
+    names = draw(st.lists(st.sampled_from([f"w{i}" for i in range(10)]), unique=True,
+                          min_size=1, max_size=10))
+    rows = {t: draw(st.dictionaries(st.integers(0, n - 1), _WEIGHT, max_size=n)) for t in names}
+    sentence = st.lists(st.sampled_from([*names, "oov"]), max_size=8)
+    return rows, n, draw(st.lists(sentence, max_size=8))
+
+
+class TestSentenceMatrixMatchesOracle:
+    """Each sentence row, dense or CSR, equals bit for bit the sums of the sort-based
+    CSR route: both add a cell's entries in occurrence order."""
+
+    @seed(20191108)
+    @given(_rows_and_sentences(), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_rows_equal_oracle_sums(self, case, unique_tokens):
+        rows, n, token_lists = case
+        if unique_tokens:
+            token_lists = [sorted(set(ts)) for ts in token_lists]
+        index = _index(rows, n)
+        matrix, columns = sentence_matrix(index, token_lists)
+        k = len(token_lists)
+        got = _full(matrix, columns, k, n)
+        want = _full(sentence_matrix_ref(index, token_lists), np.arange(n), k, n)
+        assert got.tobytes() == want.tobytes()
+        touched = {c for ts in token_lists for t in ts for c in rows.get(t, ())}
+        assert columns.tolist() == sorted(touched)
+
+    def test_dense_block_when_no_larger_than_the_entries(self):
+        index = _index({"a": {0: 1.0, 1: 2.0}, "b": {1: 3.0}}, 3)
+        matrix, columns = sentence_matrix(index, [["a", "b"], ["a"]])  # K*C = 4 <= E = 5
+        assert columns.tolist() == [0, 1]
+        assert matrix.tolist() == [[1.0, 5.0], [1.0, 2.0]]
+
+    def test_csr_when_the_block_would_be_larger(self):
+        index = _index({"a": {0: 1.0}, "b": {1: 2.0}, "c": {2: 3.0}}, 3)
+        matrix, columns = sentence_matrix(index, [["a"], ["b", "oov"], ["c"]])  # 9 > 3
+        assert isinstance(matrix, tuple) and columns.tolist() == [0, 1, 2]
+        assert [a.tolist() for a in matrix] == [[0, 1, 2, 3], [0, 1, 2], [1.0, 2.0, 3.0]]
+
+    def test_no_known_token(self):
+        matrix, columns = sentence_matrix(_index({"a": {}}, 1), [["a", "oov"], []])
+        assert matrix.shape == (2, 0) and columns.size == 0
+
+
+class TestLoadIndexMatchesOracle:
+    """Random ESA1 bytes: the loader raises EsaError naming a line, or reads what
+    the line-by-line reader reads; what that reader rejects, the loader rejects."""
+
+    @seed(20191108)
+    @given(data=_mangled(_esa_text()))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_index_or_an_error_naming_a_line(self, tmp_path, data):
+        path = tmp_path / "fuzz.esa"
+        path.write_bytes(data)
+        try:
+            want = load_index_ref(path)
+        except EsaError:
+            want = None
+        try:
+            got = load_index(path)
+        except EsaError as e:
+            assert re.match(rf"{re.escape(str(path))} line [0-9]+: ", str(e))
+            return
+        assert want is not None
+        assert (got.concepts, got.doc_count, got.weighting, got.tokens, got.df) == \
+            (want.concepts, want.doc_count, want.weighting, list(want.inverted), want.df)
+        assert got.inverted == want.inverted
