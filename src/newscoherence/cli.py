@@ -211,23 +211,18 @@ PerMethod = dict[str, tuple[list[coh.CoherenceScore], dict[str, str]]]
 
 
 def run(config: RunConfig, score: bool) -> tuple[Corpora, PerMethod]:
-    """The pipeline behind every data command: validate, load resources, load
-    and segment both corpora, link, and with `score` score every method, each once.
+    """The pipeline behind every data command: validate, load and segment both
+    corpora, load resources, link, and with `score` score every method, each once.
 
-    Linking runs for the entity method when scoring, else whenever an entity
+    The corpora come first, so a corpus fault is reported before a resource
+    fault, and the word table holds only the rows the corpora's tokens can look
+    up. Linking runs for the entity method when scoring, else whenever an entity
     table is configured. Returns the corpora by label and, per method, the
     scores sorted by doc id with a doc id -> label map read from the documents.
     """
     validate(config, need_corpora=True, need_methods=score)
     methods = config.method_list() if score else []
     link = "entity" in methods if score else bool(config.entity_vectors_path)
-    embedding_table = load_vectors_text(config.embeddings_path) if "embedding" in methods else None
-    esa_index = _esa_index(config) if "esa" in methods else None
-    entity_table = load_vectors_text(config.entity_vectors_path) if link else None
-    if link:
-        gazetteer = entitylink.build_gazetteer(entity_table)
-        if config.alias_path:
-            entitylink.load_aliases(config.alias_path, entity_table, gazetteer)
 
     corpora = {lab: _load_corpus(config, lab) for lab in (Label.FAKE, Label.LEGITIMATE)}
     labels: dict[str, str] = {}
@@ -237,7 +232,18 @@ def run(config: RunConfig, score: bool) -> tuple[Corpora, PerMethod]:
                 raise CorpusError(f"{c.source}: document id {d.id!r} is also in "
                                   f"{corpora[Label.FAKE].source}")
             labels[d.id] = d.label
-        if link:
+    embedding_table = None
+    if "embedding" in methods:
+        vocab = {t for c in corpora.values() for d in c.documents
+                 for s in d.sentences for t in s.tokens}
+        embedding_table = load_vectors_text(config.embeddings_path, keep=vocab)
+    esa_index = _esa_index(config) if "esa" in methods else None
+    entity_table = load_vectors_text(config.entity_vectors_path) if link else None
+    if link:
+        gazetteer = entitylink.build_gazetteer(entity_table)
+        if config.alias_path:
+            entitylink.load_aliases(config.alias_path, entity_table, gazetteer)
+        for c in corpora.values():
             entitylink.link_corpus(c, gazetteer)
 
     both = LabeledCorpus(documents=[d for c in corpora.values() for d in c.documents])

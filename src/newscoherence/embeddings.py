@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import functools
 import logging
-from itertools import chain
+import mmap
+import os
+from collections.abc import Iterable
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
+
+# Rows per np.loadtxt call: few enough that a block's matrix is small next to the table.
+_BLOCK_ROWS = 64
 
 __all__ = [
     "EmbeddingTable",
@@ -129,13 +135,10 @@ def _rows(lines):
             yield lineno, token, rest
 
 
-def _parse(rests, dim: int) -> np.ndarray:
-    """One float64 row per components text: the V x dim matrix of the table."""
-    first = next(rests, None)
-    if first is None:  # loadtxt would warn that the input holds no data
-        return np.empty((0, 0))  # numpy cannot make (0, dim) for a huge header dim
-    # No buffering here: loadtxt pulls one line at a time into its growing array.
-    matrix = np.loadtxt(chain([first], rests), dtype=np.float64, ndmin=2, comments=None)
+def _parse(rests: list[str], dim: int) -> np.ndarray:
+    """One float64 row per components text (one at least), checked for length and
+    finiteness."""
+    matrix = np.loadtxt(rests, dtype=np.float64, ndmin=2, comments=None)
     if matrix.shape[1] != dim:
         raise EmbeddingError(f"expected {dim} components, got {matrix.shape[1]}")
     if not np.isfinite(matrix).all():
@@ -155,7 +158,7 @@ def _raise_first_bad_line(p: Path, dim: int) -> None:
             if found != dim:
                 raise EmbeddingError(f"{p} line {lineno}: expected {dim} components, got {found}")
             try:
-                _parse(iter([rest]), dim)
+                _parse([rest], dim)
             except ValueError as e:
                 raise EmbeddingError(f"{p} line {lineno}: non-numeric component: {e}") from e
             except EmbeddingError as e:
@@ -165,39 +168,65 @@ def _raise_first_bad_line(p: Path, dim: int) -> None:
             seen.add(token)
 
 
-def load_vectors_text(path: str | Path, name: str = "") -> EmbeddingTable:
+def load_vectors_text(path: str | Path, name: str = "",
+                      keep: Iterable[str] | None = None) -> EmbeddingTable:
     """Parse the word2vec text format: header `count dim`, then `token v1 .. v_dim` lines.
 
     The token runs up to the first space; the components are separated by any
     whitespace. The file must be UTF-8. Later duplicates of a token overwrite
-    earlier ones with a warning. The table keeps the V x dim matrix the rows are parsed into.
+    earlier ones with a warning. The table keeps the matrix the rows are parsed into.
+
+    With `keep`, every row is still parsed and checked, but the table holds only
+    the rows whose token has the lower case of a `keep` token: every casing of
+    it, in file order. So `row` and `lookup` find for each `keep` token what
+    they find in the full table.
     """
     p = Path(path)
+    wanted = None if keep is None else {t.lower() for t in keep}
+    seen: set[str] = set()
     row_of: dict[str, int] = {}
     duplicates: list[tuple[int, str]] = []
-
-    def rests(rows):
-        for i, (lineno, token, rest) in enumerate(rows):
-            if token in row_of:
-                duplicates.append((lineno, token))
-            row_of[token] = i
-            if not rest.strip():  # loadtxt would skip the row
-                raise EmbeddingError(f"{p} line {lineno}: no components")
-            yield rest
-
+    parsed = held = 0
     with open(p, "rb") as f:
         lines = text_lines(f, p)
         count, dim = _header(p, lines)
+        # A row takes at least 2·dim bytes, so the file bounds what a header can reserve.
+        # Pages of `buf` that no held row reaches are never touched, so never resident.
+        # An anonymous map, not np.empty: numpy asks the kernel for 2 MB pages for a
+        # large array, and each one a held row touches would be resident whole.
+        capacity = max(0, min(count, os.fstat(f.fileno()).st_size // (2 * dim)))
+        buf = (np.ndarray((capacity, dim), buffer=mmap.mmap(-1, capacity * dim * 8,
+                                                            access=mmap.ACCESS_COPY))
+               if capacity else np.empty((0, 0)))
+        source = _rows(lines)
         try:
-            matrix = _parse(rests(_rows(lines)), dim)
+            while block := list(islice(source, _BLOCK_ROWS)):
+                taken = []  # positions in `block` of the rows held
+                for i, (lineno, token, rest) in enumerate(block):
+                    if not rest.strip():  # loadtxt would skip the row
+                        raise EmbeddingError(f"{p} line {lineno}: no components")
+                    if token in seen:
+                        duplicates.append((lineno, token))
+                    seen.add(token)
+                    # Past `capacity` the file has more rows than its header declares,
+                    # which the count check below reports once every row is checked.
+                    if ((wanted is None or token.lower() in wanted)
+                            and held + len(taken) < capacity):
+                        row_of[token] = held + len(taken)
+                        taken.append(i)
+                matrix = _parse([rest for _, _, rest in block], dim)
+                if taken:  # else `buf` may be 0 x 0
+                    rows = matrix if len(taken) == len(block) else matrix[taken]
+                    buf[held:held + len(rows)] = rows
+                parsed, held = parsed + len(block), held + len(taken)
         except (ValueError, EmbeddingError):
             _raise_first_bad_line(p, dim)
             raise  # no line is malformed: the fault is in this loader
     for lineno, token in duplicates:
         logger.warning("%s line %d: duplicate token %r overwritten", p, lineno, token)
-    if len(matrix) != count:
-        raise EmbeddingError(f"{p}: header declares {count} vectors, file has {len(matrix)}")
-    return EmbeddingTable.from_matrix(dim, matrix, row_of, name or p.stem)
+    if parsed != count:
+        raise EmbeddingError(f"{p}: header declares {count} vectors, file has {parsed}")
+    return EmbeddingTable.from_matrix(dim, buf[:held], row_of, name or p.stem)
 
 
 def save_vectors_text(table: EmbeddingTable, path: str | Path) -> None:

@@ -476,6 +476,42 @@ class TestBadBytesExitTwo:
         assert "Politics.txt" in err
 
 
+class TestRowsNoCorpusUses:
+    """The word table holds only the rows the corpora can look up; `report`
+    still parses and checks every row, and reads the corpora first."""
+
+    def _run(self, workspace, capsys, rows, header=None):
+        lines = [f"{t} " + " ".join(str(x) for x in v) for t, v in WORD_VECTORS.items()] + rows
+        header = len(lines) if header is None else header
+        (workspace / "words.txt").write_text(f"{header} 3\n" + "\n".join(lines) + "\n")
+        rc = main(["report", "--config", str(workspace / "run.conf"), "--methods", "embedding"])
+        return rc, capsys.readouterr().err
+
+    def test_malformed_unused_row_names_its_line(self, workspace, capsys):
+        rc, err = self._run(workspace, capsys, ["zebra 1 0 0", "yak 1 zzz 0"])
+        assert rc == EXIT_DATA
+        assert "words.txt line 9: non-numeric component" in err
+
+    def test_duplicate_unused_token_still_warned(self, workspace, capsys, caplog):
+        with caplog.at_level("WARNING", logger="newscoherence.embeddings"):
+            rc, _ = self._run(workspace, capsys, ["zebra 1 0 0", "zebra 0 1 0"])
+        assert rc == EXIT_OK
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{workspace / 'words.txt'} line 9: duplicate token 'zebra' overwritten"]
+
+    def test_huge_header_count_is_a_data_error(self, workspace, capsys):
+        # The rows the file can hold bound the buffer, so no MemoryError, no exit 3.
+        rc, err = self._run(workspace, capsys, ["zebra 1 0 0"], header=10**15)
+        assert rc == EXIT_DATA
+        assert f"header declares {10**15} vectors, file has 7" in err
+
+    def test_corpus_fault_reported_before_vector_fault(self, workspace, capsys):
+        (workspace / "fake.jsonl").write_bytes(b'{"id": "f1", "label": "fake", "text": 7}\n')
+        rc, err = self._run(workspace, capsys, ["yak 1 zzz 0"])
+        assert rc == EXIT_DATA
+        assert "fake.jsonl line 1" in err and "words.txt" not in err
+
+
 _ANY = st.one_of(st.text(max_size=20), st.integers(), st.none(),
                  st.lists(st.integers(), max_size=2))
 _PROSE = st.lists(st.sampled_from([*WORD_VECTORS, "Parliament", "Treasury", "."]),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import re
@@ -185,6 +186,88 @@ class TestLoaderMatchesReference:
         with pytest.raises(EmbeddingError, match="line 2"):
             load_vectors_text_ref(p)
         assert load_vectors_text(p).lookup("a").tolist() == [1.0, 2.0]
+
+
+# Case and case-only variants that lower() maps in unusual ways: "İ" lowers to
+# two characters, "ẞ" to "ß", the Kelvin sign to "k"; "ς" and "σ" share "Σ".
+_CASED = ["a", "A", "uk", "UK", "Uk", "apple", "Apple", "APPLE", "aPPle", "İ", "i̇", "I",
+          "i", "ı", "Σ", "σ", "ς", "ΣΑΣ", "σας", "ß", "ẞ", "SS", "ss", "straße", "STRASSE",
+          "\u212a", "k", "K", "日本", "é", "É"]
+_ABSENT = ["zzz", "ZZZ", "Ω", "ω"]  # never in a drawn table
+
+
+class TestHeldRows:
+    """`keep` holds fewer rows; each `keep` token still finds what the full table has."""
+
+    @staticmethod
+    def _write(tmp_path, tokens):
+        p = tmp_path / "v.txt"
+        rows = "".join(f"{t} {i} {i % 3 - 1.5}\n" for i, t in enumerate(tokens))
+        p.write_bytes(f"{len(tokens)} 2\n{rows}".encode("utf-8"))
+        return p
+
+    @seed(20191109)
+    @given(tokens=st.lists(st.sampled_from(_CASED), max_size=12),
+           keep=st.lists(st.sampled_from(_CASED + _ABSENT), max_size=8))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_keep_tokens_look_up_as_in_the_full_table(self, tmp_path, tokens, keep):
+        p = self._write(tmp_path, tokens)
+        full, held = load_vectors_text(p), load_vectors_text(p, keep=keep)
+        for t in keep:
+            want, got = full.lookup(t), held.lookup(t)
+            assert (got is None) == (want is None), t
+            assert want is None or got.tobytes() == want.tobytes(), t
+        assert set(held.rows) <= set(full.rows) and len(held.matrix) <= len(full.matrix)
+
+    @seed(20191110)
+    @given(text=_vector_files(), keep=st.lists(_TOKEN, max_size=6))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_rows_not_held_are_still_checked(self, tmp_path, text, keep):
+        """The same errors and warnings as the full load; on success, the full
+        table's rows whose token has the lower case of a `keep` token."""
+        p = tmp_path / "v.txt"
+        p.write_bytes(text.encode("utf-8"))
+        outcome = TestLoaderMatchesReference()._outcome
+        full, full_warnings = outcome(load_vectors_text, p)
+        keeping = functools.partial(load_vectors_text, keep=keep)
+        held, held_warnings = outcome(keeping, p)
+        assert held_warnings == full_warnings
+        if isinstance(full, str):
+            assert held == full
+        else:
+            lower = {t.lower() for t in keep}
+            assert held == ([(t, v) for t, v in full[0] if t.lower() in lower], full[1])
+
+    def test_unused_rows_leave_the_table(self, tmp_path):
+        p = self._write(tmp_path, ["Apple", "pear", "apple", "APPLE", "kiwi"])
+        held = load_vectors_text(p, keep=["aPPle"])
+        assert list(held.rows) == ["Apple", "apple", "APPLE"] and len(held) == 3
+        assert held.matrix.shape == (3, 2) and held.lookup("aPPle").tolist() == [0.0, -1.5]
+        assert load_vectors_text(p, keep=[]).matrix.shape == (0, 2)
+
+    def test_rows_across_blocks(self, tmp_path):
+        """Hundreds of rows, parsed in several blocks, each block holding some."""
+        tokens = [f"w{i % 150}" if i % 7 else f"W{i}" for i in range(400)]
+        p = self._write(tmp_path, tokens)
+        ref = load_vectors_text_ref(p)
+        assert [(t, v.tobytes()) for t, v in load_vectors_text(p).entries.items()] == [
+            (t, v.tobytes()) for t, v in ref.entries.items()]
+        keep = [f"w{i}" for i in range(0, 400, 3)]
+        held = load_vectors_text(p, keep=keep)
+        assert list(held.rows) == [t for t in ref.rows if t.lower() in keep]
+        for t in keep:
+            want = ref.lookup(t)
+            assert (held.lookup(t) is None) == (want is None)
+            assert want is None or held.lookup(t).tobytes() == want.tobytes()
+
+    def test_huge_header_count_is_a_data_error(self, tmp_path):
+        p = tmp_path / "v.txt"
+        p.write_text(f"{10**15} 3\na 1 0 0\nb 0 1 0\n")
+        for keep in (None, ["a"]):
+            with pytest.raises(EmbeddingError, match=f"declares {10**15} vectors, file has 2"):
+                load_vectors_text(p, keep=keep)
 
 
 class TestLookup:
