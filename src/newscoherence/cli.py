@@ -234,8 +234,7 @@ def run(config: RunConfig, score: bool) -> tuple[Corpora, PerMethod]:
             labels[d.id] = d.label
     embedding_table = None
     if "embedding" in methods:
-        vocab = {t for c in corpora.values() for d in c.documents
-                 for s in d.sentences for t in s.tokens}
+        vocab = coh.corpus_vocab(d for c in corpora.values() for d in c.documents)
         embedding_table = load_vectors_text(config.embeddings_path, keep=vocab)
     esa_index = _esa_index(config) if "esa" in methods else None
     entity_table = load_vectors_text(config.entity_vectors_path) if link else None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -27,6 +28,7 @@ __all__ = [
     "coherence_sentences",
     "coherence_entities",
     "score_corpus",
+    "corpus_vocab",
     "scores_csv",
     "read_scores_csv",
 ]
@@ -149,11 +151,7 @@ def _embedding_scores(docs: list[Document], table: EmbeddingTable,
                       unique_tokens: bool) -> list[CoherenceScore]:
     """Method "embedding" for every document: each distinct token is looked up
     once, and each document's tokens become one array of table rows."""
-    vocab: set[str] = set()
-    for doc in docs:
-        for s in _sentences(doc):
-            vocab.update(s.tokens)
-    row_of = {t: -1 if (row := table.row(t)) is None else row for t in vocab}
+    row_of = {t: -1 if (row := table.row(t)) is None else row for t in corpus_vocab(docs)}
     scores = []
     for doc in docs:
         token_lists = [sorted(set(s.tokens)) if unique_tokens else s.tokens for s in doc.sentences]
@@ -166,6 +164,15 @@ def _embedding_scores(docs: list[Document], table: EmbeddingTable,
         scores.append(_score(doc.id, "embedding",
                              _sentence_means(table.matrix, ids[known], counts)))
     return scores
+
+
+def corpus_vocab(docs: Iterable[Document]) -> set[str]:
+    """Every sentence token of `docs`: the tokens method "embedding" looks up."""
+    vocab: set[str] = set()
+    for doc in docs:
+        for s in _sentences(doc):
+            vocab.update(s.tokens)
+    return vocab
 
 
 def _sentences(doc: Document) -> list[Sentence]:

@@ -168,6 +168,15 @@ def _raise_first_bad_line(p: Path, dim: int) -> None:
             seen.add(token)
 
 
+def _row_buffer(rows: int, dim: int) -> np.ndarray:
+    """An uninitialised rows x dim float64 array whose pages are resident only once
+    written. An anonymous map, not np.empty: numpy asks the kernel for 2 MB pages
+    for a large array, and each one a written row touches would be resident whole."""
+    if not rows:
+        return np.empty((0, 0))
+    return np.ndarray((rows, dim), buffer=mmap.mmap(-1, rows * dim * 8, access=mmap.ACCESS_COPY))
+
+
 def load_vectors_text(path: str | Path, name: str = "",
                       keep: Iterable[str] | None = None) -> EmbeddingTable:
     """Parse the word2vec text format: header `count dim`, then `token v1 .. v_dim` lines.
@@ -190,14 +199,10 @@ def load_vectors_text(path: str | Path, name: str = "",
     with open(p, "rb") as f:
         lines = text_lines(f, p)
         count, dim = _header(p, lines)
-        # A row takes at least 2·dim bytes, so the file bounds what a header can reserve.
-        # Pages of `buf` that no held row reaches are never touched, so never resident.
-        # An anonymous map, not np.empty: numpy asks the kernel for 2 MB pages for a
-        # large array, and each one a held row touches would be resident whole.
-        capacity = max(0, min(count, os.fstat(f.fileno()).st_size // (2 * dim)))
-        buf = (np.ndarray((capacity, dim), buffer=mmap.mmap(-1, capacity * dim * 8,
-                                                            access=mmap.ACCESS_COPY))
-               if capacity else np.empty((0, 0)))
+        # A row takes at least 2·dim bytes, so a regular file's size bounds what its
+        # header can reserve. A file whose size does not show its rows (a pipe, or a
+        # file still being written) grows the buffer as its rows arrive.
+        buf = _row_buffer(max(0, min(count, os.fstat(f.fileno()).st_size // (2 * dim))), dim)
         source = _rows(lines)
         try:
             while block := list(islice(source, _BLOCK_ROWS)):
@@ -208,14 +213,18 @@ def load_vectors_text(path: str | Path, name: str = "",
                     if token in seen:
                         duplicates.append((lineno, token))
                     seen.add(token)
-                    # Past `capacity` the file has more rows than its header declares,
-                    # which the count check below reports once every row is checked.
-                    if ((wanted is None or token.lower() in wanted)
-                            and held + len(taken) < capacity):
+                    # A row past the header's count is not held: the count check
+                    # below reports it once every row is checked.
+                    if (wanted is None or token.lower() in wanted) and parsed + i < count:
                         row_of[token] = held + len(taken)
                         taken.append(i)
                 matrix = _parse([rest for _, _, rest in block], dim)
-                if taken:  # else `buf` may be 0 x 0
+                if taken:
+                    if held + len(taken) > len(buf):
+                        grown = _row_buffer(min(count, max(2 * len(buf), held + len(taken))), dim)
+                        if held:  # else `buf` may be 0 x 0
+                            grown[:held] = buf[:held]
+                        buf = grown
                     rows = matrix if len(taken) == len(block) else matrix[taken]
                     buf[held:held + len(rows)] = rows
                 parsed, held = parsed + len(block), held + len(taken)

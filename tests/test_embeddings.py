@@ -3,7 +3,9 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -40,9 +42,12 @@ class TestLoadVectorsText:
 
     def test_header_count_mismatch(self, tmp_path):
         p = tmp_path / "v.txt"
-        p.write_text("3 2\na 1 0\nb 0 1\n")
-        with pytest.raises(EmbeddingError, match="declares 3"):
-            load_vectors_text(p)
+        # The file's size bounds the rows a huge count reserves: no MemoryError.
+        for count in (3, 10**15):
+            p.write_text(f"{count} 2\na 1 0\nb 0 1\n")
+            for keep in (None, ["a"]):
+                with pytest.raises(EmbeddingError, match=f"declares {count} vectors, file has 2"):
+                    load_vectors_text(p, keep=keep)
 
     def test_non_numeric_component(self, tmp_path):
         p = tmp_path / "v.txt"
@@ -262,12 +267,27 @@ class TestHeldRows:
             assert (held.lookup(t) is None) == (want is None)
             assert want is None or held.lookup(t).tobytes() == want.tobytes()
 
-    def test_huge_header_count_is_a_data_error(self, tmp_path):
-        p = tmp_path / "v.txt"
-        p.write_text(f"{10**15} 3\na 1 0 0\nb 0 1 0\n")
-        for keep in (None, ["a"]):
-            with pytest.raises(EmbeddingError, match=f"declares {10**15} vectors, file has 2"):
-                load_vectors_text(p, keep=keep)
+    @pytest.mark.parametrize("count", [400, 10**15])
+    def test_pipe_holds_every_row(self, tmp_path, count):
+        """A pipe's size shows none of its rows: the buffer grows as they arrive."""
+        tokens = [f"w{i % 150}" if i % 7 else f"W{i}" for i in range(400)]
+        p = self._write(tmp_path, tokens)
+        text = p.read_bytes().replace(b"400 2", f"{count} 2".encode(), 1)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        for keep in (None, [f"w{i}" for i in range(0, 400, 3)]):
+            writer = threading.Thread(target=fifo.write_bytes, args=(text,))
+            writer.start()
+            try:
+                if count == len(tokens):
+                    held, want = load_vectors_text(fifo, keep=keep), load_vectors_text(p, keep=keep)
+                    assert list(held.rows.items()) == list(want.rows.items()) and len(held) > 0
+                    assert held.matrix.tobytes() == want.matrix.tobytes()
+                else:
+                    with pytest.raises(EmbeddingError, match=f"declares {count} vectors, file has 400"):
+                        load_vectors_text(fifo, keep=keep)
+            finally:
+                writer.join()
 
 
 class TestLookup:
