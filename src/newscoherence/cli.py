@@ -235,9 +235,11 @@ def run(config: RunConfig, score: bool) -> tuple[Corpora, PerMethod]:
     embedding_table = None
     if "embedding" in methods:
         vocab = coh.corpus_vocab(d for c in corpora.values() for d in c.documents)
-        embedding_table = load_vectors_text(config.embeddings_path, keep=vocab)
+        embedding_table = load_vectors_text(config.embeddings_path, keep=vocab,
+                                            workers=config.workers)
     esa_index = _esa_index(config) if "esa" in methods else None
-    entity_table = load_vectors_text(config.entity_vectors_path) if link else None
+    entity_table = (load_vectors_text(config.entity_vectors_path, workers=config.workers)
+                    if link else None)
     if link:
         gazetteer = entitylink.build_gazetteer(entity_table)
         if config.alias_path:

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import bisect
 import functools
+import io
 import logging
 import mmap
 import os
-from collections.abc import Iterable
-from itertools import islice
+import pickle
+import signal
+import stat
+import threading
+from array import array
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -16,6 +24,12 @@ logger = logging.getLogger(__name__)
 
 # Rows per np.loadtxt call: few enough that a block's matrix is small next to the table.
 _BLOCK_ROWS = 64
+# Bytes per read of a text file.
+_READ_BYTES = 1 << 14
+# Bytes of vector table per process below which a fork costs more than it saves. A
+# fork costs some 6 ms (2 vCPUs): two processes parsed a 300-d table of 2 MiB in
+# 34 ms against 41 ms in one, and a table of 1 MiB in 25 ms against 21 ms.
+_MIN_SHARD_BYTES = 1 << 20
 
 __all__ = [
     "EmbeddingTable",
@@ -98,23 +112,69 @@ class EmbeddingTable:
         return None if row is None else self.matrix[row]
 
 
+def _line_blocks(chunks: Iterable[bytes], faults: list[tuple[int, str]]) -> Iterator[list[str]]:
+    """The lines of a file read as `chunks` of bytes, split at "\\n", "\\r\\n" or
+    "\\r" as text mode splits them: a list at a time, each up to the last "\\n" read.
+    At the first line that is not UTF-8 they stop, and (its number, what is wrong)
+    is appended to `faults`."""
+    lineno, tail = 0, b""
+    for data in chain(chunks, [None]):
+        if data is None:  # the end of the file
+            data, tail = tail, b""
+        else:
+            data = tail + data
+            end = data.rfind(b"\n") + 1  # not at a last "\r": a "\n" may follow it
+            data, tail = data[:end], data[end:]
+        if not data:
+            continue
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            good = []  # decoded one at a time, each with its "\n", to name the bad one
+            for chunk in io.BytesIO(data):
+                for raw in chunk.splitlines() if b"\r" in chunk else (chunk,):
+                    try:
+                        good.append(raw.decode("utf-8").rstrip("\n"))
+                    except UnicodeDecodeError as e:
+                        if good:
+                            yield good
+                        faults.append((lineno + len(good) + 1, f"invalid UTF-8: {e}"))
+                        return
+            raise
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")
+        if text.endswith("\n"):
+            lines.pop()
+        lineno += len(lines)
+        yield lines
+
+
+def _read_chunks(f) -> Iterator[bytes]:
+    return iter(functools.partial(f.read, _READ_BYTES), b"")
+
+
+def _pread_chunks(fd: int, start: int, end: int) -> Iterator[bytes]:
+    """Bytes [start, end) of file `fd`, read by pread: that leaves alone the file
+    offset, which a forked process shares."""
+    return (os.pread(fd, min(_READ_BYTES, end - at), at) for at in range(start, end, _READ_BYTES))
+
+
 def text_lines(f, p: Path, error: type[Exception] = EmbeddingError):
     """(line number, text) of each line of a binary file, split at "\\n", "\\r\\n" or
     "\\r" as text mode splits it. A line that is not UTF-8 raises `error` naming it."""
+    faults: list[tuple[int, str]] = []
     lineno = 0
-    for chunk in f:
-        # Most chunks hold one line ending in "\n"; splitlines would copy each of them.
-        for raw in chunk.splitlines() if b"\r" in chunk else (chunk,):
+    for lines in _line_blocks(_read_chunks(f), faults):
+        for line in lines:
             lineno += 1
-            try:
-                line = raw.decode("utf-8").rstrip("\n")
-            except UnicodeDecodeError as e:
-                raise error(f"{p} line {lineno}: invalid UTF-8: {e}") from e
             yield lineno, line
+    if faults:
+        raise error(f"{p} line {faults[0][0]}: {faults[0][1]}")
 
 
-def _header(p: Path, lines) -> tuple[int, int]:
-    header = next(lines, (1, ""))[1].split()
+def _header(p: Path, line: str) -> tuple[int, int]:
+    header = line.split()
     if len(header) != 2:
         raise EmbeddingError(f"{p}: header must be 'count dim'")
     try:
@@ -124,15 +184,6 @@ def _header(p: Path, lines) -> tuple[int, int]:
     if dim <= 0:
         raise EmbeddingError(f"{p}: dimension must be positive")
     return count, dim
-
-
-def _rows(lines):
-    """(line number, token, components text) of each non-blank line; the token ends
-    at the first space."""
-    for lineno, line in lines:
-        if line.strip():
-            token, _, rest = line.partition(" ")
-            yield lineno, token, rest
 
 
 def _parse(rests: list[str], dim: int) -> np.ndarray:
@@ -146,26 +197,29 @@ def _parse(rests: list[str], dim: int) -> np.ndarray:
     return matrix
 
 
-def _raise_first_bad_line(p: Path, dim: int) -> None:
-    """Re-read the file one row at a time and raise for its first malformed line,
-    warning first for the duplicates above it, as a line-by-line loader would."""
-    seen: set[str] = set()
-    with open(p, "rb") as f:
-        lines = text_lines(f, p)
-        next(lines)
-        for lineno, token, rest in _rows(lines):
-            found = len(rest.split())  # str.split and loadtxt split at the same whitespace
-            if found != dim:
-                raise EmbeddingError(f"{p} line {lineno}: expected {dim} components, got {found}")
-            try:
-                _parse([rest], dim)
-            except ValueError as e:
-                raise EmbeddingError(f"{p} line {lineno}: non-numeric component: {e}") from e
-            except EmbeddingError as e:
-                raise EmbeddingError(f"{p} line {lineno}: {e}") from e
-            if token in seen:
-                logger.warning("%s line %d: duplicate token %r overwritten", p, lineno, token)
-            seen.add(token)
+class _BadRow(Exception):
+    """A malformed row: its line and what is wrong."""
+
+
+def _parse_block(rests: list[str], linenos, dim: int) -> np.ndarray:
+    """The rows of `rests`, the components texts of lines `linenos`, in one parse.
+    If it fails, each row is parsed alone, and the first malformed one raises _BadRow."""
+    if all(map(str.strip, rests)):  # else loadtxt would skip a row
+        try:
+            return _parse(rests, dim)
+        except (ValueError, EmbeddingError):
+            pass
+    for lineno, rest in zip(linenos, rests):
+        found = len(rest.split())  # str.split and loadtxt split at the same whitespace
+        if found != dim:
+            raise _BadRow(lineno, f"expected {dim} components, got {found}")
+        try:
+            _parse([rest], dim)
+        except ValueError as e:
+            raise _BadRow(lineno, f"non-numeric component: {e}") from e
+        except EmbeddingError as e:
+            raise _BadRow(lineno, str(e)) from e
+    raise RuntimeError("a block of vector rows failed to parse, but none of its rows does")
 
 
 def _row_buffer(rows: int, dim: int) -> np.ndarray:
@@ -177,8 +231,154 @@ def _row_buffer(rows: int, dim: int) -> np.ndarray:
     return np.ndarray((rows, dim), buffer=mmap.mmap(-1, rows * dim * 8, access=mmap.ACCESS_COPY))
 
 
-def load_vectors_text(path: str | Path, name: str = "",
-                      keep: Iterable[str] | None = None) -> EmbeddingTable:
+class _Shard(NamedTuple):
+    """What parsing a run of lines found. Line numbers count from its first line."""
+
+    lines: int                     # lines read, blank ones included
+    tokens: list[str]              # the token of each row above the first malformed line
+    linenos: array                 # the line of each of those rows
+    held: array                    # positions in `tokens` of the rows written to the buffer
+    fault: tuple[int, str] | None  # (line, what is wrong) of the first malformed line
+
+
+def _parse_rows(blocks: Iterable[list[str]], faults: list[tuple[int, str]], dim: int,
+                count: int, wanted: set[str] | None, buf: np.ndarray,
+                lineno: int = 0) -> tuple[_Shard, np.ndarray]:
+    """Parse and check the rows of `blocks`, lists of lines the first of which is
+    line `lineno` + 1, up to the first malformed line, _BLOCK_ROWS rows per parse.
+    `faults` holds the first line that `blocks` could not read, once they end.
+
+    Of its first `count` rows, those whose token has the lower case of a `wanted`
+    token (every one where `wanted` is None) are written to `buf`, which grows as
+    needed. Returns what was found, and the buffer.
+    """
+    tokens: list[str] = []
+    linenos, held = array("q"), array("q")
+    rests: list[str] = []  # the components texts of the last rows read, not yet parsed
+
+    def parse(n: int) -> None:  # the first n of `rests`
+        nonlocal buf, rests
+        first = len(tokens) - len(rests)
+        for at in range(first, first + n, _BLOCK_ROWS):  # `at`: a block's first row
+            size = min(_BLOCK_ROWS, first + n - at)
+            matrix = _parse_block(rests[at - first:at - first + size], linenos[at:at + size], dim)
+            taken = [j for j, token in enumerate(tokens[at:min(at + size, count)])
+                     if wanted is None or token.lower() in wanted]
+            if taken:
+                k = len(held)
+                if k + len(taken) > len(buf):
+                    grown = _row_buffer(min(count, max(2 * len(buf), k + len(taken))), dim)
+                    if k:  # else `buf` may be 0 x 0
+                        grown[:k] = buf[:k]
+                    buf = grown
+                buf[k:k + len(taken)] = matrix if len(taken) == size else matrix[taken]
+                held.extend(at + j for j in taken)
+        rests = rests[n:]
+
+    try:
+        for lines in blocks:
+            for line in lines:
+                lineno += 1
+                if line.strip():
+                    token, _, rest = line.partition(" ")
+                    tokens.append(token)
+                    linenos.append(lineno)
+                    rests.append(rest)
+            if len(rests) >= _BLOCK_ROWS:
+                parse(len(rests) - len(rests) % _BLOCK_ROWS)
+        parse(len(rests))
+        fault = faults[0] if faults else None
+    except _BadRow as e:
+        fault = e.args
+    if fault:  # keep only the rows above it
+        del tokens[bisect.bisect_left(linenos, fault[0]):]
+        del linenos[len(tokens):]
+    return _Shard(lineno, tokens, linenos, held, fault), buf
+
+
+def _send(out: BinaryIO, fd: int, span: tuple[int, int], dim: int, count: int,
+          wanted: set[str] | None) -> None:
+    """Parse bytes [start, end) of file `fd` and write to `out` its _Shard, pickled,
+    then the bytes of its held rows."""
+    start, end = span
+    buf = _row_buffer(min(count, (end - start) // (2 * dim)), dim)
+    faults: list[tuple[int, str]] = []
+    blocks = _line_blocks(_pread_chunks(fd, start, end), faults)
+    shard, buf = _parse_rows(blocks, faults, dim, count, wanted, buf)
+    pickle.dump(shard, out, pickle.HIGHEST_PROTOCOL)
+    out.write(buf[:len(shard.held)])
+
+
+def _spans(fd: int, size: int, workers: int) -> list[tuple[int, int]]:
+    """Byte ranges of a regular file, one per process that parses it: up to `workers`,
+    no more than the CPUs this process may run on, and none under _MIN_SHARD_BYTES.
+    Each range but the last ends just after a "\\n". A process with other threads
+    is not forked: a lock one of them holds would stay held in the child."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return [(0, size)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    shards = min(workers, cpus or 1, size // max(_MIN_SHARD_BYTES, 1))
+    cuts = [0]
+    for k in range(1, shards):
+        at = k * size // shards
+        while window := os.pread(fd, min(1 << 16, size - at), at):
+            if (i := window.find(b"\n")) >= 0:
+                cuts.append(max(cuts[-1], at + i + 1))
+                break
+            at += len(window)
+    cuts = sorted(set(cuts + [size]))
+    return list(zip(cuts, cuts[1:])) or [(0, size)]
+
+
+def _fork(fd: int, span: tuple[int, int], dim: int, count: int,
+          wanted: set[str] | None) -> tuple[int | None, BinaryIO]:
+    """Parse `span` of `fd` in a forked process: its pid, and the pipe it `_send`s
+    through. If no process can be made, the span is parsed here: no pid, and a
+    stream of the same bytes."""
+    r, w = os.pipe()
+    pid = -1
+    try:
+        pid = os.fork()
+        if pid == 0:  # the child, which never logs
+            os.close(r)
+            with open(w, "wb") as out:
+                _send(out, fd, span, dim, count, wanted)
+            os._exit(0)
+    except OSError:  # from the fork: no process was made
+        pass
+    finally:
+        if pid == 0:  # whatever went wrong, the child never returns into its caller
+            os._exit(1)
+    os.close(w)
+    if pid != -1:
+        return pid, open(r, "rb")
+    os.close(r)
+    out = io.BytesIO()
+    _send(out, fd, span, dim, count, wanted)
+    out.seek(0)
+    return None, out
+
+
+def _receive(p: Path, stream: BinaryIO, buf: np.ndarray, held: int) -> _Shard:
+    """A _Shard from `stream`. Its held rows go into `buf` after the `held` rows
+    there, if they fit; if not, the file has more rows than its header declares."""
+    try:
+        shard = pickle.load(stream)
+    except (EOFError, pickle.UnpicklingError) as e:
+        raise RuntimeError(f"{p}: a parser process ended without its rows") from e
+    n = len(shard.held)
+    if n and held + n <= len(buf):
+        view = memoryview(buf[held:held + n]).cast("B")
+        while view:
+            got = stream.readinto(view)
+            if not got:
+                raise RuntimeError(f"{p}: a parser process ended before its last row")
+            view = view[got:]
+    return shard
+
+
+def load_vectors_text(path: str | Path, name: str = "", keep: Iterable[str] | None = None,
+                      workers: int = 1) -> EmbeddingTable:
     """Parse the word2vec text format: header `count dim`, then `token v1 .. v_dim` lines.
 
     The token runs up to the first space; the components are separated by any
@@ -189,50 +389,64 @@ def load_vectors_text(path: str | Path, name: str = "",
     the rows whose token has the lower case of a `keep` token: every casing of
     it, in file order. So `row` and `lookup` find for each `keep` token what
     they find in the full table.
+
+    A regular file is parsed in up to `workers` processes, one shard of its rows
+    each, all but the first forked. The table, warnings and errors are the same
+    for any `workers`.
     """
     p = Path(path)
     wanted = None if keep is None else {t.lower() for t in keep}
-    seen: set[str] = set()
-    row_of: dict[str, int] = {}
-    duplicates: list[tuple[int, str]] = []
-    parsed = held = 0
+    children: list[tuple[int | None, BinaryIO]] = []
     with open(p, "rb") as f:
-        lines = text_lines(f, p)
-        count, dim = _header(p, lines)
+        fd = f.fileno()
+        st = os.fstat(fd)
+        spans = _spans(fd, st.st_size, workers) if stat.S_ISREG(st.st_mode) else [(0, 0)]
+        faults: list[tuple[int, str]] = []
+        chunks = _read_chunks(f) if len(spans) == 1 else _pread_chunks(fd, *spans[0])
+        blocks = _line_blocks(chunks, faults)
+        first = next(blocks, [""])
+        if faults:
+            raise EmbeddingError(f"{p} line {faults[0][0]}: {faults[0][1]}")
+        count, dim = _header(p, first[0])
+        limit = max(count, 0)  # rows held
         # A row takes at least 2·dim bytes, so a regular file's size bounds what its
         # header can reserve. A file whose size does not show its rows (a pipe, or a
         # file still being written) grows the buffer as its rows arrive.
-        buf = _row_buffer(max(0, min(count, os.fstat(f.fileno()).st_size // (2 * dim))), dim)
-        source = _rows(lines)
+        buf = _row_buffer(min(limit, st.st_size // (2 * dim)), dim)
         try:
-            while block := list(islice(source, _BLOCK_ROWS)):
-                taken = []  # positions in `block` of the rows held
-                for i, (lineno, token, rest) in enumerate(block):
-                    if not rest.strip():  # loadtxt would skip the row
-                        raise EmbeddingError(f"{p} line {lineno}: no components")
+            for span in spans[1:]:
+                children.append(_fork(fd, span, dim, limit, wanted))
+            shard, buf = _parse_rows(chain([first[1:]], blocks), faults, dim, limit, wanted, buf, 1)
+            seen: set[str] = set()
+            row_of: dict[str, int] = {}
+            duplicates: list[tuple[int, str]] = []
+            lines = parsed = held = 0
+            for k in range(len(spans)):
+                if k:  # the shards after the first, in file order
+                    shard = _receive(p, children[k - 1][1], buf, held)
+                for lineno, token in zip(shard.linenos, shard.tokens):
                     if token in seen:
-                        duplicates.append((lineno, token))
+                        duplicates.append((lines + lineno, token))
                     seen.add(token)
-                    # A row past the header's count is not held: the count check
-                    # below reports it once every row is checked.
-                    if (wanted is None or token.lower() in wanted) and parsed + i < count:
-                        row_of[token] = held + len(taken)
-                        taken.append(i)
-                matrix = _parse([rest for _, _, rest in block], dim)
-                if taken:
-                    if held + len(taken) > len(buf):
-                        grown = _row_buffer(min(count, max(2 * len(buf), held + len(taken))), dim)
-                        if held:  # else `buf` may be 0 x 0
-                            grown[:held] = buf[:held]
-                        buf = grown
-                    rows = matrix if len(taken) == len(block) else matrix[taken]
-                    buf[held:held + len(rows)] = rows
-                parsed, held = parsed + len(block), held + len(taken)
-        except (ValueError, EmbeddingError):
-            _raise_first_bad_line(p, dim)
-            raise  # no line is malformed: the fault is in this loader
+                for j, i in enumerate(shard.held):
+                    row_of[shard.tokens[i]] = held + j
+                if shard.fault:
+                    break
+                lines, parsed = lines + shard.lines, parsed + len(shard.tokens)
+                held += len(shard.held)
+        finally:
+            for pid, stream in children:
+                stream.close()
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+                    try:
+                        os.waitpid(pid, 0)
+                    except ChildProcessError:  # reaped already: SIGCHLD is ignored
+                        pass
     for lineno, token in duplicates:
         logger.warning("%s line %d: duplicate token %r overwritten", p, lineno, token)
+    if shard.fault:
+        raise EmbeddingError(f"{p} line {lines + shard.fault[0]}: {shard.fault[1]}")
     if parsed != count:
         raise EmbeddingError(f"{p}: header declares {count} vectors, file has {parsed}")
     return EmbeddingTable.from_matrix(dim, buf[:held], row_of, name or p.stem)

@@ -801,6 +801,40 @@ class TestReport:
         assert (workspace / "out" / "scores_esa.csv").is_file()
         assert scipy_modules == []
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_bad_row_in_a_forked_shard_is_one_data_error(self, workspace):
+        """The forked parser never returns into `main`: one error line, not two."""
+        words = workspace / "words.txt"
+        lines = words.read_text().splitlines()
+        lines.append("zebra 1 2 zzz")
+        words.write_text("\n".join(lines) + "\n")
+        # Shard even this small table, on two CPUs; say on stderr when a fork is made.
+        code = ("import os, sys\n"
+                "from newscoherence import embeddings\n"
+                "from newscoherence.cli import main\n"
+                "embeddings._MIN_SHARD_BYTES = 0\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "fork = os.fork\n"
+                "def announced():\n"
+                "    pid = fork()\n"
+                "    if pid:\n"
+                "        print('forked', file=sys.stderr)\n"
+                "    return pid\n"
+                "os.fork = announced\n"
+                "sys.exit(main(sys.argv[1:]))")
+        src = str(Path(newscoherence.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "report", "--config", str(workspace / "run.conf"),
+             "--methods", "embedding", "--workers", "2"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_DATA
+        stderr = proc.stderr.splitlines()
+        assert stderr.count("forked") == 1
+        errors = [line for line in stderr if "data error" in line]
+        assert len(errors) == 1 and f"words.txt line {len(lines)}: non-numeric" in errors[0]
+
     def test_deterministic_across_runs_and_workers(self, workspace):
         main(["report", "--config", str(workspace / "run.conf")])
         first = _snapshot(workspace / "out")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import functools
 import logging
 import math
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
+from newscoherence import embeddings
 from newscoherence.embeddings import (
     EmbeddingError,
     cosine,
@@ -43,7 +45,7 @@ class TestLoadVectorsText:
     def test_header_count_mismatch(self, tmp_path):
         p = tmp_path / "v.txt"
         # The file's size bounds the rows a huge count reserves: no MemoryError.
-        for count in (3, 10**15):
+        for count in (3, 10**15, -1):
             p.write_text(f"{count} 2\na 1 0\nb 0 1\n")
             for keep in (None, ["a"]):
                 with pytest.raises(EmbeddingError, match=f"declares {count} vectors, file has 2"):
@@ -113,6 +115,31 @@ class TestLoadVectorsText:
         p = tmp_path / "v.txt"
         p.write_bytes(b"2 2\ra 1 0\r\nb 0 1\r")
         assert load_vectors_text(p).lookup("b").tolist() == [0.0, 1.0]
+
+    def test_bad_row_on_a_pipe_is_named_without_a_second_open(self, tmp_path):
+        """A pipe can be read once: the bad row is named from the rows in hand."""
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        errors = []
+
+        def load():
+            try:
+                load_vectors_text(fifo)
+            except EmbeddingError as e:
+                errors.append(str(e))
+
+        reader = threading.Thread(target=load, daemon=True)
+        writer = threading.Thread(target=fifo.write_bytes, args=(b"2 2\na 1 0\nb 1 zzz\n",),
+                                  daemon=True)
+        reader.start()
+        writer.start()
+        writer.join(10)
+        reader.join(10)
+        hung = reader.is_alive()
+        if hung:  # a second open of the pipe waits for a writer: be one, and fail
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(10)
+        assert not hung and len(errors) == 1 and "fifo line 3: non-numeric" in errors[0]
 
 
 _CELL = st.one_of(
@@ -191,6 +218,124 @@ class TestLoaderMatchesReference:
         with pytest.raises(EmbeddingError, match="line 2"):
             load_vectors_text_ref(p)
         assert load_vectors_text(p).lookup("a").tolist() == [1.0, 2.0]
+
+
+def _loaded(load, path):
+    """(rows, matrix bytes) or the error message, and the warnings logged, in order."""
+    logger = logging.getLogger("newscoherence.embeddings")
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger.addHandler(handler)
+    try:
+        table = load(path)
+        result = list(table.rows.items()), table.matrix.tobytes(), table.dim
+    except EmbeddingError as e:
+        result = str(e)
+    finally:
+        logger.removeHandler(handler)
+    return result, [r.getMessage() for r in records]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Shard a table of any size over up to three processes; the list gets each
+    forked pid."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    monkeypatch.setattr(embeddings, "_MIN_SHARD_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+class TestShards:
+    """`workers` processes parse a table to the same rows, warnings and errors."""
+
+    @seed(20191111)
+    @given(text=_vector_files(), keep=st.none() | st.lists(_TOKEN, max_size=6),
+           bad=st.none() | st.integers(0, 10**6))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_workers_give_the_same_outcome(self, tmp_path, forks, text, keep, bad):
+        data = text.encode("utf-8")
+        if bad is not None:  # a byte that is not UTF-8, anywhere
+            bad %= len(data) + 1
+            data = data[:bad] + b"\xff" + data[bad:]
+        p = tmp_path / "v.txt"
+        p.write_bytes(data)
+        one, two, three = (_loaded(functools.partial(load_vectors_text, keep=keep, workers=w), p)
+                           for w in (1, 2, 3))
+        assert two == one and three == one
+
+    # Eight rows, then a bad row, a bad byte or a wrong count for the parse to find.
+    _ROWS = "".join(f"w{i % 5} {i} 1\n" for i in range(8)).encode()
+    CASES = {
+        "success": b"8 2\n" + _ROWS,
+        "bad row in a child's shard": b"9 2\n" + _ROWS + b"x 1 zzz\n",
+        "bad row in the parent's shard": b"9 2\nx 1 zzz\n" + _ROWS,
+        "not UTF-8": b"9 2\n" + _ROWS[:-20] + b"\xff" + _ROWS[-20:],
+        "header count": b"9 2\n" + _ROWS,
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_no_child_outlives_a_load(self, tmp_path, forks, case):
+        p = tmp_path / "v.txt"
+        p.write_bytes(self.CASES[case])
+        one = _loaded(load_vectors_text, p)
+        three = _loaded(functools.partial(load_vectors_text, workers=3), p)
+        assert three == one and len(forks) == 2
+        assert isinstance(one[0], str) == (case != "success")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fails", [{1, 2}, {2}])
+    def test_a_failed_fork_parses_its_shard_here(self, tmp_path, forks, monkeypatch, fails):
+        p = tmp_path / "v.txt"
+        p.write_bytes(self.CASES["success"])
+        calls = []
+        fork = os.fork
+
+        def failing():
+            calls.append(None)
+            if len(calls) in fails:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing)
+        three = _loaded(functools.partial(load_vectors_text, workers=3), p)
+        assert three == _loaded(load_vectors_text, p) and len(calls) == 2
+        assert len(forks) == 2 - len(fails)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_process_beside_another_thread(self, tmp_path, forks):
+        p = tmp_path / "v.txt"
+        p.write_bytes(self.CASES["success"])
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait, daemon=True)
+        other.start()
+        try:
+            table = load_vectors_text(p, workers=3)
+        finally:
+            stop.set()
+            other.join(10)
+        assert not forks and not other.is_alive() and len(table) == 5
+
+    def test_one_process_for_a_small_table(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a small table"))
+        p = tmp_path / "v.txt"
+        p.write_bytes(self.CASES["success"])
+        assert len(load_vectors_text(p, workers=3)) == 5
 
 
 # Case and case-only variants that lower() maps in unusual ways: "İ" lowers to
