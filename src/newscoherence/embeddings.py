@@ -434,6 +434,14 @@ def load_vectors_text(path: str | Path, name: str = "", keep: Iterable[str] | No
                     break
                 lines, parsed = lines + shard.lines, parsed + len(shard.tokens)
                 held += len(shard.held)
+            # Still inside the try: a child that has sent its rows exits meanwhile.
+            for lineno, token in duplicates:
+                logger.warning("%s line %d: duplicate token %r overwritten", p, lineno, token)
+            if shard.fault:
+                raise EmbeddingError(f"{p} line {lines + shard.fault[0]}: {shard.fault[1]}")
+            if parsed != count:
+                raise EmbeddingError(f"{p}: header declares {count} vectors, file has {parsed}")
+            return EmbeddingTable.from_matrix(dim, buf[:held], row_of, name or p.stem)
         finally:
             for pid, stream in children:
                 stream.close()
@@ -443,13 +451,6 @@ def load_vectors_text(path: str | Path, name: str = "", keep: Iterable[str] | No
                         os.waitpid(pid, 0)
                     except ChildProcessError:  # reaped already: SIGCHLD is ignored
                         pass
-    for lineno, token in duplicates:
-        logger.warning("%s line %d: duplicate token %r overwritten", p, lineno, token)
-    if shard.fault:
-        raise EmbeddingError(f"{p} line {lines + shard.fault[0]}: {shard.fault[1]}")
-    if parsed != count:
-        raise EmbeddingError(f"{p}: header declares {count} vectors, file has {parsed}")
-    return EmbeddingTable.from_matrix(dim, buf[:held], row_of, name or p.stem)
 
 
 def save_vectors_text(table: EmbeddingTable, path: str | Path) -> None:
