@@ -114,17 +114,21 @@ class EmbeddingTable:
 
 def _line_blocks(chunks: Iterable[bytes], faults: list[tuple[int, str]]) -> Iterator[list[str]]:
     """The lines of a file read as `chunks` of bytes, split at "\\n", "\\r\\n" or
-    "\\r" as text mode splits them: a list at a time, each up to the last "\\n" read.
-    At the first line that is not UTF-8 they stop, and (its number, what is wrong)
-    is appended to `faults`."""
-    lineno, tail = 0, b""
+    "\\r" as text mode splits them: a list at a time, each up to the last line end
+    read. At the first line that is not UTF-8 they stop, and (its number, what is
+    wrong) is appended to `faults`."""
+    lineno, pending = 0, []  # the bytes read since the last line end
     for data in chain(chunks, [None]):
         if data is None:  # the end of the file
-            data, tail = tail, b""
+            data, pending = b"".join(pending), []
         else:
-            data = tail + data
-            end = data.rfind(b"\n") + 1  # not at a last "\r": a "\n" may follow it
-            data, tail = data[:end], data[end:]
+            # Not at a last "\r", which may start a "\r\n".
+            end = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+            if not end:
+                pending.append(data)
+                continue
+            pending.append(data[:end])
+            data, pending = b"".join(pending), [data[end:]]
         if not data:
             continue
         try:

@@ -9,6 +9,7 @@ per-sentence embedding means."""
 
 from __future__ import annotations
 
+import io
 import logging
 import math
 import re
@@ -204,6 +205,21 @@ def coherence_sentences_sparse(doc, rep) -> CoherenceScore:
 
 
 _ref_logger = logging.getLogger("newscoherence.embeddings")
+
+
+def text_lines_ref(data: bytes):
+    """The lines of `data` as the line reader read them before it read in blocks:
+    each "\\n"-ended chunk, split again at "\\r" and "\\r\\n", decoded one by one.
+    Returns the lines above the first one that is not UTF-8, and that line's error."""
+    lines = []
+    for chunk in io.BytesIO(data):
+        for raw in chunk.splitlines() if b"\r" in chunk else (chunk,):
+            try:
+                lines.append(raw.decode("utf-8").rstrip("\n"))
+            except UnicodeDecodeError as e:
+                return lines, f"line {len(lines) + 1}: invalid UTF-8: {e}"
+    return lines, None
+
 
 
 def load_vectors_text_ref(path, name=""):

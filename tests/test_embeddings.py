@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import functools
+import io
 import logging
 import math
 import os
@@ -21,10 +22,11 @@ from newscoherence.embeddings import (
     load_vectors_text,
     mean_vector,
     save_vectors_text,
+    text_lines,
 )
 
 from conftest import make_table
-from oracle import load_vectors_text_ref
+from oracle import load_vectors_text_ref, text_lines_ref
 
 
 class TestLoadVectorsText:
@@ -336,6 +338,29 @@ class TestShards:
         p = tmp_path / "v.txt"
         p.write_bytes(self.CASES["success"])
         assert len(load_vectors_text(p, workers=3)) == 5
+
+
+class TestTextLines:
+    """The block reader splits and decodes as the line-by-line reader did, for any
+    read size: line ends and multi-byte characters split across reads."""
+
+    @seed(20191112)
+    @given(pieces=st.lists(st.sampled_from([b"a", b" 1", b"\n", b"\r", b"\r\n", b"\xff",
+                                            "é".encode(), "日".encode()[:2], b""]), max_size=30),
+           read=st.integers(1, 9))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_read_size_gives_the_same_lines(self, monkeypatch, pieces, read):
+        data = b"".join(pieces)
+        monkeypatch.setattr(embeddings, "_READ_BYTES", read)
+        lines, error = [], None
+        try:
+            for lineno, line in text_lines(io.BytesIO(data), "f"):
+                assert lineno == len(lines) + 1
+                lines.append(line)
+        except EmbeddingError as e:
+            error = str(e).removeprefix("f ")
+        assert (lines, error) == text_lines_ref(data)
 
 
 # Case and case-only variants that lower() maps in unusual ways: "İ" lowers to
