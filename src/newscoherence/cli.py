@@ -133,6 +133,8 @@ def validate(config: RunConfig, need_corpora: bool, need_methods: bool) -> None:
         raise ConfigError("field 'hist_lower': must be < hist_upper")
     if not math.isfinite(config.hist_upper - config.hist_lower):
         raise ConfigError("field 'hist_upper': the histogram range must be finite")
+    if not math.isfinite(config.esa_min_weight):
+        raise ConfigError("field 'esa_min_weight': must be finite")
     if config.hist_buckets < 1:
         raise ConfigError("field 'hist_buckets': must be >= 1")
     if config.workers < 1:

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import embeddings as emb
 from . import esa as esa_mod
 from .corpus import Document, Label, LabeledCorpus, Sentence, csv_records
 from .embeddings import EmbeddingTable
@@ -69,18 +68,21 @@ def _undefined(doc_id: str, method: str, element_count: int = 0) -> CoherenceSco
 def sentence_rep_embedding(
     s: Sentence, table: EmbeddingTable, unique_tokens: bool = False
 ) -> np.ndarray | None:
-    """Mean of the in-vocabulary token vectors (occurrence-weighted by default).
+    """Mean of the in-vocabulary token vectors (occurrence-weighted by default), as
+    method "embedding" takes it; None when there is none or it is the zero vector."""
+    [tokens] = _token_lists([s], unique_tokens)
+    [rep] = _sentence_means([tokens], _row_map(table, tokens), table.matrix)
+    return rep if np.any(rep) else None
 
-    None when no token is in-vocabulary or the mean is the zero vector.
-    """
-    tokens = sorted(set(s.tokens)) if unique_tokens else s.tokens
-    vectors = [v for v in (table.lookup(t) for t in tokens) if v is not None]
-    if not vectors:
-        return None
-    rep = emb.mean_vector(vectors)
-    if not np.any(rep):
-        return None
-    return rep
+
+def _token_lists(sentences: list[Sentence], unique_tokens: bool) -> list[list[str]]:
+    """Each sentence's tokens: distinct and sorted with `unique_tokens`, else all."""
+    return [sorted(set(s.tokens)) if unique_tokens else s.tokens for s in sentences]
+
+
+def _row_map(table: EmbeddingTable, tokens: Iterable[str]) -> dict[str, int]:
+    """Token -> its row in `table`, -1 for a token the table lacks."""
+    return {t: -1 if (row := table.row(t)) is None else row for t in tokens}
 
 
 def _score(doc_id: str, method: str, rows) -> CoherenceScore:
@@ -128,11 +130,19 @@ def _score(doc_id: str, method: str, rows) -> CoherenceScore:
                           pair_count=k * (k - 1) // 2, status="ok")
 
 
-def _sentence_means(matrix: np.ndarray, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Row i is the mean of the `counts[i]` rows of `matrix` that `ids` lists next,
-    added in that order; zeros when `counts[i]` is 0. A sum past the float range
-    is redone with its rows halved k times, 2**k > count, which keeps the mean's
-    direction and is exact."""
+def _sentence_means(token_lists: list[list[str]], row_of: dict[str, int],
+                    matrix: np.ndarray) -> np.ndarray:
+    """Row i is the mean of the rows of `matrix` that `row_of` gives the tokens of
+    `token_lists[i]` (-1: none), added in token order; zeros when it has none. A sum
+    past the float range is redone with its rows halved k times, 2**k > count, which
+    keeps the mean's direction and is exact."""
+    lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
+    ids = np.fromiter(map(row_of.__getitem__, chain.from_iterable(token_lists)),
+                      dtype=np.intp, count=int(lengths.sum()))
+    known = ids >= 0
+    counts = np.bincount(np.repeat(np.arange(len(lengths)), lengths)[known],
+                         minlength=len(lengths))
+    ids = ids[known]
     means = np.zeros((len(counts), matrix.shape[1]))
     bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
     spans = [(i, a, b) for i, (a, b) in enumerate(zip(bounds, bounds[1:])) if b > a]
@@ -150,20 +160,11 @@ def _sentence_means(matrix: np.ndarray, ids: np.ndarray, counts: np.ndarray) -> 
 def _embedding_scores(docs: list[Document], table: EmbeddingTable,
                       unique_tokens: bool) -> list[CoherenceScore]:
     """Method "embedding" for every document: each distinct token is looked up
-    once, and each document's tokens become one array of table rows."""
-    row_of = {t: -1 if (row := table.row(t)) is None else row for t in corpus_vocab(docs)}
-    scores = []
-    for doc in docs:
-        token_lists = [sorted(set(s.tokens)) if unique_tokens else s.tokens for s in doc.sentences]
-        lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
-        ids = np.fromiter(map(row_of.__getitem__, chain.from_iterable(token_lists)),
-                          dtype=np.intp, count=int(lengths.sum()))
-        known = ids >= 0
-        counts = np.bincount(np.repeat(np.arange(len(lengths)), lengths)[known],
-                             minlength=len(lengths))
-        scores.append(_score(doc.id, "embedding",
-                             _sentence_means(table.matrix, ids[known], counts)))
-    return scores
+    once, and each document's sentences are averaged in one call."""
+    row_of = _row_map(table, corpus_vocab(docs))
+    return [_score(doc.id, "embedding", _sentence_means(
+                _token_lists(doc.sentences, unique_tokens), row_of, table.matrix))
+            for doc in docs]
 
 
 def corpus_vocab(docs: Iterable[Document]) -> set[str]:
@@ -241,8 +242,7 @@ def score_corpus(
     for doc in corpus.documents:
         if method == "esa":
             # A sum of token vectors has the direction of their mean.
-            tokens = [sorted(set(s.tokens)) if unique_tokens else s.tokens
-                      for s in _sentences(doc)]
+            tokens = _token_lists(_sentences(doc), unique_tokens)
             score = _score(doc.id, "esa", esa_mod.sentence_matrix(esa_index, tokens)[0])
         else:
             score = coherence_entities(doc, entity_table, multiset=entity_multiset)

@@ -56,10 +56,10 @@ class Gazetteer:
 
 def build_gazetteer(entity_table: EmbeddingTable) -> Gazetteer:
     """Derive surfaces from entity ids: underscores become spaces, matching is lowercased."""
-    if not entity_table.entries:
+    if not len(entity_table):
         raise EntityLinkError("empty entity table")
     surfaces: dict[tuple[str, ...], str] = {}
-    for entity_id in entity_table.entries:
+    for entity_id in entity_table.rows:
         key = tuple(entity_id.replace("_", " ").lower().split())
         if key:
             surfaces[key] = entity_id

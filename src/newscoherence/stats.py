@@ -68,16 +68,22 @@ class Histogram:
     clamped_above: dict[str, int]
 
 
+def _mean_variance(values: list[float], ddof: int) -> tuple[float, float]:
+    """Mean and variance (divisor n - `ddof`) of a non-empty sample. A constant
+    sample has its value as mean and variance exactly 0, whatever sum() rounds to."""
+    n = len(values)
+    if n == 1 or min(values) == max(values):
+        return float(values[0]), 0.0
+    mean = sum(values) / n
+    return mean, sum((v - mean) ** 2 for v in values) / (n - ddof)
+
+
 def mean_sd(values: list[float], sample: bool = False) -> tuple[float, float]:
     """Arithmetic mean and SD; population SD (divisor n) unless `sample`."""
     if not values:
         raise StatsError("mean_sd of an empty list")
-    n = len(values)
-    mean = sum(values) / n
-    if n == 1 or min(values) == max(values):
-        return mean, 0.0
-    ss = sum((v - mean) ** 2 for v in values)
-    return mean, math.sqrt(ss / (n - 1 if sample else n))
+    mean, variance = _mean_variance(values, 1 if sample else 0)
+    return mean, math.sqrt(variance)
 
 
 def welch_t_test(a: list[float], b: list[float], pooled: bool = False) -> TTestResult:
@@ -91,35 +97,27 @@ def welch_t_test(a: list[float], b: list[float], pooled: bool = False) -> TTestR
     n1, n2 = len(a), len(b)
     if n1 < 2 or n2 < 2:
         raise StatsError("each sample needs at least 2 values")
-    m1 = sum(a) / n1
-    m2 = sum(b) / n2
-    v1 = sum((x - m1) ** 2 for x in a) / (n1 - 1)
-    v2 = sum((x - m2) ** 2 for x in b) / (n2 - 1)
-
-    if v1 == 0.0 and v2 == 0.0:
-        if m1 == m2:
-            return TTestResult(t=0.0, dof=float(n1 + n2 - 2), p_two_tailed=1.0,
-                               log10_p=0.0, degenerate=True)
-        t_inf = math.inf if m1 > m2 else -math.inf
-        return TTestResult(t=t_inf, dof=float(n1 + n2 - 2), p_two_tailed=0.0,
-                           log10_p=-math.inf, degenerate=True)
-
-    if pooled:
+    m1, v1 = _mean_variance(a, 1)
+    m2, v2 = _mean_variance(b, 1)
+    degenerate = v1 == 0.0 and v2 == 0.0
+    if degenerate:  # t is 0 or infinite, and p 1 or 0
+        t = 0.0 if m1 == m2 else math.copysign(math.inf, m1 - m2)
+        dof = float(n1 + n2 - 2)
+    elif pooled:
         sp2 = ((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2)
-        se = math.sqrt(sp2 * (1.0 / n1 + 1.0 / n2))
+        t = (m1 - m2) / math.sqrt(sp2 * (1.0 / n1 + 1.0 / n2))
         dof = float(n1 + n2 - 2)
     else:
         q1, q2 = v1 / n1, v2 / n2
-        se = math.sqrt(q1 + q2)
+        t = (m1 - m2) / math.sqrt(q1 + q2)
         # Welch-Satterthwaite, computed on the ratios q_i/(q1+q2) so tiny
         # variances cannot underflow the denominator.
         r1, r2 = q1 / (q1 + q2), q2 / (q1 + q2)
         dof = 1.0 / (r1**2 / (n1 - 1) + r2**2 / (n2 - 1))
-    t = (m1 - m2) / se
-
     log_p = _log_p_two_tailed(t, dof)
     p = min(1.0, math.exp(log_p))
-    return TTestResult(t=t, dof=dof, p_two_tailed=p, log10_p=log_p / math.log(10.0))
+    return TTestResult(t=t, dof=dof, p_two_tailed=p, log10_p=log_p / math.log(10.0),
+                       degenerate=degenerate)
 
 
 def _log_p_two_tailed(t: float, dof: float) -> float:

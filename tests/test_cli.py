@@ -172,6 +172,14 @@ class TestConfig:
         assert rc == EXIT_USAGE
         assert "histogram range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_esa_min_weight_must_be_finite(self, workspace, capsys, weight):
+        # A NaN or infinite minimum would drop every weight, or none, without notice.
+        rc = main(["score", "--config", str(workspace / "run.conf"), "--methods", "esa",
+                   f"--esa-min-weight={weight}"])
+        assert rc == EXIT_USAGE
+        assert "esa_min_weight" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sep", ["\u2028", "\x85"], ids=["line-separator", "next-line"])
     def test_unicode_line_separators_stay_in_the_value(self, tmp_path, sep):
         # Only \n, \r\n and \r end a line, as in every other text input.

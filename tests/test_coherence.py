@@ -469,12 +469,20 @@ class TestExtremeMagnitudes:
     powers of two before any square or sum can leave the float range."""
 
     SENTENCES = [["alpha"], ["beta"], ["alpha", "beta"]]
+    ROUTES = {
+        "score_corpus": lambda doc, table: score_corpus(
+            LabeledCorpus(documents=[doc]), "embedding", embedding_table=table)[0],
+        "sentence_rep": lambda doc, table: coherence_sentences(
+            doc, lambda s: sentence_rep_embedding(s, table)),
+    }
 
-    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-170, 1e308])
-    def test_dense_sentences(self, scale):
+    # The score_corpus cases keep the ids they had before the route was a parameter.
+    @pytest.mark.parametrize("route, scale", [
+        pytest.param(route, scale, id=str(scale) if route == "score_corpus" else f"{route}-{scale}")
+        for route in ROUTES for scale in [1.0, 1e200, 1e-170, 1e308]])
+    def test_dense_sentences(self, route, scale):
         table = make_table({"alpha": [scale, scale], "beta": [scale, -scale]})
-        [score] = score_corpus(LabeledCorpus(documents=_docs([self.SENTENCES])), "embedding",
-                               embedding_table=table)
+        score = self.ROUTES[route](_docs([self.SENTENCES])[0], table)
         assert score.ok and score.element_count == 3
         assert score.value == pytest.approx(EXPECTED_MIXED, abs=1e-12)
 

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from newscoherence.corpus import Document, LabeledCorpus, Label, segment_corpus
+from newscoherence.embeddings import EmbeddingTable
 from newscoherence.entitylink import (
     EntityLinkError,
     build_gazetteer,
@@ -37,10 +38,8 @@ class TestBuildGazetteer:
         assert gaz.max_phrase_len == 2
 
     def test_empty_table_rejected(self):
-        table = make_table({"x": [1.0]})
-        table.entries = {}
         with pytest.raises(EntityLinkError):
-            build_gazetteer(table)
+            build_gazetteer(EmbeddingTable(1, {}))
 
     def test_single_token_surface(self, entity_table):
         gaz = build_gazetteer(entity_table)

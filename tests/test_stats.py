@@ -103,15 +103,18 @@ class TestWelch:
             welch_t_test([1.0], [1.0, 2.0])
 
     def test_degenerate_equal_constants(self):
-        got = welch_t_test([2.0, 2.0], [2.0, 2.0])
-        assert got.degenerate
-        assert got.t == 0.0 and got.p_two_tailed == 1.0
+        # sum([0.1] * 3) / 3 rounds away from 0.1: a constant sample is still constant.
+        for a, b in [([2.0, 2.0], [2.0, 2.0]), ([0.1] * 3, [0.1] * 3)]:
+            got = welch_t_test(a, b)
+            assert got.degenerate and got.dof == len(a) + len(b) - 2
+            assert got.t == 0.0 and got.p_two_tailed == 1.0 and got.log10_p == 0.0
 
     def test_degenerate_unequal_constants(self):
-        got = welch_t_test([2.0, 2.0], [3.0, 3.0])
-        assert got.degenerate
-        assert got.p_two_tailed == 0.0
-        assert got.t == -math.inf
+        for a, b in [([2.0, 2.0], [3.0, 3.0]), ([0.1] * 3, [0.2] * 3)]:
+            got = welch_t_test(a, b)
+            assert got.degenerate and got.dof == len(a) + len(b) - 2
+            assert got.p_two_tailed == 0.0 and got.log10_p == -math.inf
+            assert got.t == -math.inf
 
     def test_log_p_past_float_underflow(self):
         # mpmath, 50 digits: log10 I_x(256, 1/2) at x = 512 / (512 + 220^2).
