@@ -19,6 +19,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
+# A histogram's edges and percentages are held in memory, one per bucket.
+MAX_HIST_BUCKETS = 100_000
 
 
 class ConfigError(Exception):
@@ -120,9 +122,11 @@ def apply_env(config: RunConfig) -> None:
 def validate(config: RunConfig, need_corpora: bool, need_methods: bool) -> None:
     """Reject every invalid config with a message naming the field, before any I/O."""
     methods = config.method_list()
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in coh.METHODS:
             raise ConfigError(f"field 'methods': unknown method {m!r}")
+        if m in methods[:i]:
+            raise ConfigError(f"field 'methods': method {m!r} listed twice")
     if need_methods and not methods:
         raise ConfigError("field 'methods': at least one method required")
     for f in _FIELDS.values():
@@ -135,8 +139,8 @@ def validate(config: RunConfig, need_corpora: bool, need_methods: bool) -> None:
         raise ConfigError("field 'hist_upper': the histogram range must be finite")
     if not math.isfinite(config.esa_min_weight):
         raise ConfigError("field 'esa_min_weight': must be finite")
-    if config.hist_buckets < 1:
-        raise ConfigError("field 'hist_buckets': must be >= 1")
+    if not 1 <= config.hist_buckets <= MAX_HIST_BUCKETS:
+        raise ConfigError(f"field 'hist_buckets': must be in 1..{MAX_HIST_BUCKETS}")
     if config.workers < 1:
         raise ConfigError("field 'workers': must be >= 1")
     used = methods if need_methods else []
@@ -184,7 +188,7 @@ def _load_kb(path: str | Path) -> list[tuple[str, str]]:
             try:
                 docs.append((child.stem, child.read_text(encoding="utf-8")))
             except UnicodeDecodeError as e:
-                raise CorpusError(f"{child}: invalid UTF-8 input: {e}") from e
+                raise corpus_mod._utf8_error(child, e) from e
         if not docs:
             raise CorpusError(f"{p}: no .txt knowledge-base articles found")
         return docs
@@ -416,10 +420,11 @@ def _command(config: RunConfig, args: argparse.Namespace) -> str:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
+    # A boolean flag shows its words; `_coerce` checks every value, as for a config file.
+    words = "{" + ",".join(word for word in _BOOLS if word.isalpha()) + "}"
     for f in _FIELDS.values():
-        words = [word for word in _BOOLS if word.isalpha()] if f.type == "bool" else None
         common.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None,
-                            choices=words)
+                            metavar=words if f.type == "bool" else None)
     parser = argparse.ArgumentParser(
         prog="newscoherence",
         description="Textual coherence scoring and fake/legitimate comparison.",
@@ -435,7 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_USAGE if e.code else EXIT_OK
     try:
         config = load_config(args.config)
         apply_env(config)

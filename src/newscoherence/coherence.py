@@ -7,12 +7,11 @@ import io
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from . import esa as esa_mod
 from .corpus import Document, Label, LabeledCorpus, Sentence, csv_records
 from .embeddings import EmbeddingTable
 from .entitylink import entity_set
@@ -27,6 +26,7 @@ __all__ = [
     "coherence_sentences",
     "coherence_entities",
     "score_corpus",
+    "sentence_matrix",
     "corpus_vocab",
     "scores_csv",
     "read_scores_csv",
@@ -34,6 +34,7 @@ __all__ = [
 
 METHODS = ("embedding", "esa", "entity")
 SCORE_COLUMNS = ("doc_id", "label", "method", "value", "element_count", "pair_count", "status")
+Csr = tuple[np.ndarray, np.ndarray, np.ndarray]  # indptr, indices, data
 
 
 class CoherenceError(Exception):
@@ -81,8 +82,8 @@ def _token_lists(sentences: list[Sentence], unique_tokens: bool) -> list[list[st
 
 
 def _row_map(table: EmbeddingTable, tokens: Iterable[str]) -> dict[str, int]:
-    """Token -> its row in `table`, -1 for a token the table lacks."""
-    return {t: -1 if (row := table.row(t)) is None else row for t in tokens}
+    """Token -> its row in `table`, for each of `tokens` that the table has."""
+    return {t: row for t in tokens if (row := table.row(t)) is not None}
 
 
 def _score(doc_id: str, method: str, rows) -> CoherenceScore:
@@ -117,10 +118,7 @@ def _score(doc_id: str, method: str, rows) -> CoherenceScore:
     if isinstance(rows, tuple):
         nonzero = np.repeat(keep, lengths)
         values = values[nonzero] * np.repeat(scale, lengths[keep])
-        cols = cols[nonzero]
-        if cols.max() >= len(cols):  # wider than its nonzeros: sum the columns that occur
-            cols = np.unique(cols, return_inverse=True)[1]
-        total = np.bincount(cols, weights=values)
+        total = np.bincount(cols[nonzero], weights=values)
     else:
         unit = rows[keep] * scale[:, None]
         values = unit.ravel()
@@ -130,19 +128,29 @@ def _score(doc_id: str, method: str, rows) -> CoherenceScore:
                           pair_count=k * (k - 1) // 2, status="ok")
 
 
+def _occurrences(token_lists: list[list[str]],
+                 row_of: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sentence and the row that `row_of` gives of each token occurrence it
+    knows, in occurrence order, and each sentence's count of them."""
+    lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
+    rows = np.fromiter(map(row_of.get, chain.from_iterable(token_lists), repeat(-1)),
+                       dtype=np.intp, count=int(lengths.sum()))
+    known = rows >= 0
+    sentence = np.repeat(np.arange(len(lengths)), lengths)[known]
+    return sentence, rows[known], np.bincount(sentence, minlength=len(lengths))
+
+
+def _halvings(counts: np.ndarray) -> np.ndarray:
+    """The least k with 2**k > count, per count. A sum past the float range is redone
+    with its terms halved k times, which keeps it finite, exact and in its direction."""
+    return np.frexp(counts)[1]
+
+
 def _sentence_means(token_lists: list[list[str]], row_of: dict[str, int],
                     matrix: np.ndarray) -> np.ndarray:
     """Row i is the mean of the rows of `matrix` that `row_of` gives the tokens of
-    `token_lists[i]` (-1: none), added in token order; zeros when it has none. A sum
-    past the float range is redone with its rows halved k times, 2**k > count, which
-    keeps the mean's direction and is exact."""
-    lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
-    ids = np.fromiter(map(row_of.__getitem__, chain.from_iterable(token_lists)),
-                      dtype=np.intp, count=int(lengths.sum()))
-    known = ids >= 0
-    counts = np.bincount(np.repeat(np.arange(len(lengths)), lengths)[known],
-                         minlength=len(lengths))
-    ids = ids[known]
+    `token_lists[i]`, added in token order; zeros when it has none."""
+    sentence, ids, counts = _occurrences(token_lists, row_of)
     means = np.zeros((len(counts), matrix.shape[1]))
     bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
     spans = [(i, a, b) for i, (a, b) in enumerate(zip(bounds, bounds[1:])) if b > a]
@@ -150,21 +158,54 @@ def _sentence_means(token_lists: list[list[str]], row_of: dict[str, int],
         for i, a, b in spans:
             np.add.reduce(matrix.take(ids[a:b], axis=0), axis=0, out=means[i])
     if not np.isfinite(means).all():
+        halvings = _halvings(counts)
         for i, a, b in spans:
-            rows = np.ldexp(matrix.take(ids[a:b], axis=0), -(b - a).bit_length())
+            rows = np.ldexp(matrix.take(ids[a:b], axis=0), -halvings[i])
             np.add.reduce(rows, axis=0, out=means[i])
     means /= np.maximum(counts, 1)[:, None]
     return means
 
 
-def _embedding_scores(docs: list[Document], table: EmbeddingTable,
-                      unique_tokens: bool) -> list[CoherenceScore]:
-    """Method "embedding" for every document: each distinct token is looked up
-    once, and each document's sentences are averaged in one call."""
-    row_of = _row_map(table, corpus_vocab(docs))
-    return [_score(doc.id, "embedding", _sentence_means(
-                _token_lists(doc.sentences, unique_tokens), row_of, table.matrix))
-            for doc in docs]
+def _slices(starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The positions starts[i] .. starts[i] + widths[i] - 1 of every slice i, in order."""
+    return np.arange(widths.sum()) + np.repeat(starts - np.cumsum(widths) + widths, widths)
+
+
+def sentence_matrix(index: EsaIndex,
+                    token_lists: list[list[str]]) -> tuple[np.ndarray | Csr, np.ndarray]:
+    """One row per token list: the sum of its tokens' ESA concept vectors, which
+    points the way of their mean; out-of-index tokens add nothing. Returns the
+    rows and the concept id of each of their C columns, the concepts the lists touch.
+
+    Each token occurrence contributes its row's entries, E in all, and each cell
+    is their sum in occurrence order. The rows are a dense K x C array when
+    K x C <= E, else CSR arrays, so the output is never larger than the entries
+    gathered."""
+    indptr, indices, data = index.indptr, index.indices, index.data
+    sentence, flat, counts = _occurrences(token_lists, index.rows)
+    k = len(counts)
+    # The document's distinct tokens, their rows' entries and the concepts those touch.
+    tokens, occurrence = np.unique(flat, return_inverse=True)
+    widths = indptr[tokens + 1] - indptr[tokens]
+    pos = _slices(indptr[tokens], widths)
+    columns, column = np.unique(indices[pos], return_inverse=True)
+    c = len(columns)
+    # Each occurrence's entries: its token's slice of `pos`.
+    spans = widths[occurrence]
+    entry = _slices((np.cumsum(widths) - widths)[occurrence], spans)
+    key = np.repeat(sentence * c, spans) + column[entry]
+    weights = data[pos][entry]
+    dense = k * c <= len(key)
+    if not dense:
+        cells, key = np.unique(key, return_inverse=True)
+    sums = np.bincount(key, weights=weights, minlength=k * c if dense else 0)
+    if not np.isfinite(sums).all():
+        weights = np.ldexp(weights, -np.repeat(_halvings(counts)[sentence], spans))
+        sums = np.bincount(key, weights=weights, minlength=k * c if dense else 0)
+    if dense:
+        return sums.reshape(k, c), columns
+    row_lengths = np.bincount(cells // c, minlength=k)
+    return (np.concatenate(([0], np.cumsum(row_lengths))), cells % c, sums), columns
 
 
 def corpus_vocab(docs: Iterable[Document]) -> set[str]:
@@ -201,15 +242,16 @@ def coherence_entities(
 
     `multiset` scores over the mention multiset instead of distinct entities.
     """
+    return _score(doc.id, "entity", _entity_rows(doc, entity_table, multiset))
+
+
+def _entity_rows(doc: Document, entity_table: EmbeddingTable, multiset: bool) -> np.ndarray:
+    """The vectors of the document's linked entities that the table has."""
     if doc.entity_mentions is None:
         raise CoherenceError(f"document {doc.id!r} has not been entity-linked")
-    if multiset:
-        ids = [m.entity_id for m in doc.entity_mentions]
-    else:
-        ids = entity_set(doc.entity_mentions)
-    vectors = [v for v in (entity_table.lookup(i) for i in ids) if v is not None]
-    rows = np.array(vectors, dtype=np.float64).reshape(len(vectors), entity_table.dim)
-    return _score(doc.id, "entity", rows)
+    ids = ([m.entity_id for m in doc.entity_mentions] if multiset
+           else entity_set(doc.entity_mentions))
+    return entity_table.matrix[[row for row in map(entity_table.row, ids) if row is not None]]
 
 
 def score_corpus(
@@ -235,19 +277,20 @@ def score_corpus(
     if method == "entity" and entity_table is None:
         raise CoherenceError("method 'entity' requires an entity vector table")
 
-    if method == "embedding":
-        return sorted(_embedding_scores(corpus.documents, embedding_table, unique_tokens),
-                      key=lambda s: s.doc_id)
-    scores = []
-    for doc in corpus.documents:
-        if method == "esa":
-            # A sum of token vectors has the direction of their mean.
-            tokens = _token_lists(_sentences(doc), unique_tokens)
-            score = _score(doc.id, "esa", esa_mod.sentence_matrix(esa_index, tokens)[0])
-        else:
-            score = coherence_entities(doc, entity_table, multiset=entity_multiset)
-        scores.append(score)
-    return sorted(scores, key=lambda s: s.doc_id)
+    if method == "embedding":  # each distinct token is looked up once per corpus
+        row_of = _row_map(embedding_table, corpus_vocab(corpus.documents))
+
+    def rows(doc: Document):
+        if method == "entity":
+            return _entity_rows(doc, entity_table, entity_multiset)
+        tokens = _token_lists(_sentences(doc), unique_tokens)
+        if method == "embedding":
+            return _sentence_means(tokens, row_of, embedding_table.matrix)
+        return sentence_matrix(esa_index, tokens)[0]  # sums point the way of the means
+
+    # No name holds a document's rows, so `_score` frees each copy as it makes the next.
+    return sorted((_score(doc.id, method, rows(doc)) for doc in corpus.documents),
+                  key=lambda s: s.doc_id)
 
 
 def scores_csv(scores: list[CoherenceScore], labels: dict[str, str]) -> str:

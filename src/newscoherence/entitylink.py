@@ -77,7 +77,7 @@ def load_aliases(path: str | Path, entity_table: EmbeddingTable, gaz: Gazetteer)
             if len(parts) != 2:
                 raise EntityLinkError(f"{p} line {lineno}: expected 'surface<TAB>entity_id'")
             surface, entity_id = parts
-            if entity_table.lookup(entity_id) is None:
+            if entity_id not in entity_table:
                 raise EntityLinkError(
                     f"{p} line {lineno}: alias target {entity_id!r} has no entity vector"
                 )

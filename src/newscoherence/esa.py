@@ -8,7 +8,7 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,6 @@ __all__ = [
     "DEFAULT_STOPWORDS",
     "build_esa_index",
     "esa_word_vector",
-    "sentence_matrix",
     "cosine_sparse",
     "save_index",
     "load_index",
@@ -32,8 +31,6 @@ __all__ = [
 
 # Sparse vectors are plain dicts: concept id -> nonnegative weight, zeros implicit.
 SparseVector = dict
-# Sparse matrices are CSR arrays (indptr, indices, data); row i is slice indptr[i]:indptr[i+1].
-Csr = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 WEIGHTINGS = ("tf", "tfidf")
 
@@ -168,55 +165,6 @@ def build_esa_index(
 def esa_word_vector(index: EsaIndex, token: str) -> SparseVector | None:
     """Stored concept vector for a token, or None for out-of-vocabulary tokens."""
     return index.inverted.get(token)
-
-
-def _slices(starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """The positions starts[i] .. starts[i] + widths[i] - 1 of every slice i, in order."""
-    return np.arange(widths.sum()) + np.repeat(starts - np.cumsum(widths) + widths, widths)
-
-
-def sentence_matrix(index: EsaIndex,
-                    token_lists: list[list[str]]) -> tuple[np.ndarray | Csr, np.ndarray]:
-    """One row per token list: the sum of its tokens' concept vectors, which points
-    the way of their mean; out-of-vocabulary tokens add nothing. Returns the rows
-    and the concept id of each of their C columns, the concepts the lists touch.
-
-    Each token occurrence contributes its row's entries, E in all, and each cell
-    is their sum in occurrence order. The rows are a dense K x C array when
-    K x C <= E, else CSR arrays, so the output is never larger than the entries
-    gathered. A sum past the float range is redone with its list's weights
-    halved k times, 2**k > the list's in-index token count, which keeps the
-    row's direction and is exact."""
-    indptr, indices, data = index.indptr, index.indices, index.data
-    k = len(token_lists)
-    lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=k)
-    flat = np.fromiter(map(index.rows.get, chain.from_iterable(token_lists), repeat(-1)),
-                       dtype=np.int64, count=int(lengths.sum()))
-    known = flat >= 0
-    sentence = np.repeat(np.arange(k), lengths)[known]
-    # The document's distinct tokens, their rows' entries and the concepts those touch.
-    tokens, occurrence = np.unique(flat[known], return_inverse=True)
-    widths = indptr[tokens + 1] - indptr[tokens]
-    pos = _slices(indptr[tokens], widths)
-    columns, column = np.unique(indices[pos], return_inverse=True)
-    c = len(columns)
-    # Each occurrence's entries: its token's slice of `pos`.
-    spans = widths[occurrence]
-    entry = _slices((np.cumsum(widths) - widths)[occurrence], spans)
-    key = np.repeat(sentence * c, spans) + column[entry]
-    weights = data[pos][entry]
-    dense = k * c <= len(key)
-    if not dense:
-        cells, key = np.unique(key, return_inverse=True)
-    sums = np.bincount(key, weights=weights, minlength=k * c if dense else 0)
-    if not np.isfinite(sums).all():
-        halvings = np.frexp(np.bincount(sentence, minlength=k))[1][sentence]
-        sums = np.bincount(key, weights=np.ldexp(weights, -np.repeat(halvings, spans)),
-                           minlength=k * c if dense else 0)
-    if dense:
-        return sums.reshape(k, c), columns
-    counts = np.bincount(cells // c, minlength=k)
-    return (np.concatenate(([0], np.cumsum(counts))), cells % c, sums), columns
 
 
 def cosine_sparse(u: SparseVector, v: SparseVector) -> float:

@@ -119,7 +119,7 @@ def sparse_rows(vectors):
 
 
 def sentence_matrix_ref(index, token_lists):
-    """ESA sentence sums as CSR arrays with concept-id columns, as `esa.sentence_matrix`
+    """ESA sentence sums as CSR arrays with concept-id columns, as `coherence.sentence_matrix`
     made them before its per-document block: every gathered (sentence, concept)
     entry is sorted with `np.unique`, and each cell is summed in occurrence order."""
     rows = {token: i for i, token in enumerate(index.inverted)}
@@ -197,7 +197,7 @@ def load_index_ref(path) -> EsaIndexRef:
 
 def coherence_sentences_sparse(doc, rep) -> CoherenceScore:
     """The package's kernel over dict sentence representations stacked as CSR rows:
-    a second route to an ESA score, next to `esa.sentence_matrix`'s sums."""
+    a second route to an ESA score, next to `coherence.sentence_matrix`'s sums."""
     reps = [r for r in (rep(s) for s in _sentences(doc)) if r is not None]
     if not reps:
         return _score(doc.id, "embedding", np.zeros((0, 0)))

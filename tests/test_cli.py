@@ -19,6 +19,7 @@ from newscoherence.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_HIST_BUCKETS,
     ConfigError,
     RunConfig,
     load_config,
@@ -136,6 +137,10 @@ class TestConfig:
         config = RunConfig(hist_lower=0.9, hist_upper=0.1)
         with pytest.raises(ConfigError, match="hist_lower"):
             validate(config, need_corpora=False, need_methods=False)
+        validate(RunConfig(hist_buckets=MAX_HIST_BUCKETS), need_corpora=False, need_methods=False)
+        with pytest.raises(ConfigError, match="hist_buckets"):
+            validate(RunConfig(hist_buckets=MAX_HIST_BUCKETS + 1), need_corpora=False,
+                     need_methods=False)
 
     def test_env_overrides_resource_paths(self, workspace, monkeypatch):
         monkeypatch.setenv("NEWSCOHERENCE_EMBEDDINGS", "/env/words.txt")
@@ -150,6 +155,28 @@ class TestConfig:
                    "--methods", "telepathy"])
         assert rc == EXIT_USAGE
         assert "methods" in capsys.readouterr().err
+
+    def test_method_listed_twice_exits_1(self, workspace, capsys):
+        rc = main(["score", "--config", str(workspace / "run.conf"),
+                   "--methods", "entity,embedding,entity"])
+        assert rc == EXIT_USAGE
+        assert "'methods': method 'entity' listed twice" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["report", "--bogus"], ["build-esa-index"], []],
+                             ids=["unknown-flag", "no-out", "no-command"])
+    def test_usage_error_exits_1(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert "usage: newscoherence" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["report", "--help"]) == EXIT_OK
+        assert "--include-title {true,false,on,off,yes,no}" in capsys.readouterr().out
+
+    def test_bad_boolean_flag_exits_1_naming_field(self, workspace, capsys):
+        rc = main(["report", "--config", str(workspace / "run.conf"), "--include-title", "maybe"])
+        assert rc == EXIT_USAGE
+        assert "field 'include_title': expected a boolean, got 'maybe'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("raw", [b"caf\xe9", b"a\x85b"], ids=["latin-1", "c1-byte"])
     def test_non_utf8_config_exits_1_naming_line(self, workspace, capsys, raw):
@@ -477,11 +504,12 @@ class TestBadBytesExitTwo:
 
     def test_kb_directory_with_non_utf8_article(self, workspace, capsys):
         (workspace / "kb").mkdir()
-        (workspace / "kb" / "Politics.txt").write_bytes(b"policy \xff vote")
-        rc, err = self._run(workspace, capsys, "--methods", "esa",
-                            "--esa-kb-path", str(workspace / "kb"))
-        assert rc == EXIT_DATA
-        assert "Politics.txt" in err
+        for text, line in [(b"policy \xff vote", 1), (b"policy vote\nbudget \xff\n", 2)]:
+            (workspace / "kb" / "Politics.txt").write_bytes(text)
+            rc, err = self._run(workspace, capsys, "--methods", "esa",
+                                "--esa-kb-path", str(workspace / "kb"))
+            assert rc == EXIT_DATA
+            assert f"Politics.txt line {line}: " in err
 
 
 class TestRowsNoCorpusUses:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from newscoherence.coherence import sentence_matrix
 from newscoherence.embeddings import cosine
 from newscoherence.esa import (
     EsaError,
@@ -19,7 +20,6 @@ from newscoherence.esa import (
     esa_word_vector,
     load_index,
     save_index,
-    sentence_matrix,
 )
 
 from oracle import densify, load_index_ref, mean_sparse_ref, sentence_matrix_ref, sparse_rows
