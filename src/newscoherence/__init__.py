@@ -20,9 +20,8 @@ from .corpus import (
     segment_corpus,
     split_sentences,
     tokenize,
-    write_jsonl,
 )
-from .embeddings import EmbeddingTable, cosine, load_vectors_text, mean_vector
+from .embeddings import EmbeddingTable, cosine, load_vectors_text
 from .entitylink import (
     EntityMention,
     Gazetteer,

@@ -216,15 +216,16 @@ Corpora = dict[str, LabeledCorpus]
 PerMethod = dict[str, tuple[list[coh.CoherenceScore], dict[str, str]]]
 
 
-def run(config: RunConfig, score: bool) -> tuple[Corpora, PerMethod]:
+def run(config: RunConfig, score: bool, both_labels: bool = False) -> tuple[Corpora, PerMethod]:
     """The pipeline behind every data command: validate, load and segment both
     corpora, load resources, link, and with `score` score every method, each once.
 
     The corpora come first, so a corpus fault is reported before a resource
     fault, and the word table holds only the rows the corpora's tokens can look
-    up. Linking runs for the entity method when scoring, else whenever an entity
-    table is configured. Returns the corpora by label and, per method, the
-    scores sorted by doc id with a doc id -> label map read from the documents.
+    up. With `both_labels`, a corpus with no documents is such a fault. Linking
+    runs for the entity method when scoring, else whenever an entity table is
+    configured. Returns the corpora by label and, per method, the scores sorted
+    by doc id with a doc id -> label map read from the documents.
     """
     validate(config, need_corpora=True, need_methods=score)
     methods = config.method_list() if score else []
@@ -238,6 +239,8 @@ def run(config: RunConfig, score: bool) -> tuple[Corpora, PerMethod]:
                 raise CorpusError(f"{c.source}: document id {d.id!r} is also in "
                                   f"{corpora[Label.FAKE].source}")
             labels[d.id] = d.label
+        if both_labels and not c.documents:
+            raise CorpusError(f"{c.source}: empty corpus")
     embedding_table = None
     if "embedding" in methods:
         vocab = coh.corpus_vocab(d for c in corpora.values() for d in c.documents)
@@ -410,7 +413,8 @@ def _command(config: RunConfig, args: argparse.Namespace) -> str:
             raise coh.CoherenceError(f"{sf}: method {method!r} is also in {sources[method]}")
         per_method[method], sources[method] = (scores, labels), sf
     if not per_method:
-        corpora, per_method = run(config, score=args.command != "stats")
+        corpora, per_method = run(config, score=args.command != "stats",
+                                  both_labels=args.command in ("stats", "compare", "report"))
     printed, files = _COMMANDS[args.command][1](config, corpora, per_method)
     files["resolved_config.txt"] = "\n".join(resolved_config_lines(config)) + "\n"
     _write(config, files)

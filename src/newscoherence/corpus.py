@@ -6,6 +6,7 @@ import csv
 import json
 import logging
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,7 +31,6 @@ __all__ = [
     "load_jsonl",
     "jsonl_records",
     "require_string",
-    "write_jsonl",
     "corpus_stats",
 ]
 
@@ -87,8 +87,12 @@ _BOUNDARY_RE = re.compile(r"[.!?][\"'”’)]*\s+(?=[\"'“‘A-Z0-9])")
 
 
 def tokenize(text: str) -> list[str]:
-    """Split on non-alphanumeric characters, lowercase, keep digit runs."""
-    return list(map(str.lower, _TOKEN_RE.findall(text)))
+    """Split on non-alphanumeric characters, lowercase, keep digit runs.
+
+    Each token is interned, so every occurrence of one token string is the
+    same object, and a corpus holds each distinct token once.
+    """
+    return list(map(sys.intern, map(str.lower, _TOKEN_RE.findall(text))))
 
 
 def token_spans(text: str) -> list[tuple[int, int]]:
@@ -310,17 +314,6 @@ def load_jsonl(path: str | Path) -> LabeledCorpus:
     return LabeledCorpus(documents=docs, source=str(p), skipped=skipped)
 
 
-def write_jsonl(corpus: LabeledCorpus, path: str | Path) -> None:
-    """Write the JSONL schema byte-stably (fixed key order id,label,title,text)."""
-    with open(path, "w", encoding="utf-8") as f:
-        for doc in corpus.documents:
-            obj = {"id": doc.id, "label": doc.label}
-            if doc.title is not None:
-                obj["title"] = doc.title
-            obj["text"] = doc.text
-            f.write(json.dumps(obj, ensure_ascii=False) + "\n")
-
-
 def corpus_stats(corpus: LabeledCorpus, sample_sd: bool = False) -> dict[str, dict]:
     """Per-label article counts plus sentences/entities per article mean and SD.
 
@@ -328,7 +321,7 @@ def corpus_stats(corpus: LabeledCorpus, sample_sd: bool = False) -> dict[str, di
     Population SD (divisor n) by default; `sample_sd` selects divisor n-1.
     """
     if not corpus.documents:
-        raise CorpusError("empty corpus")
+        raise CorpusError(f"{corpus.source}: empty corpus" if corpus.source else "empty corpus")
     stats: dict[str, dict] = {}
     for label in Label.ALL:
         docs = corpus.by_label(label)

@@ -11,6 +11,7 @@ import os
 import pickle
 import signal
 import stat
+import sys
 import threading
 from array import array
 from collections.abc import Iterable, Iterator
@@ -35,9 +36,7 @@ __all__ = [
     "EmbeddingTable",
     "EmbeddingError",
     "load_vectors_text",
-    "save_vectors_text",
     "text_lines",
-    "mean_vector",
     "cosine",
 ]
 
@@ -105,11 +104,6 @@ class EmbeddingTable:
             low = token.lower()
             row = self.rows.get(self._lower.get(low, low))
         return row
-
-    def lookup(self, token: str) -> np.ndarray | None:
-        """Vector of `token`, found as `row` finds it."""
-        row = self.row(token)
-        return None if row is None else self.matrix[row]
 
 
 def _line_blocks(chunks: Iterable[bytes], faults: list[tuple[int, str]]) -> Iterator[list[str]]:
@@ -391,15 +385,16 @@ def load_vectors_text(path: str | Path, name: str = "", keep: Iterable[str] | No
 
     With `keep`, every row is still parsed and checked, but the table holds only
     the rows whose token has the lower case of a `keep` token: every casing of
-    it, in file order. So `row` and `lookup` find for each `keep` token what
-    they find in the full table.
+    it, in file order. So `row` finds for each `keep` token what it finds in
+    the full table. The lower cases of `keep` and the held tokens are interned,
+    so a held token is the very string that `corpus.tokenize` gives for it.
 
     A regular file is parsed in up to `workers` processes, one shard of its rows
     each, all but the first forked. The table, warnings and errors are the same
     for any `workers`.
     """
     p = Path(path)
-    wanted = None if keep is None else {t.lower() for t in keep}
+    wanted = None if keep is None else {sys.intern(t.lower()) for t in keep}
     children: list[tuple[int | None, BinaryIO]] = []
     with open(p, "rb") as f:
         fd = f.fileno()
@@ -432,8 +427,12 @@ def load_vectors_text(path: str | Path, name: str = "", keep: Iterable[str] | No
                     if token in seen:
                         duplicates.append((lines + lineno, token))
                     seen.add(token)
+                # Held for `keep`, a row is keyed by the corpus's own string. A table
+                # loaded whole interns nothing: it may be far larger than a corpus
+                # vocabulary, and CPython 3.12 never frees an interned string.
                 for j, i in enumerate(shard.held):
-                    row_of[shard.tokens[i]] = held + j
+                    token = shard.tokens[i]
+                    row_of[token if wanted is None else sys.intern(token)] = held + j
                 if shard.fault:
                     break
                 lines, parsed = lines + shard.lines, parsed + len(shard.tokens)
@@ -455,23 +454,6 @@ def load_vectors_text(path: str | Path, name: str = "", keep: Iterable[str] | No
                         os.waitpid(pid, 0)
                     except ChildProcessError:  # reaped already: SIGCHLD is ignored
                         pass
-
-
-def save_vectors_text(table: EmbeddingTable, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{len(table.entries)} {table.dim}\n")
-        for token, vec in table.entries.items():
-            f.write(token + " " + " ".join(repr(float(v)) for v in vec) + "\n")
-
-
-def mean_vector(vectors: list[np.ndarray]) -> np.ndarray:
-    """Componentwise arithmetic mean of same-dimension vectors (multiset semantics)."""
-    if not vectors:
-        raise EmbeddingError("mean of an empty vector list")
-    dim = vectors[0].shape[0]
-    if any(v.shape[0] != dim for v in vectors):
-        raise EmbeddingError("mixed dimensions in mean_vector")
-    return np.mean(np.asarray(vectors, dtype=np.float64), axis=0)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -20,6 +21,24 @@ def make_table(vectors: dict[str, list[float]], name: str = "toy") -> EmbeddingT
         entries={t: np.array(v, dtype=np.float64) for t, v in vectors.items()},
         name=name,
     )
+
+
+def save_vectors_text(table: EmbeddingTable, path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"{len(table.entries)} {table.dim}\n")
+        for token, vec in table.entries.items():
+            f.write(token + " " + " ".join(repr(float(v)) for v in vec) + "\n")
+
+
+def write_jsonl(corpus: LabeledCorpus, path: str | Path) -> None:
+    """Write the JSONL schema byte-stably (fixed key order id,label,title,text)."""
+    with open(path, "w", encoding="utf-8") as f:
+        for doc in corpus.documents:
+            obj = {"id": doc.id, "label": doc.label}
+            if doc.title is not None:
+                obj["title"] = doc.title
+            obj["text"] = doc.text
+            f.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ means, ESA sentence sums through a sort of every gathered entry, the
 line-by-line `ESA1` and vector-file loaders that the numpy loaders are compared
 with, the segmenter that lower-cased the whole text before each boundary, the
 linker that re-tokenized each sentence and found it with `str.find`, and
-per-sentence embedding means."""
+per-sentence embedding means with the vector lookup and mean they take."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from newscoherence import embeddings as emb
 from newscoherence.coherence import CoherenceScore, _score, _sentences, coherence_sentences
 from newscoherence.corpus import DEFAULT_ABBREVIATIONS, Sentence
 from newscoherence.embeddings import EmbeddingError, EmbeddingTable
@@ -361,6 +360,22 @@ def extract_entities_ref(doc, gaz, require_uppercase: bool = True) -> list[Entit
     return mentions
 
 
+def lookup(table: EmbeddingTable, token: str) -> np.ndarray | None:
+    """Vector of `token`, found as `table.row` finds it."""
+    row = table.row(token)
+    return None if row is None else table.matrix[row]
+
+
+def mean_vector(vectors: list[np.ndarray]) -> np.ndarray:
+    """Componentwise arithmetic mean of same-dimension vectors (multiset semantics)."""
+    if not vectors:
+        raise EmbeddingError("mean of an empty vector list")
+    dim = vectors[0].shape[0]
+    if any(v.shape[0] != dim for v in vectors):
+        raise EmbeddingError("mixed dimensions in mean_vector")
+    return np.mean(np.asarray(vectors, dtype=np.float64), axis=0)
+
+
 def sentence_rep_embedding_ref(
     s: Sentence, table: EmbeddingTable, unique_tokens: bool = False
 ) -> np.ndarray | None:
@@ -369,10 +384,10 @@ def sentence_rep_embedding_ref(
     None when no token is in-vocabulary or the mean is the zero vector.
     """
     tokens = sorted(set(s.tokens)) if unique_tokens else s.tokens
-    vectors = [v for v in (table.lookup(t) for t in tokens) if v is not None]
+    vectors = [v for v in (lookup(table, t) for t in tokens) if v is not None]
     if not vectors:
         return None
-    rep = emb.mean_vector(vectors)
+    rep = mean_vector(vectors)
     if not np.any(rep):
         return None
     return rep

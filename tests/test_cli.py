@@ -24,6 +24,7 @@ from newscoherence.cli import (
     RunConfig,
     load_config,
     main,
+    run,
     validate,
 )
 from newscoherence.coherence import METHODS, SCORE_COLUMNS, read_scores_csv, scores_csv
@@ -436,6 +437,51 @@ class TestInputsHonoured:
         err = capsys.readouterr().err
         assert "'l1'" in err and "fake.jsonl" in err and "legit.jsonl" in err
         assert not (workspace / "out" / "summary.csv").exists()
+
+
+class TestSharedTokens:
+    def test_one_string_per_token_across_both_corpora(self, workspace):
+        corpora, _ = run(load_config(workspace / "run.conf"), score=False)
+        found = {label: [t for d in c.documents for s in d.sentences for t in s.tokens
+                         if t == "budget"] for label, c in corpora.items()}
+        assert all(found.values())
+        first = found["fake"][0]
+        assert all(t is first for tokens in found.values() for t in tokens)
+
+
+class TestEmptyCorpusFile:
+    """A header-only fake CSV: the commands that need both labels exit 2 naming it
+    before any resource is read; `score` and `hist` take the legitimate label alone."""
+
+    def _run(self, workspace, capsys, command, *extra):
+        (workspace / "Fake.csv").write_text("title,text\n")
+        rc = main([command, "--config", str(workspace / "run.conf"), "--fake-format", "csv",
+                   "--fake-path", str(workspace / "Fake.csv"), *extra])
+        return rc, capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["stats", "compare", "report"])
+    def test_named_before_resources(self, workspace, capsys, command):
+        missing = str(workspace / "missing")
+        rc, out = self._run(workspace, capsys, command, "--embeddings-path", missing,
+                            "--esa-index-path", missing, "--esa-kb-path", missing,
+                            "--entity-vectors-path", missing, "--alias-path", missing)
+        assert rc == EXIT_DATA
+        assert f"{workspace / 'Fake.csv'}: empty corpus" in out.err
+        assert "missing" not in out.err
+        assert not (workspace / "out").exists()
+
+    def test_score_takes_one_label(self, workspace, capsys):
+        rc, _ = self._run(workspace, capsys, "score", "--methods", "embedding")
+        assert rc == EXIT_OK
+        _, labels = read_scores_csv(workspace / "out" / "scores_embedding.csv")
+        assert sorted(labels.values()) == ["legitimate"] * len(LEGIT_DOCS)
+
+    def test_hist_warns_and_omits_the_column(self, workspace, capsys):
+        rc, out = self._run(workspace, capsys, "hist", "--methods", "embedding")
+        assert rc == EXIT_OK
+        assert "no fake scores for method embedding" in out.err
+        lines = (workspace / "out" / "hist_embedding.tsv").read_text().splitlines()
+        assert all(line.split("\t")[2] == "" for line in lines[2:])
 
 
 class TestBadBytesExitTwo:

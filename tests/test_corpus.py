@@ -18,9 +18,9 @@ from newscoherence.corpus import (
     segment_corpus,
     split_sentences,
     tokenize,
-    write_jsonl,
 )
 
+from conftest import write_jsonl
 from oracle import split_sentences_ref
 
 
@@ -329,3 +329,16 @@ class TestIncludeTitle:
         corpus = LabeledCorpus(documents=[doc])
         segment_corpus(corpus)
         assert len(doc.sentences) == 2
+
+
+class TestSharedTokens:
+    """Equal tokens are one string object, however many times they occur."""
+
+    def test_equal_tokens_are_one_object(self):
+        docs = [Document(id="a", label=Label.FAKE, text="Budget vote. The BUDGET passed.",
+                         title="Budget news"),
+                Document(id="b", label=Label.FAKE, text="No budget today.")]
+        segment_corpus(LabeledCorpus(documents=docs), include_title=True)
+        found = [t for d in docs for s in d.sentences for t in s.tokens if t == "budget"]
+        assert len(found) == 4  # the title, twice in the first body, once in the second
+        assert all(t is found[0] for t in found)

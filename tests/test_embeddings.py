@@ -16,17 +16,16 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from newscoherence import embeddings
+from newscoherence.corpus import tokenize
 from newscoherence.embeddings import (
     EmbeddingError,
     cosine,
     load_vectors_text,
-    mean_vector,
-    save_vectors_text,
     text_lines,
 )
 
-from conftest import make_table
-from oracle import load_vectors_text_ref, text_lines_ref
+from conftest import make_table, save_vectors_text
+from oracle import load_vectors_text_ref, lookup, mean_vector, text_lines_ref
 
 
 class TestLoadVectorsText:
@@ -36,7 +35,7 @@ class TestLoadVectorsText:
         table = load_vectors_text(p)
         assert table.dim == 3
         assert len(table) == 2
-        assert np.allclose(table.lookup("a"), [1, 0, 0])
+        assert np.allclose(lookup(table, "a"), [1, 0, 0])
 
     def test_wrong_component_count(self, tmp_path):
         p = tmp_path / "v.txt"
@@ -64,7 +63,7 @@ class TestLoadVectorsText:
         p.write_text("2 2\na 1 0\na 0 1\n")
         with caplog.at_level(logging.WARNING, logger="newscoherence.embeddings"):
             table = load_vectors_text(p)
-        assert np.allclose(table.lookup("a"), [0, 1])
+        assert np.allclose(lookup(table, "a"), [0, 1])
         assert sum("duplicate" in r.message for r in caplog.records) == 1
 
     def test_save_load_roundtrip(self, tmp_path):
@@ -74,7 +73,7 @@ class TestLoadVectorsText:
         save_vectors_text(table, p)
         loaded = load_vectors_text(p)
         for token, vec in table.entries.items():
-            assert np.max(np.abs(loaded.lookup(token) - vec)) < 1e-9
+            assert np.max(np.abs(lookup(loaded, token) - vec)) < 1e-9
 
     def test_entries_are_rows_of_one_matrix(self, tmp_path):
         p = tmp_path / "v.txt"
@@ -83,7 +82,7 @@ class TestLoadVectorsText:
         bases = {id(v.base) for v in table.entries.values()}
         assert len(bases) == 1 and next(iter(table.entries.values())).base.shape == (3, 2)
         assert list(table.entries) == ["a", "b"]
-        assert table.lookup("a").tolist() == [2.0, 2.0]
+        assert lookup(table, "a").tolist() == [2.0, 2.0]
 
     def test_header_only_file_loads_without_warning(self, tmp_path):
         p = tmp_path / "v.txt"
@@ -116,7 +115,7 @@ class TestLoadVectorsText:
     def test_lone_carriage_return_ends_a_line(self, tmp_path):
         p = tmp_path / "v.txt"
         p.write_bytes(b"2 2\ra 1 0\r\nb 0 1\r")
-        assert load_vectors_text(p).lookup("b").tolist() == [0.0, 1.0]
+        assert lookup(load_vectors_text(p), "b").tolist() == [0.0, 1.0]
 
     def test_bad_row_on_a_pipe_is_named_without_a_second_open(self, tmp_path):
         """A pipe can be read once: the bad row is named from the rows in hand."""
@@ -210,7 +209,7 @@ class TestLoaderMatchesReference:
     def test_underscore_digit_separator_now_rejected(self, tmp_path):
         p = tmp_path / "v.txt"
         p.write_text("1 2\na 1_0 2\n")
-        assert load_vectors_text_ref(p).lookup("a").tolist() == [10.0, 2.0]
+        assert lookup(load_vectors_text_ref(p), "a").tolist() == [10.0, 2.0]
         with pytest.raises(EmbeddingError, match="line 2"):
             load_vectors_text(p)
 
@@ -219,7 +218,7 @@ class TestLoaderMatchesReference:
         p.write_text("1 2\na 1\t2\n")
         with pytest.raises(EmbeddingError, match="line 2"):
             load_vectors_text_ref(p)
-        assert load_vectors_text(p).lookup("a").tolist() == [1.0, 2.0]
+        assert lookup(load_vectors_text(p), "a").tolist() == [1.0, 2.0]
 
 
 def _loaded(load, path):
@@ -390,7 +389,7 @@ class TestHeldRows:
         p = self._write(tmp_path, tokens)
         full, held = load_vectors_text(p), load_vectors_text(p, keep=keep)
         for t in keep:
-            want, got = full.lookup(t), held.lookup(t)
+            want, got = lookup(full, t), lookup(held, t)
             assert (got is None) == (want is None), t
             assert want is None or got.tobytes() == want.tobytes(), t
         assert set(held.rows) <= set(full.rows) and len(held.matrix) <= len(full.matrix)
@@ -415,11 +414,19 @@ class TestHeldRows:
             lower = {t.lower() for t in keep}
             assert held == ([(t, v) for t, v in full[0] if t.lower() in lower], full[1])
 
+    def test_held_token_is_the_corpus_token(self, tmp_path):
+        tokens = tokenize("Apple pie and pear")
+        p = self._write(tmp_path, ["apple", "Apple", "pear", "kiwi"])
+        held = load_vectors_text(p, keep=tokens)
+        assert list(held.rows) == ["apple", "Apple", "pear"]
+        keys = {k: k for k in held.rows}
+        assert keys["apple"] is tokens[0] and keys["pear"] is tokens[3]
+
     def test_unused_rows_leave_the_table(self, tmp_path):
         p = self._write(tmp_path, ["Apple", "pear", "apple", "APPLE", "kiwi"])
         held = load_vectors_text(p, keep=["aPPle"])
         assert list(held.rows) == ["Apple", "apple", "APPLE"] and len(held) == 3
-        assert held.matrix.shape == (3, 2) and held.lookup("aPPle").tolist() == [0.0, -1.5]
+        assert held.matrix.shape == (3, 2) and lookup(held, "aPPle").tolist() == [0.0, -1.5]
         assert load_vectors_text(p, keep=[]).matrix.shape == (0, 2)
 
     def test_rows_across_blocks(self, tmp_path):
@@ -433,9 +440,9 @@ class TestHeldRows:
         held = load_vectors_text(p, keep=keep)
         assert list(held.rows) == [t for t in ref.rows if t.lower() in keep]
         for t in keep:
-            want = ref.lookup(t)
-            assert (held.lookup(t) is None) == (want is None)
-            assert want is None or held.lookup(t).tobytes() == want.tobytes()
+            want = lookup(ref, t)
+            assert (lookup(held, t) is None) == (want is None)
+            assert want is None or lookup(held, t).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("count", [400, 10**15])
     def test_pipe_holds_every_row(self, tmp_path, count):
@@ -462,27 +469,27 @@ class TestHeldRows:
 
 class TestLookup:
     def test_exact(self, toy_table):
-        assert np.allclose(toy_table.lookup("a"), [1, 0])
+        assert np.allclose(lookup(toy_table, "a"), [1, 0])
 
     def test_absent(self, toy_table):
-        assert toy_table.lookup("zzz") is None
+        assert lookup(toy_table, "zzz") is None
 
     def test_case_fallback(self):
         table = make_table({"UK": [3.0, 4.0]})
-        assert np.allclose(table.lookup("uk"), [3, 4])
+        assert np.allclose(lookup(table, "uk"), [3, 4])
 
     def test_exact_match_wins_over_fallback(self):
         table = make_table({"UK": [1.0, 0.0], "uk": [0.0, 1.0]})
-        assert np.allclose(table.lookup("uk"), [0, 1])
-        assert np.allclose(table.lookup("UK"), [1, 0])
+        assert np.allclose(lookup(table, "uk"), [0, 1])
+        assert np.allclose(lookup(table, "UK"), [1, 0])
 
     def test_first_casing_wins_fallback(self):
         table = make_table({"Apple": [1.0, 0.0], "apple": [0.0, 1.0], "APPLE": [1.0, 1.0],
                             "kiwi": [2.0, 0.0], "KIWI": [0.0, 2.0]})
-        assert table.lookup("aPPle").tolist() == [1.0, 0.0]  # "Apple" came first
-        assert table.lookup("Kiwi").tolist() == [2.0, 0.0]  # "kiwi" came first
-        assert table.lookup("apple").tolist() == [0.0, 1.0]  # an exact match
-        assert table.lookup("pear") is None
+        assert lookup(table, "aPPle").tolist() == [1.0, 0.0]  # "Apple" came first
+        assert lookup(table, "Kiwi").tolist() == [2.0, 0.0]  # "kiwi" came first
+        assert lookup(table, "apple").tolist() == [0.0, 1.0]  # an exact match
+        assert lookup(table, "pear") is None
 
 
 class TestMeanVector:
