@@ -63,6 +63,7 @@ class RunConfig:
     hist_upper: float = 1.0
     hist_buckets: int = 20
     seed: int = 0
+    # Read by nothing; kept because bench configs and tests set it, and unknown fields exit 1.
     workers: int = 1
 
     def method_list(self) -> list[str]:
@@ -158,7 +159,7 @@ def validate(config: RunConfig, need_corpora: bool, need_methods: bool) -> None:
 
 
 def resolved_config_lines(config: RunConfig) -> list[str]:
-    # workers is excluded: output is identical for any worker count.
+    # workers is excluded: it changes nothing.
     return [f"{f.name} = {getattr(config, f.name)}"
             for f in sorted(_FIELDS.values(), key=lambda f: f.name) if f.name != "workers"]
 
@@ -244,11 +245,9 @@ def run(config: RunConfig, score: bool, both_labels: bool = False) -> tuple[Corp
     embedding_table = None
     if "embedding" in methods:
         vocab = coh.corpus_vocab(d for c in corpora.values() for d in c.documents)
-        embedding_table = load_vectors_text(config.embeddings_path, keep=vocab,
-                                            workers=config.workers)
+        embedding_table = load_vectors_text(config.embeddings_path, keep=vocab)
     esa_index = _esa_index(config) if "esa" in methods else None
-    entity_table = (load_vectors_text(config.entity_vectors_path, workers=config.workers)
-                    if link else None)
+    entity_table = load_vectors_text(config.entity_vectors_path) if link else None
     if link:
         gazetteer = entitylink.build_gazetteer(entity_table)
         if config.alias_path:

@@ -202,11 +202,17 @@ def csv_records(path: str | Path, required: tuple[str, ...] = ()):
     """(line number, row) of each record of a UTF-8 CSV file with a header row
     that holds the `required` columns. A row maps the header's names to its
     fields, as `csv.DictReader` makes it; its line number is that of the
-    record's last line."""
+    record's last line. A quoted field must end at a quote followed by a
+    delimiter or a line end: a stray quote would otherwise swallow the records
+    up to the next quote."""
     p = _read_text_file(path)
+    # An article may be longer than the csv module's default field limit, 131 072
+    # characters. The limit is process-wide; lifted, any field that fits in memory
+    # is read.
+    csv.field_size_limit(sys.maxsize)
     try:
         with open(p, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
+            reader = csv.DictReader(f, strict=True)
             if reader.fieldnames is None:
                 raise CorpusError(f"{p}: empty CSV (no header row)")
             for name in required:
@@ -216,8 +222,8 @@ def csv_records(path: str | Path, required: tuple[str, ...] = ()):
                 yield reader.line_num, row
     except UnicodeDecodeError as e:
         raise _utf8_error(p, e) from e
-    except csv.Error as e:
-        raise CorpusError(f"{p}: malformed CSV: {e}") from e
+    except csv.Error as e:  # DictReader.line_num stops at the last record read whole
+        raise CorpusError(f"{p} line {reader.reader.line_num}: malformed CSV: {e}") from e
 
 
 def load_csv(

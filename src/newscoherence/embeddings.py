@@ -307,15 +307,15 @@ def _send(out: BinaryIO, fd: int, span: tuple[int, int], dim: int, count: int,
     out.write(buf[:len(shard.held)])
 
 
-def _spans(fd: int, size: int, workers: int) -> list[tuple[int, int]]:
-    """Byte ranges of a regular file, one per process that parses it: up to `workers`,
-    no more than the CPUs this process may run on, and none under _MIN_SHARD_BYTES.
-    Each range but the last ends just after a "\\n". A process with other threads
-    is not forked: a lock one of them holds would stay held in the child."""
+def _spans(fd: int, size: int) -> list[tuple[int, int]]:
+    """Byte ranges of a regular file, one per process that parses it: no more than
+    the CPUs this process may run on, and none under _MIN_SHARD_BYTES. Each range
+    but the last ends just after a "\\n". A process with other threads is not
+    forked: a lock one of them holds would stay held in the child."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return [(0, size)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    shards = min(workers, cpus or 1, size // max(_MIN_SHARD_BYTES, 1))
+    shards = min(cpus or 1, size // max(_MIN_SHARD_BYTES, 1))
     cuts = [0]
     for k in range(1, shards):
         at = k * size // shards
@@ -357,26 +357,42 @@ def _fork(fd: int, span: tuple[int, int], dim: int, count: int,
     return None, out
 
 
-def _receive(p: Path, stream: BinaryIO, buf: np.ndarray, held: int) -> _Shard:
-    """A _Shard from `stream`. Its held rows go into `buf` after the `held` rows
-    there, if they fit; if not, the file has more rows than its header declares."""
+def _receive(stream: BinaryIO, buf: np.ndarray, held: int) -> _Shard | None:
+    """A _Shard from `stream`, or None if the stream ends before all of it. Its held
+    rows go into `buf` after the `held` rows there, if they fit; if not, the file
+    has more rows than its header declares."""
     try:
         shard = pickle.load(stream)
-    except (EOFError, pickle.UnpicklingError) as e:
-        raise RuntimeError(f"{p}: a parser process ended without its rows") from e
+    except (EOFError, pickle.UnpicklingError):
+        return None
     n = len(shard.held)
     if n and held + n <= len(buf):
         view = memoryview(buf[held:held + n]).cast("B")
         while view:
             got = stream.readinto(view)
             if not got:
-                raise RuntimeError(f"{p}: a parser process ended before its last row")
+                return None
             view = view[got:]
     return shard
 
 
-def load_vectors_text(path: str | Path, name: str = "", keep: Iterable[str] | None = None,
-                      workers: int = 1) -> EmbeddingTable:
+def _lost(p: Path, pid: int | None) -> Exception:
+    """The error for the process `pid` that ended without sending all its rows of
+    table `p`, once it is reaped. A signal that ended it (the out-of-memory killer's,
+    say) is a data error; a process that exited by itself, or no process, is a bug."""
+    try:
+        status = os.waitpid(pid, 0)[1] if pid is not None else 0
+    except ChildProcessError:  # reaped already: SIGCHLD is ignored
+        status = 0
+    if os.WIFSIGNALED(status):
+        sig = os.WTERMSIG(status)
+        return EmbeddingError(f"{p}: a parser process was killed by signal {sig} "
+                              f"({signal.strsignal(sig)})")
+    return RuntimeError(f"{p}: a parser process ended without its rows")
+
+
+def load_vectors_text(path: str | Path, name: str = "",
+                      keep: Iterable[str] | None = None) -> EmbeddingTable:
     """Parse the word2vec text format: header `count dim`, then `token v1 .. v_dim` lines.
 
     The token runs up to the first space; the components are separated by any
@@ -389,9 +405,8 @@ def load_vectors_text(path: str | Path, name: str = "", keep: Iterable[str] | No
     the full table. The lower cases of `keep` and the held tokens are interned,
     so a held token is the very string that `corpus.tokenize` gives for it.
 
-    A regular file is parsed in up to `workers` processes, one shard of its rows
-    each, all but the first forked. The table, warnings and errors are the same
-    for any `workers`.
+    A regular file is parsed in as many processes as `_spans` cuts it into, all but
+    the first forked, to the same table, warnings and errors.
     """
     p = Path(path)
     wanted = None if keep is None else {sys.intern(t.lower()) for t in keep}
@@ -399,7 +414,7 @@ def load_vectors_text(path: str | Path, name: str = "", keep: Iterable[str] | No
     with open(p, "rb") as f:
         fd = f.fileno()
         st = os.fstat(fd)
-        spans = _spans(fd, st.st_size, workers) if stat.S_ISREG(st.st_mode) else [(0, 0)]
+        spans = _spans(fd, st.st_size) if stat.S_ISREG(st.st_mode) else [(0, 0)]
         faults: list[tuple[int, str]] = []
         chunks = _read_chunks(f) if len(spans) == 1 else _pread_chunks(fd, *spans[0])
         blocks = _line_blocks(chunks, faults)
@@ -422,7 +437,11 @@ def load_vectors_text(path: str | Path, name: str = "", keep: Iterable[str] | No
             lines = parsed = held = 0
             for k in range(len(spans)):
                 if k:  # the shards after the first, in file order
-                    shard = _receive(p, children[k - 1][1], buf, held)
+                    pid, stream = children[k - 1]
+                    shard = _receive(stream, buf, held)
+                    if shard is None:
+                        children[k - 1] = None, stream  # reaped by _lost, not killed below
+                        raise _lost(p, pid)
                 for lineno, token in zip(shard.linenos, shard.tokens):
                     if token in seen:
                         duplicates.append((lines + lineno, token))

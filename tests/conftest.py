@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from newscoherence import embeddings
 from newscoherence.corpus import Document, LabeledCorpus, Label, segment_corpus
 from newscoherence.embeddings import EmbeddingTable
 from newscoherence.entitylink import build_gazetteer, link_corpus
@@ -39,6 +41,32 @@ def write_jsonl(corpus: LabeledCorpus, path: str | Path) -> None:
                 obj["title"] = doc.title
             obj["text"] = doc.text
             f.write(json.dumps(obj, ensure_ascii=False) + "\n")
+
+
+def on_cpus(monkeypatch, n: int) -> None:
+    """Let this process run on `n` CPUs, as the vector parser sees them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Shard a table of any size over up to three processes; the list gets each
+    forked pid."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    monkeypatch.setattr(embeddings, "_MIN_SHARD_BYTES", 0)
+    on_cpus(monkeypatch, 3)
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import fields
@@ -15,8 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import newscoherence
+from newscoherence import embeddings
 from newscoherence.cli import (
     EXIT_DATA,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     MAX_HIST_BUCKETS,
@@ -923,6 +926,33 @@ class TestReport:
         main(["report", "--config", str(workspace / "run.conf"), "--workers", "3"])
         second = _snapshot(workspace / "out")
         assert first == second
+
+    def test_workers_changes_no_process_count(self, workspace, forks):
+        """The parser's process count follows the CPUs alone; `workers` is read by nothing."""
+        runs = []
+        for w in ("1", "3"):
+            before = len(forks)
+            assert main(["report", "--config", str(workspace / "run.conf"), "--workers", w]) == 0
+            runs.append((len(forks) - before, _snapshot(workspace / "out")))
+        assert runs[0][0] > 0 and runs[1] == runs[0]
+
+    @pytest.mark.parametrize("end, code, message", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), EXIT_DATA,
+         "data error: {words}: a parser process was killed by signal 9"),
+        (lambda: os._exit(0), EXIT_INTERNAL,
+         "internal error: {words}: a parser process ended without its rows"),
+    ], ids=["killed", "exited"])
+    def test_parser_process_that_ends_without_its_rows(self, workspace, forks, monkeypatch,
+                                                       capsys, end, code, message):
+        """A signal that ends a parser process (the out-of-memory killer's, say) is a
+        data error; a process that exits by itself without its rows is a bug."""
+        monkeypatch.setattr(embeddings, "_send", lambda *args: end())
+        assert main(["report", "--config", str(workspace / "run.conf")]) == code
+        stderr = capsys.readouterr().err.splitlines()
+        assert len(stderr) == 1 and stderr[0].startswith(
+            message.format(words=workspace / "words.txt"))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 # One run per subcommand shape. "{ws}" is the workspace; "{out}" the run's out_dir.

@@ -190,6 +190,36 @@ class TestLoadCsv:
         corpus = load_csv(p, label=Label.FAKE)
         assert len(corpus.documents) + corpus.skipped == 12
 
+    def test_field_over_the_csv_default_limit(self, tmp_path):
+        p = tmp_path / "long.csv"
+        text = "A sentence of words. " * 7_000 + "End."  # 147 004 characters
+        p.write_text(f"title,text\nT1,{text}\nT2,Short.\n")
+        corpus = load_csv(p, label=Label.FAKE)
+        assert [d.text for d in corpus.documents] == [text, "Short."]
+
+    def test_stray_quote_names_its_line(self, tmp_path):
+        """A quoted field that does not end at a delimiter would otherwise take in
+        the records up to the next quote."""
+        p = tmp_path / "stray.csv"
+        p.write_text('title,text\na,"first text."\nb,"stray quote. Next one.\n'
+                     'c,"third text."\nd,"fourth text."\n')
+        with pytest.raises(CorpusError, match=r"stray\.csv line 4: malformed CSV: "
+                                              r"',' expected after '\"'"):
+            load_csv(p, label=Label.FAKE)
+
+    def test_quotes_read_as_before(self, tmp_path):
+        p = tmp_path / "quotes.csv"
+        p.write_text('title,text\na,he said "hi" there.\nb,"she said ""no"", then left."\n')
+        corpus = load_csv(p, label=Label.FAKE)
+        assert [d.text for d in corpus.documents] == [
+            'he said "hi" there.', 'she said "no", then left.']
+
+    def test_unterminated_quote_names_its_line(self, tmp_path):
+        p = tmp_path / "open.csv"
+        p.write_text('title,text\na,"x"\nb,"never closed.\n')
+        with pytest.raises(CorpusError, match=r"open\.csv line 3: malformed CSV: "):
+            load_csv(p, label=Label.FAKE)
+
 
 class TestJsonl:
     def test_two_labels(self, tmp_path):

@@ -24,7 +24,7 @@ from newscoherence.embeddings import (
     text_lines,
 )
 
-from conftest import make_table, save_vectors_text
+from conftest import make_table, on_cpus, save_vectors_text
 from oracle import load_vectors_text_ref, lookup, mean_vector, text_lines_ref
 
 
@@ -238,44 +238,29 @@ def _loaded(load, path):
     return result, [r.getMessage() for r in records]
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Shard a table of any size over up to three processes; the list gets each
-    forked pid."""
-    if not hasattr(os, "fork"):
-        pytest.skip("no os.fork")
-    monkeypatch.setattr(embeddings, "_MIN_SHARD_BYTES", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    pids = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
+def _loaded_on(monkeypatch, cpus: int, path, keep=None):
+    """`_loaded` with this process allowed `cpus` CPUs."""
+    on_cpus(monkeypatch, cpus)
+    return _loaded(functools.partial(load_vectors_text, keep=keep), path)
 
 
 class TestShards:
-    """`workers` processes parse a table to the same rows, warnings and errors."""
+    """Processes on any number of CPUs parse a table to the same rows, warnings
+    and errors."""
 
     @seed(20191111)
     @given(text=_vector_files(), keep=st.none() | st.lists(_TOKEN, max_size=6),
            bad=st.none() | st.integers(0, 10**6))
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_any_workers_give_the_same_outcome(self, tmp_path, forks, text, keep, bad):
+    def test_any_cpus_give_the_same_outcome(self, tmp_path, forks, monkeypatch, text, keep, bad):
         data = text.encode("utf-8")
         if bad is not None:  # a byte that is not UTF-8, anywhere
             bad %= len(data) + 1
             data = data[:bad] + b"\xff" + data[bad:]
         p = tmp_path / "v.txt"
         p.write_bytes(data)
-        one, two, three = (_loaded(functools.partial(load_vectors_text, keep=keep, workers=w), p)
-                           for w in (1, 2, 3))
+        one, two, three = (_loaded_on(monkeypatch, n, p, keep) for n in (1, 2, 3))
         assert two == one and three == one
 
     # Eight rows, then a bad row, a bad byte or a wrong count for the parse to find.
@@ -289,11 +274,11 @@ class TestShards:
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_no_child_outlives_a_load(self, tmp_path, forks, case):
+    def test_no_child_outlives_a_load(self, tmp_path, forks, monkeypatch, case):
         p = tmp_path / "v.txt"
         p.write_bytes(self.CASES[case])
-        one = _loaded(load_vectors_text, p)
-        three = _loaded(functools.partial(load_vectors_text, workers=3), p)
+        one = _loaded_on(monkeypatch, 1, p)
+        three = _loaded_on(monkeypatch, 3, p)
         assert three == one and len(forks) == 2
         assert isinstance(one[0], str) == (case != "success")
         with pytest.raises(ChildProcessError):
@@ -313,8 +298,8 @@ class TestShards:
             return fork()
 
         monkeypatch.setattr(os, "fork", failing)
-        three = _loaded(functools.partial(load_vectors_text, workers=3), p)
-        assert three == _loaded(load_vectors_text, p) and len(calls) == 2
+        three = _loaded_on(monkeypatch, 3, p)
+        assert three == _loaded_on(monkeypatch, 1, p) and len(calls) == 2
         assert len(forks) == 2 - len(fails)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -326,17 +311,24 @@ class TestShards:
         other = threading.Thread(target=stop.wait, daemon=True)
         other.start()
         try:
-            table = load_vectors_text(p, workers=3)
+            table = load_vectors_text(p)
         finally:
             stop.set()
             other.join(10)
         assert not forks and not other.is_alive() and len(table) == 5
 
     def test_one_process_for_a_small_table(self, tmp_path, monkeypatch):
+        on_cpus(monkeypatch, 3)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a small table"))
         p = tmp_path / "v.txt"
         p.write_bytes(self.CASES["success"])
-        assert len(load_vectors_text(p, workers=3)) == 5
+        assert len(load_vectors_text(p)) == 5
+
+    def test_one_process_on_one_cpu(self, tmp_path, forks, monkeypatch):
+        on_cpus(monkeypatch, 1)
+        p = tmp_path / "v.txt"
+        p.write_bytes(self.CASES["success"])
+        assert len(load_vectors_text(p)) == 5 and not forks
 
 
 class TestTextLines:
