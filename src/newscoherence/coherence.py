@@ -35,6 +35,11 @@ __all__ = [
 METHODS = ("embedding", "esa", "entity")
 SCORE_COLUMNS = ("doc_id", "label", "method", "value", "element_count", "pair_count", "status")
 Csr = tuple[np.ndarray, np.ndarray, np.ndarray]  # indptr, indices, data
+# Gathered (occurrence, concept) entries that `sentence_matrix` sums at once. Each
+# takes 40-110 B of scratch (the CSR side's sort the most), so a chunk's scratch
+# stays under half a MB however many entries a document has. On 2 vCPUs, 2**11
+# scored a wide index 10 % slower and 2**13 no faster, while holding more.
+_CHUNK_ENTRIES = 1 << 12
 
 
 class CoherenceError(Exception):
@@ -94,35 +99,42 @@ def _score(doc_id: str, method: str, rows) -> CoherenceScore:
     in O(K d). Undefined when fewer than two rows are nonzero. Each row is first
     scaled by the power of two that brings its largest component into [0.5, 1),
     so no square overflows or underflows whatever the row's magnitude; that scaling
-    is exact, and the unit rows are the ones the unscaled rows give.
+    is exact, and the unit rows are the ones the unscaled rows give. The scaled
+    rows are the one copy made of `rows`, which is left as it was.
     """
     if isinstance(rows, tuple):
         indptr, cols, values = rows
         lengths = np.diff(indptr)
+        row = np.repeat(np.arange(len(lengths)), lengths)
         peaks = np.zeros(len(lengths))
         filled = lengths > 0
         if filled.any():  # each filled row runs up to the next filled row's start
-            peaks[filled] = np.maximum.reduceat(np.abs(values), indptr[:-1][filled])
-        values = np.ldexp(values, -np.repeat(np.frexp(peaks)[1], lengths))
-        sq = np.bincount(np.repeat(np.arange(len(lengths)), lengths), weights=values**2,
-                         minlength=len(lengths))
+            starts = indptr[:-1][filled]
+            peaks[filled] = np.maximum(np.maximum.reduceat(values, starts),
+                                       -np.minimum.reduceat(values, starts))
+        unit = np.ldexp(values, -np.frexp(peaks)[1][row])
+        sq = np.bincount(row, weights=np.square(unit), minlength=len(lengths))
     else:
-        peaks = np.abs(rows).max(axis=1, initial=0.0)
-        rows = np.ldexp(rows, -np.frexp(peaks)[1][:, None])
-        sq = np.einsum("ij,ij->i", rows, rows)
+        peaks = np.maximum(rows.max(axis=1, initial=0.0), -rows.min(axis=1, initial=0.0))
+        unit = np.ldexp(rows, -np.frexp(peaks)[1][:, None])
+        sq = np.einsum("ij,ij->i", unit, unit)
     keep = sq > 0.0
     k = int(np.count_nonzero(keep))
     if k < 2:
         return _undefined(doc_id, method, element_count=k)
     scale = 1.0 / np.sqrt(sq[keep])
     if isinstance(rows, tuple):
-        nonzero = np.repeat(keep, lengths)
-        values = values[nonzero] * np.repeat(scale, lengths[keep])
-        total = np.bincount(cols[nonzero], weights=values)
+        if k < len(keep):
+            nonzero = keep[row]
+            unit, cols = unit[nonzero], cols[nonzero]
+        unit *= np.repeat(scale, lengths[keep])
+        total = np.bincount(cols, weights=unit)
     else:
-        unit = rows[keep] * scale[:, None]
-        values = unit.ravel()
+        if k < len(keep):
+            unit = unit[keep]
+        unit *= scale[:, None]
         total = unit.sum(axis=0)
+    values = unit.ravel()
     value = float(total @ total - values @ values) / (k * (k - 1))
     return CoherenceScore(doc_id=doc_id, method=method, value=value, element_count=k,
                           pair_count=k * (k - 1) // 2, status="ok")
@@ -180,7 +192,9 @@ def sentence_matrix(index: EsaIndex,
     Each token occurrence contributes its row's entries, E in all, and each cell
     is their sum in occurrence order. The rows are a dense K x C array when
     K x C <= E, else CSR arrays, so the output is never larger than the entries
-    gathered."""
+    gathered. The entries are gathered and summed in chunks of whole sentences,
+    each of at most _CHUNK_ENTRIES of them or one wider sentence, so the scratch
+    follows the chunk and the output, not E."""
     indptr, indices, data = index.indptr, index.indices, index.data
     sentence, flat, counts = _occurrences(token_lists, index.rows)
     k = len(counts)
@@ -189,19 +203,46 @@ def sentence_matrix(index: EsaIndex,
     widths = indptr[tokens + 1] - indptr[tokens]
     pos = _slices(indptr[tokens], widths)
     columns, column = np.unique(indices[pos], return_inverse=True)
-    c = len(columns)
-    # Each occurrence's entries: its token's slice of `pos`.
+    weight, c = data[pos], len(columns)
+    del pos  # the chunks read its entries' columns and weights alone
+    # Each occurrence's entries: its token's slice of `pos`. Sentence i's
+    # occurrences start at firsts[i] and its entries at done[i]; done[k] is E.
     spans = widths[occurrence]
-    entry = _slices((np.cumsum(widths) - widths)[occurrence], spans)
-    key = np.repeat(sentence * c, spans) + column[entry]
-    weights = data[pos][entry]
-    dense = k * c <= len(key)
-    if not dense:
-        cells, key = np.unique(key, return_inverse=True)
-    sums = np.bincount(key, weights=weights, minlength=k * c if dense else 0)
+    starts = (np.cumsum(widths) - widths)[occurrence]
+    firsts = np.concatenate(([0], np.cumsum(counts)))
+    done = np.concatenate(([0], np.cumsum(spans)))[firsts]
+    dense = k * c <= done[-1]
+    bounds = [0]  # each chunk's first sentence, then k
+    while bounds[-1] < k:
+        s = bounds[-1]
+        t = int(np.searchsorted(done, done[s] + _CHUNK_ENTRIES, side="right")) - 1
+        bounds.append(max(t, s + 1))
+
+    def summed(halvings: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+        """Each cell's sum, and the cells when the rows are CSR; with `halvings`,
+        each sentence's terms are halved that many times."""
+        sums = np.empty(k * c) if dense else []
+        cells = []
+        for s, t in zip(bounds, bounds[1:]):
+            a, b = firsts[s], firsts[t]
+            entry = _slices(starts[a:b], spans[a:b])
+            weights = weight[entry]
+            if halvings is not None:
+                weights = np.ldexp(weights, -np.repeat(halvings[sentence[a:b]], spans[a:b]))
+            # Dense keys count from the block's row s, CSR keys from row 0.
+            key = np.repeat((sentence[a:b] - (s if dense else 0)) * c, spans[a:b])
+            key += column[entry]
+            if dense:
+                sums[s * c:t * c] = np.bincount(key, weights, (t - s) * c)
+            else:  # chunk i's cells all sort before chunk i + 1's
+                chunk_cells, key = np.unique(key, return_inverse=True)
+                cells.append(chunk_cells)
+                sums.append(np.bincount(key, weights))
+        return (sums, None) if dense else (np.concatenate(sums), np.concatenate(cells))
+
+    sums, cells = summed(None)
     if not np.isfinite(sums).all():
-        weights = np.ldexp(weights, -np.repeat(_halvings(counts)[sentence], spans))
-        sums = np.bincount(key, weights=weights, minlength=k * c if dense else 0)
+        sums, cells = summed(_halvings(counts))
     if dense:
         return sums.reshape(k, c), columns
     row_lengths = np.bincount(cells // c, minlength=k)

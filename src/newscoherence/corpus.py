@@ -7,6 +7,7 @@ import json
 import logging
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,6 +25,7 @@ __all__ = [
     "DEFAULT_ABBREVIATIONS",
     "split_sentences",
     "tokenize",
+    "surface_tokens",
     "token_spans",
     "segment_corpus",
     "csv_records",
@@ -92,7 +94,13 @@ def tokenize(text: str) -> list[str]:
     Each token is interned, so every occurrence of one token string is the
     same object, and a corpus holds each distinct token once.
     """
-    return list(map(sys.intern, map(str.lower, _TOKEN_RE.findall(text))))
+    return list(map(sys.intern, surface_tokens(text)))
+
+
+def surface_tokens(text: str) -> Iterator[str]:
+    """The tokens `tokenize` yields, not interned: how a table loaded whole keys
+    a surface so that it matches sentence tokens."""
+    return map(str.lower, _TOKEN_RE.findall(text))
 
 
 def token_spans(text: str) -> list[tuple[int, int]]:
@@ -315,6 +323,7 @@ def load_jsonl(path: str | Path) -> LabeledCorpus:
         seen_ids.add(doc_id)
         if not text.strip():
             skipped += 1
+            logger.warning("%s: empty text, skipped", where)
             continue
         docs.append(Document(id=doc_id, label=_JSONL_LABELS[raw_label], text=text, title=title))
     return LabeledCorpus(documents=docs, source=str(p), skipped=skipped)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Document, LabeledCorpus, Sentence, token_spans
+from .corpus import Document, LabeledCorpus, Sentence, surface_tokens, token_spans
 from .embeddings import EmbeddingTable, text_lines
 
 __all__ = [
@@ -55,19 +55,21 @@ class Gazetteer:
 
 
 def build_gazetteer(entity_table: EmbeddingTable) -> Gazetteer:
-    """Derive surfaces from entity ids: underscores become spaces, matching is lowercased."""
+    """Derive surfaces from entity ids, split into tokens as sentences are: at
+    underscores, spaces and punctuation, lowercased."""
     if not len(entity_table):
         raise EntityLinkError("empty entity table")
     surfaces: dict[tuple[str, ...], str] = {}
     for entity_id in entity_table.rows:
-        key = tuple(entity_id.replace("_", " ").lower().split())
+        key = tuple(surface_tokens(entity_id))
         if key:
             surfaces[key] = entity_id
     return Gazetteer(surfaces)
 
 
 def load_aliases(path: str | Path, entity_table: EmbeddingTable, gaz: Gazetteer) -> None:
-    """Extend a gazetteer from a TSV alias file (surface <tab> entity_id), in place."""
+    """Extend a gazetteer from a TSV alias file (surface <tab> entity_id), in place.
+    A surface is split into tokens as sentences are."""
     p = Path(path)
     with open(p, "rb") as f:
         for lineno, line in text_lines(f, p, EntityLinkError):
@@ -81,7 +83,7 @@ def load_aliases(path: str | Path, entity_table: EmbeddingTable, gaz: Gazetteer)
                 raise EntityLinkError(
                     f"{p} line {lineno}: alias target {entity_id!r} has no entity vector"
                 )
-            key = tuple(surface.lower().split())
+            key = tuple(surface_tokens(surface))
             if key:
                 gaz.add(key, entity_id)
 

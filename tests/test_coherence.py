@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import newscoherence
 from newscoherence.coherence import (
     CoherenceError,
+    _score,
     coherence_entities,
     coherence_sentences,
     score_corpus,
@@ -462,6 +463,28 @@ class TestEmbeddingMatchesReference:
         for a, b in zip(got, want):
             if a.ok:
                 assert a.value == pytest.approx(b.value, abs=1e-12)
+
+
+class TestScoreLeavesItsRows:
+    """`_score` scales and normalizes a copy: the caller's rows, dense or CSR, are
+    read-only here, so any write to them raises, and they end as they began."""
+
+    @pytest.mark.parametrize("zero_row", [False, True], ids=["all-nonzero", "a-zero-row"])
+    def test_dense_and_csr_rows_unchanged(self, zero_row):
+        dense = np.array([[3.0, -4.0, 0.0], [1e300, 2e300, -1e300],
+                          [0.0, 0.0, 0.0] if zero_row else [1e-170, 0.0, -5e-170]])
+        filled = dense != 0.0
+        csr = (np.concatenate(([0], np.cumsum(filled.sum(axis=1)))),
+               np.nonzero(filled)[1], dense[filled])
+        scores = []
+        for arrays in [(dense,), csr]:
+            before = [a.copy() for a in arrays]
+            for a in arrays:
+                a.flags.writeable = False
+            scores.append(_score("d", "esa", arrays if len(arrays) == 3 else arrays[0]))
+            assert [a.tobytes() for a in arrays] == [a.tobytes() for a in before]
+        assert scores[0].element_count == scores[1].element_count == 3 - zero_row
+        assert scores[0].value == pytest.approx(scores[1].value, abs=1e-15)
 
 
 class TestExtremeMagnitudes:

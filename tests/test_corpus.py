@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 from hypothesis import given, seed, settings
@@ -242,6 +243,18 @@ class TestJsonl:
         p.write_text("\n".join(json.dumps(o) for o in lines) + "\n")
         with pytest.raises(CorpusError, match="line 3"):
             load_jsonl(p)
+
+    def test_empty_text_skipped_with_a_warning_naming_its_line(self, tmp_path, caplog):
+        p = tmp_path / "c.jsonl"
+        lines = [
+            {"id": "a", "label": "fake", "text": "x."},
+            {"id": "b", "label": "fake", "text": " \n "},
+        ]
+        p.write_text("\n\n".join(json.dumps(o) for o in lines) + "\n")
+        with caplog.at_level(logging.WARNING, logger="newscoherence.corpus"):
+            corpus = load_jsonl(p)
+        assert [d.id for d in corpus.documents] == ["a"] and corpus.skipped == 1
+        assert [r.getMessage() for r in caplog.records] == [f"{p} line 3: empty text, skipped"]
 
     def test_unknown_label(self, tmp_path):
         p = tmp_path / "c.jsonl"

@@ -46,6 +46,21 @@ class TestBuildGazetteer:
         assert gaz.surfaces[("uk",)] == "UK"
 
 
+    def test_punctuated_ids_and_aliases_split_as_sentence_tokens(self, tmp_path):
+        table = make_table({"Washington,_D.C.": [1.0, 0.0], "AT&T_Inc.": [0.0, 1.0],
+                            "Paris": [1.0, 1.0]})
+        alias = tmp_path / "alias.tsv"
+        alias.write_text("AT&T\tAT&T_Inc.\n")
+        gaz = build_gazetteer(table)
+        load_aliases(alias, table, gaz)
+        assert gaz.surfaces[("washington", "d", "c")] == "Washington,_D.C."
+        assert gaz.surfaces[("at", "t")] == gaz.surfaces[("at", "t", "inc")] == "AT&T_Inc."
+        doc = make_doc("d", "AT&T met Paris officials in Washington, D.C. on Monday.")
+        mentions = extract_entities(doc, gaz)
+        assert [(m.entity_id, m.surface) for m in mentions] == [
+            ("AT&T_Inc.", "AT&T"), ("Paris", "Paris"), ("Washington,_D.C.", "Washington, D.C")]
+
+
 class TestExtractEntities:
     def test_paper_fragment(self, entity_table):
         doc = make_doc("d", "UK is due to leave the European Union in 2020.")

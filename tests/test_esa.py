@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 from collections.abc import Mapping
 
 import pytest
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 import numpy as np
 
+from newscoherence import coherence
 from newscoherence.coherence import sentence_matrix
 from newscoherence.embeddings import cosine
 from newscoherence.esa import (
@@ -320,17 +322,24 @@ def _rows_and_sentences(draw):
 
 class TestSentenceMatrixMatchesOracle:
     """Each sentence row, dense or CSR, equals bit for bit the sums of the sort-based
-    CSR route: both add a cell's entries in occurrence order."""
+    CSR route: both add a cell's entries in occurrence order, whatever the chunks
+    the entries are summed in."""
 
     @seed(20191108)
-    @given(_rows_and_sentences(), st.booleans())
+    @given(_rows_and_sentences(), st.booleans(),
+           st.sampled_from([coherence._CHUNK_ENTRIES, 1, 5]))
+    # CSR rows in two chunks of 5 and 3 entries, the first of which overflows.
+    @example(({"a": {0: 1e308}, "b": {1: 1.0}, "c": {2: 1.0}}, 3,
+              [["b", "c"], ["a", "a"], ["b"], ["c"], ["b"], ["c"]]), False, 5)
     @settings(max_examples=400, deadline=None)
-    def test_rows_equal_oracle_sums(self, case, unique_tokens):
+    def test_rows_equal_oracle_sums(self, case, unique_tokens, budget):
         rows, n, token_lists = case
         if unique_tokens:
             token_lists = [sorted(set(ts)) for ts in token_lists]
         index = _index(rows, n)
-        matrix, columns = sentence_matrix(index, token_lists)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coherence, "_CHUNK_ENTRIES", budget)
+            matrix, columns = sentence_matrix(index, token_lists)
         k = len(token_lists)
         got = _full(matrix, columns, k, n)
         want = _full(sentence_matrix_ref(index, token_lists), np.arange(n), k, n)
@@ -353,6 +362,31 @@ class TestSentenceMatrixMatchesOracle:
     def test_no_known_token(self):
         matrix, columns = sentence_matrix(_index({"a": {}}, 1), [["a", "oov"], []])
         assert matrix.shape == (2, 0) and columns.size == 0
+
+    @pytest.mark.parametrize("side", ["dense", "csr"])
+    def test_scratch_follows_the_chunk_not_the_entries(self, side):
+        """200 000 entries in 40 or 50 chunks: beside twice the output (the CSR
+        side concatenates its chunks' cells), the peak stays within 192 bytes per
+        entry of one chunk, which covers the chunk's gathers and sort and, here,
+        the document's per-token arrays."""
+        if side == "dense":  # 40 sentences x 20 occurrences of 2 tokens of 250 cells
+            rows = {t: dict(zip(range(250), np.linspace(1.0, 2.0, 250) + i))
+                    for i, t in enumerate("ab")}
+            token_lists = [["a", "b"] * 10] * 40
+        else:  # sentence i holds token i 40 times, its 100 cells its own
+            rows = {f"t{i}": dict.fromkeys(range(100 * i, 100 * (i + 1)), 1.5)
+                    for i in range(50)}
+            token_lists = [[f"t{i}"] * 40 for i in range(50)]
+        index = _index(rows, 5000)
+        tracemalloc.start()
+        try:
+            matrix, _ = sentence_matrix(index, token_lists)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(matrix, tuple) == (side == "csr")
+        output = sum(a.nbytes for a in matrix) if side == "csr" else matrix.nbytes
+        assert peak <= 2 * output + 192 * coherence._CHUNK_ENTRIES, (peak, output)
 
 
 class TestLoadIndexMatchesOracle:
