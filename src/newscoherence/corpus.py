@@ -219,7 +219,8 @@ def csv_records(path: str | Path, required: tuple[str, ...] = ()):
     # is read.
     csv.field_size_limit(sys.maxsize)
     try:
-        with open(p, newline="", encoding="utf-8") as f:
+        # "utf-8-sig": a byte-order mark (Excel's "CSV UTF-8") is not part of the first name.
+        with open(p, newline="", encoding="utf-8-sig") as f:
             reader = csv.DictReader(f, strict=True)
             if reader.fieldnames is None:
                 raise CorpusError(f"{p}: empty CSV (no header row)")
@@ -285,10 +286,13 @@ def jsonl_records(path: str | Path, required: tuple[str, ...], optional: tuple[s
 
     `where` is "<file> line N"; `values` holds the `required` fields, then the
     `optional` ones (None when absent or null), each a string `require_string` accepts.
+    A byte-order mark before the first line is skipped.
     """
     p = Path(path)
     with open(p, "rb") as f:
         for lineno, line in text_lines(f, p, CorpusError):
+            if lineno == 1:
+                line = line.removeprefix("\ufeff")
             if not line.strip():
                 continue
             where = f"{p} line {lineno}"

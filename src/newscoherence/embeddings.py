@@ -13,6 +13,7 @@ import signal
 import stat
 import sys
 import threading
+import zlib
 from array import array
 from collections.abc import Iterable, Iterator
 from itertools import chain
@@ -31,6 +32,15 @@ _READ_BYTES = 1 << 14
 # fork costs some 6 ms (2 vCPUs): two processes parsed a 300-d table of 2 MiB in
 # 34 ms against 41 ms in one, and a table of 1 MiB in 25 ms against 21 ms.
 _MIN_SHARD_BYTES = 1 << 20
+# Bytes per read or write when a cache entry is checked, read or joined: below the
+# 128 KiB from which glibc maps a buffer, since freeing one raises that threshold and
+# later arrays of that size stay on the heap (seen as +0.1 MB peak RSS at 256 KiB).
+_COPY_BYTES = 1 << 16
+# A cache entry (see `_cache_entry`): _MAGIC, then the int64s table size, table CRC-32,
+# count, dim, token bytes and duplicates; every row, float64 in file order; each
+# token and a "\n"; and a (line, row) int64 pair per duplicate token.
+_MAGIC = b"newscoherence 1\n"
+_HEAD = len(_MAGIC) + 6 * 8
 
 __all__ = [
     "EmbeddingTable",
@@ -229,6 +239,28 @@ def _row_buffer(rows: int, dim: int) -> np.ndarray:
     return np.ndarray((rows, dim), buffer=mmap.mmap(-1, rows * dim * 8, access=mmap.ACCESS_COPY))
 
 
+class _Tee:
+    """A shard's part of a new cache entry: the size and CRC-32 of the bytes the shard
+    reads, and each row it parses, written to file `fd`. A failed write clears `ok`,
+    and no entry is made."""
+
+    def __init__(self, fd: int):
+        self.fd, self.ok, self.size, self.crc = fd, True, 0, 0
+
+    def read(self, chunks: Iterable[bytes]) -> Iterator[bytes]:
+        for data in chunks:
+            self.size += len(data)
+            self.crc = zlib.crc32(data, self.crc)
+            yield data
+
+    def write(self, rows: np.ndarray) -> None:
+        if self.ok:
+            try:
+                _write_all(self.fd, rows)
+            except OSError:  # no space left, say
+                self.ok = False
+
+
 class _Shard(NamedTuple):
     """What parsing a run of lines found. Line numbers count from its first line."""
 
@@ -237,18 +269,25 @@ class _Shard(NamedTuple):
     linenos: array                 # the line of each of those rows
     held: array                    # positions in `tokens` of the rows written to the buffer
     fault: tuple[int, str] | None  # (line, what is wrong) of the first malformed line
+    tee: _Tee | None               # where its bytes were summed and its rows written
+
+
+def _taken(tokens: Iterable[str], wanted: set[str] | None) -> list[int]:
+    """Positions of the `tokens` whose rows a table holds: those with the lower case
+    of a `wanted` token, every one where `wanted` is None."""
+    return [j for j, token in enumerate(tokens) if wanted is None or token.lower() in wanted]
 
 
 def _parse_rows(blocks: Iterable[list[str]], faults: list[tuple[int, str]], dim: int,
                 count: int, wanted: set[str] | None, buf: np.ndarray,
-                lineno: int = 0) -> tuple[_Shard, np.ndarray]:
+                lineno: int = 0, tee: _Tee | None = None) -> tuple[_Shard, np.ndarray]:
     """Parse and check the rows of `blocks`, lists of lines the first of which is
     line `lineno` + 1, up to the first malformed line, _BLOCK_ROWS rows per parse.
     `faults` holds the first line that `blocks` could not read, once they end.
 
-    Of its first `count` rows, those whose token has the lower case of a `wanted`
-    token (every one where `wanted` is None) are written to `buf`, which grows as
-    needed. Returns what was found, and the buffer.
+    Of its first `count` rows, those `_taken` for `wanted` are written to `buf`,
+    which grows as needed; every parsed row goes to `tee`. Returns what was found,
+    and the buffer.
     """
     tokens: list[str] = []
     linenos, held = array("q"), array("q")
@@ -260,8 +299,9 @@ def _parse_rows(blocks: Iterable[list[str]], faults: list[tuple[int, str]], dim:
         for at in range(first, first + n, _BLOCK_ROWS):  # `at`: a block's first row
             size = min(_BLOCK_ROWS, first + n - at)
             matrix = _parse_block(rests[at - first:at - first + size], linenos[at:at + size], dim)
-            taken = [j for j, token in enumerate(tokens[at:min(at + size, count)])
-                     if wanted is None or token.lower() in wanted]
+            if tee:
+                tee.write(matrix)
+            taken = _taken(tokens[at:min(at + size, count)], wanted)
             if taken:
                 k = len(held)
                 if k + len(taken) > len(buf):
@@ -291,18 +331,19 @@ def _parse_rows(blocks: Iterable[list[str]], faults: list[tuple[int, str]], dim:
     if fault:  # keep only the rows above it
         del tokens[bisect.bisect_left(linenos, fault[0]):]
         del linenos[len(tokens):]
-    return _Shard(lineno, tokens, linenos, held, fault), buf
+    return _Shard(lineno, tokens, linenos, held, fault, tee), buf
 
 
 def _send(out: BinaryIO, fd: int, span: tuple[int, int], dim: int, count: int,
-          wanted: set[str] | None) -> None:
+          wanted: set[str] | None, tee: _Tee | None) -> None:
     """Parse bytes [start, end) of file `fd` and write to `out` its _Shard, pickled,
     then the bytes of its held rows."""
     start, end = span
     buf = _row_buffer(min(count, (end - start) // (2 * dim)), dim)
     faults: list[tuple[int, str]] = []
-    blocks = _line_blocks(_pread_chunks(fd, start, end), faults)
-    shard, buf = _parse_rows(blocks, faults, dim, count, wanted, buf)
+    chunks = _pread_chunks(fd, start, end)
+    blocks = _line_blocks(tee.read(chunks) if tee else chunks, faults)
+    shard, buf = _parse_rows(blocks, faults, dim, count, wanted, buf, tee=tee)
     pickle.dump(shard, out, pickle.HIGHEST_PROTOCOL)
     out.write(buf[:len(shard.held)])
 
@@ -328,8 +369,8 @@ def _spans(fd: int, size: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:])) or [(0, size)]
 
 
-def _fork(fd: int, span: tuple[int, int], dim: int, count: int,
-          wanted: set[str] | None) -> tuple[int | None, BinaryIO]:
+def _fork(fd: int, span: tuple[int, int], dim: int, count: int, wanted: set[str] | None,
+          tee: _Tee | None) -> tuple[int | None, BinaryIO]:
     """Parse `span` of `fd` in a forked process: its pid, and the pipe it `_send`s
     through. If no process can be made, the span is parsed here: no pid, and a
     stream of the same bytes."""
@@ -340,7 +381,7 @@ def _fork(fd: int, span: tuple[int, int], dim: int, count: int,
         if pid == 0:  # the child, which never logs
             os.close(r)
             with open(w, "wb") as out:
-                _send(out, fd, span, dim, count, wanted)
+                _send(out, fd, span, dim, count, wanted, tee)
             os._exit(0)
     except OSError:  # from the fork: no process was made
         pass
@@ -352,9 +393,20 @@ def _fork(fd: int, span: tuple[int, int], dim: int, count: int,
         return pid, open(r, "rb")
     os.close(r)
     out = io.BytesIO()
-    _send(out, fd, span, dim, count, wanted)
+    _send(out, fd, span, dim, count, wanted, tee)
     out.seek(0)
     return None, out
+
+
+def _read_into(stream: BinaryIO, rows: np.ndarray) -> bool:
+    """Fill `rows` from `stream`, _COPY_BYTES at most per read; False if it ends first."""
+    view = memoryview(rows).cast("B")
+    while view:
+        got = stream.readinto(view[:_COPY_BYTES])
+        if not got:
+            return False
+        view = view[got:]
+    return True
 
 
 def _receive(stream: BinaryIO, buf: np.ndarray, held: int) -> _Shard | None:
@@ -366,13 +418,8 @@ def _receive(stream: BinaryIO, buf: np.ndarray, held: int) -> _Shard | None:
     except (EOFError, pickle.UnpicklingError):
         return None
     n = len(shard.held)
-    if n and held + n <= len(buf):
-        view = memoryview(buf[held:held + n]).cast("B")
-        while view:
-            got = stream.readinto(view)
-            if not got:
-                return None
-            view = view[got:]
+    if n and held + n <= len(buf) and not _read_into(stream, buf[held:held + n]):
+        return None
     return shard
 
 
@@ -391,6 +438,177 @@ def _lost(p: Path, pid: int | None) -> Exception:
     return RuntimeError(f"{p}: a parser process ended without its rows")
 
 
+def _write_all(fd: int, data) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _crc32_combine(crc1: int, crc2: int, len2: int) -> int:
+    """zlib.crc32(a + b) from crc1 = zlib.crc32(a), crc2 = zlib.crc32(b) and len2 =
+    len(b), as zlib's crc32_combine makes it: crc1 times x^(8·len2), modulo the
+    CRC-32 polynomial, plus crc2."""
+    def times(a: int, b: int) -> int:  # polynomials with x^0 as bit 31, as zlib holds them
+        product = 0
+        for bit in range(31, -1, -1):
+            if a >> bit & 1:
+                product ^= b
+            b = b >> 1 ^ (0xEDB88320 if b & 1 else 0)  # b·x
+        return product
+
+    power, square, n = 1 << 31, 1 << 30, 8 * len2  # x^0, x^1
+    while n:
+        if n & 1:
+            power = times(power, square)
+        square, n = times(square, square), n >> 1
+    return times(power, crc1) ^ crc2
+
+
+def _cache_entry(p: Path) -> Path | None:
+    """The file that caches the parse of table `p`: one per resolved path, in
+    $XDG_CACHE_HOME/newscoherence, else ~/.cache/newscoherence. None where that
+    directory cannot be made."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):  # unset, empty or relative, which XDG says to ignore
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(root):  # no home directory
+        return None
+    directory = Path(root, "newscoherence")
+    try:
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)  # as XDG asks
+        key = os.fsencode(p.resolve())
+    except (OSError, RuntimeError):  # RuntimeError: a symbolic link loop
+        return None
+    return directory / f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
+
+
+def _temp(entry: Path) -> Path:
+    """Where this thread writes `entry` before it is published."""
+    return entry.with_name(f"{entry.name}.{os.getpid()}-{threading.get_ident()}")
+
+
+def _crc(f: BinaryIO) -> tuple[int, int]:
+    """The size and CRC-32 of file `f`, read from its start."""
+    f.seek(0)
+    chunk = bytearray(_COPY_BYTES)
+    size = crc = 0
+    while got := f.readinto(chunk):
+        crc = zlib.crc32(memoryview(chunk)[:got], crc)
+        size += got
+    return size, crc
+
+
+def _load_entry(entry: Path, f: BinaryIO, size: int, wanted: set[str] | None):
+    """Table file `f`, of `size` bytes, as its cache `entry` holds it, with the rows a
+    parse would hold: (dim, buffer, held rows, tokens, duplicates). None where the
+    entry is missing, of another version, for other bytes or damaged, or a held row
+    is not finite. Only the held rows are read."""
+    try:
+        with open(entry, "rb", buffering=0) as e:
+            head = e.read(_HEAD)
+            if len(head) != _HEAD or not head.startswith(_MAGIC):
+                return None
+            fields = np.frombuffer(head, "<i8", offset=len(_MAGIC)).tolist()
+            table_size, crc, count, dim, nbytes, ndup = fields
+            tokens_at = _HEAD + count * dim * 8
+            if (table_size != size or min(count, nbytes, ndup) < 0 or dim <= 0
+                    or os.fstat(e.fileno()).st_size != tokens_at + nbytes + 16 * ndup
+                    or _crc(f) != (size, crc)):
+                return None
+            e.seek(tokens_at)
+            tokens = e.read(nbytes).decode("utf-8").split("\n")
+            duplicates = np.frombuffer(e.read(16 * ndup), "<i8").reshape(-1, 2).tolist()
+            if tokens.pop() or len(tokens) != count or any(
+                    not 0 <= row < count for _, row in duplicates):
+                return None
+            held = _taken(tokens, wanted)
+            buf = _row_buffer(min(count, size // (2 * dim)), dim)
+            starts = [j for j in range(len(held)) if not j or held[j] != held[j - 1] + 1]
+            for j, k in zip(starts, starts[1:] + [len(held)]):  # a run of consecutive rows
+                e.seek(_HEAD + held[j] * dim * 8)
+                if not _read_into(e, buf[j:k]):
+                    return None
+            # Finite iff the least and greatest are: no rows x dim mask is made.
+            if held and not np.isfinite([buf[:len(held)].min(), buf[:len(held)].max()]).all():
+                return None
+            return dim, buf, held, tokens, duplicates
+    except (OSError, ValueError):  # UnicodeDecodeError too
+        return None
+
+
+def _open_entry(entry: Path, shards: int) -> list[_Tee | None]:
+    """A _Tee for each of a table's `shards`, for a new cache `entry`: the first
+    writes to the entry's temporary file, after its header; each other to an
+    unlinked file of its own. All None if a file cannot be made."""
+    tmp, tees = _temp(entry), []
+    try:
+        for k in range(shards):
+            name = f"{tmp}.{k}" if k else tmp
+            tees.append(_Tee(os.open(name, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)))
+            if k:
+                os.unlink(name)
+        os.lseek(tees[0].fd, _HEAD, os.SEEK_SET)
+        return tees
+    except OSError:
+        _close_entry(entry, tees)
+        return [None] * shards
+
+
+def _close_entry(entry: Path | None, tees: list[_Tee | None]) -> None:
+    """Close the files of `tees`, and remove the entry's temporary file if it was not
+    published."""
+    for tee in tees:
+        if tee is not None:
+            os.close(tee.fd)
+    if tees and tees[0] is not None:
+        _temp(entry).unlink(missing_ok=True)
+
+
+def _save_entry(entry: Path, tees: list[_Tee], size: int, dim: int, tokens: list[str],
+                duplicates: list[tuple[int, int]]) -> None:
+    """Publish the cache `entry` of a table of `size` bytes whose shards, in file
+    order, wrote their rows through `tees`: the other shards' files are copied on
+    after the first's rows, then come the tokens, the duplicates and the header.
+    Nothing is published if a shard's write failed or they did not read the file."""
+    if not all(tee.ok for tee in tees) or sum(tee.size for tee in tees) != size:
+        return
+    crc = 0
+    for tee in tees:
+        crc = _crc32_combine(crc, tee.crc, tee.size)
+    out = tees[0].fd
+    try:
+        for tee in tees[1:]:
+            os.lseek(tee.fd, 0, os.SEEK_SET)
+            while data := os.read(tee.fd, _COPY_BYTES):
+                _write_all(out, data)
+        names = "".join(token + "\n" for token in tokens).encode("utf-8")
+        _write_all(out, names)
+        _write_all(out, np.array(duplicates, dtype="<i8"))
+        fields = [size, crc, len(tokens), dim, len(names), len(duplicates)]
+        os.lseek(out, 0, os.SEEK_SET)
+        _write_all(out, _MAGIC + np.array(fields, dtype="<i8").tobytes())
+        os.replace(_temp(entry), entry)
+    except OSError:  # no space left, say: the run goes on without an entry
+        pass
+
+
+def _warn_duplicates(p: Path, duplicates: list[tuple[int, int]], tokens: list[str]) -> None:
+    for lineno, row in duplicates:
+        logger.warning("%s line %d: duplicate token %r overwritten", p, lineno, tokens[row])
+
+
+def _table(dim: int, buf: np.ndarray, held, tokens: list[str], wanted: set[str] | None,
+           name: str) -> EmbeddingTable:
+    """The table of the `held` rows of `tokens`, which are the first rows of `buf`;
+    a later duplicate wins."""
+    # Held for `keep`, a row is keyed by the corpus's own string. A table loaded whole
+    # interns nothing: it may be far larger than a corpus vocabulary, and CPython 3.12
+    # never frees an interned string.
+    row_of = {tokens[i] if wanted is None else sys.intern(tokens[i]): j
+              for j, i in enumerate(held)}
+    return EmbeddingTable.from_matrix(dim, buf[:len(held)], row_of, name)
+
+
 def load_vectors_text(path: str | Path, name: str = "",
                       keep: Iterable[str] | None = None) -> EmbeddingTable:
     """Parse the word2vec text format: header `count dim`, then `token v1 .. v_dim` lines.
@@ -406,7 +624,10 @@ def load_vectors_text(path: str | Path, name: str = "",
     so a held token is the very string that `corpus.tokenize` gives for it.
 
     A regular file is parsed in as many processes as `_spans` cuts it into, all but
-    the first forked, to the same table, warnings and errors.
+    the first forked, to the same table, warnings and errors. A regular file that
+    parses without a fault is cached (`_cache_entry`): a later load of the same path
+    whose bytes have the same size and CRC-32 reads the rows it holds from there,
+    and warns the same. Any fault of the cache is passed over, and the file parsed.
     """
     p = Path(path)
     wanted = None if keep is None else {sys.intern(t.lower()) for t in keep}
@@ -414,56 +635,67 @@ def load_vectors_text(path: str | Path, name: str = "",
     with open(p, "rb") as f:
         fd = f.fileno()
         st = os.fstat(fd)
-        spans = _spans(fd, st.st_size) if stat.S_ISREG(st.st_mode) else [(0, 0)]
-        faults: list[tuple[int, str]] = []
-        chunks = _read_chunks(f) if len(spans) == 1 else _pread_chunks(fd, *spans[0])
-        blocks = _line_blocks(chunks, faults)
-        first = next(blocks, [""])
-        if faults:
-            raise EmbeddingError(f"{p} line {faults[0][0]}: {faults[0][1]}")
-        count, dim = _header(p, first[0])
-        limit = max(count, 0)  # rows held
-        # A row takes at least 2·dim bytes, so a regular file's size bounds what its
-        # header can reserve. A file whose size does not show its rows (a pipe, or a
-        # file still being written) grows the buffer as its rows arrive.
-        buf = _row_buffer(min(limit, st.st_size // (2 * dim)), dim)
+        regular = stat.S_ISREG(st.st_mode)
+        entry = _cache_entry(p) if regular else None
+        if entry is not None:
+            if cached := _load_entry(entry, f, st.st_size, wanted):
+                dim, buf, held, tokens, duplicates = cached
+                _warn_duplicates(p, duplicates, tokens)
+                return _table(dim, buf, held, tokens, wanted, name or p.stem)
+            f.seek(0)
+        spans = _spans(fd, st.st_size) if regular else [(0, 0)]
+        tees = _open_entry(entry, len(spans)) if entry is not None else [None] * len(spans)
         try:
-            for span in spans[1:]:
-                children.append(_fork(fd, span, dim, limit, wanted))
-            shard, buf = _parse_rows(chain([first[1:]], blocks), faults, dim, limit, wanted, buf, 1)
+            faults: list[tuple[int, str]] = []
+            chunks = _read_chunks(f) if len(spans) == 1 else _pread_chunks(fd, *spans[0])
+            blocks = _line_blocks(tees[0].read(chunks) if tees[0] else chunks, faults)
+            first = next(blocks, [""])
+            if faults:
+                raise EmbeddingError(f"{p} line {faults[0][0]}: {faults[0][1]}")
+            count, dim = _header(p, first[0])
+            limit = max(count, 0)  # rows held
+            # A row takes at least 2·dim bytes, so a regular file's size bounds what its
+            # header can reserve. A file whose size does not show its rows (a pipe, or a
+            # file still being written) grows the buffer as its rows arrive.
+            buf = _row_buffer(min(limit, st.st_size // (2 * dim)), dim)
+            for span, tee in zip(spans[1:], tees[1:]):
+                children.append(_fork(fd, span, dim, limit, wanted, tee))
+            shard, buf = _parse_rows(chain([first[1:]], blocks), faults, dim, limit, wanted,
+                                     buf, 1, tees[0])
             seen: set[str] = set()
-            row_of: dict[str, int] = {}
-            duplicates: list[tuple[int, str]] = []
-            lines = parsed = held = 0
+            tokens: list[str] = []
+            held = array("q")  # the rows of `tokens` in `buf`, in order
+            duplicates: list[tuple[int, int]] = []  # (line, row)
+            written: list[_Tee] = []
+            lines = 0
             for k in range(len(spans)):
                 if k:  # the shards after the first, in file order
                     pid, stream = children[k - 1]
-                    shard = _receive(stream, buf, held)
+                    shard = _receive(stream, buf, len(held))
                     if shard is None:
                         children[k - 1] = None, stream  # reaped by _lost, not killed below
                         raise _lost(p, pid)
-                for lineno, token in zip(shard.linenos, shard.tokens):
+                for row, (lineno, token) in enumerate(zip(shard.linenos, shard.tokens),
+                                                      len(tokens)):
                     if token in seen:
-                        duplicates.append((lines + lineno, token))
+                        duplicates.append((lines + lineno, row))
                     seen.add(token)
-                # Held for `keep`, a row is keyed by the corpus's own string. A table
-                # loaded whole interns nothing: it may be far larger than a corpus
-                # vocabulary, and CPython 3.12 never frees an interned string.
-                for j, i in enumerate(shard.held):
-                    token = shard.tokens[i]
-                    row_of[token if wanted is None else sys.intern(token)] = held + j
+                held.extend(len(tokens) + i for i in shard.held)
+                tokens += shard.tokens
                 if shard.fault:
                     break
-                lines, parsed = lines + shard.lines, parsed + len(shard.tokens)
-                held += len(shard.held)
+                lines += shard.lines
+                written.append(shard.tee)
             # Still inside the try: a child that has sent its rows exits meanwhile.
-            for lineno, token in duplicates:
-                logger.warning("%s line %d: duplicate token %r overwritten", p, lineno, token)
+            _warn_duplicates(p, duplicates, tokens)
             if shard.fault:
                 raise EmbeddingError(f"{p} line {lines + shard.fault[0]}: {shard.fault[1]}")
+            parsed = len(tokens)
             if parsed != count:
                 raise EmbeddingError(f"{p}: header declares {count} vectors, file has {parsed}")
-            return EmbeddingTable.from_matrix(dim, buf[:held], row_of, name or p.stem)
+            if tees[0]:
+                _save_entry(entry, written, st.st_size, dim, tokens, duplicates)
+            return _table(dim, buf, held, tokens, wanted, name or p.stem)
         finally:
             for pid, stream in children:
                 stream.close()
@@ -473,6 +705,7 @@ def load_vectors_text(path: str | Path, name: str = "",
                         os.waitpid(pid, 0)
                     except ChildProcessError:  # reaped already: SIGCHLD is ignored
                         pass
+            _close_entry(entry, tees)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

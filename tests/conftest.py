@@ -48,6 +48,30 @@ def on_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+@pytest.fixture(scope="session")
+def _no_cache_dir(tmp_path_factory) -> Path:
+    """A path under a regular file: no directory can be made there."""
+    blocker = tmp_path_factory.mktemp("no-cache") / "file"
+    blocker.write_bytes(b"")
+    return blocker / "cache"
+
+
+@pytest.fixture(autouse=True)
+def _no_vector_cache(monkeypatch, _no_cache_dir):
+    """No test reads or writes the user's vector cache: every load parses, in this
+    process and in the ones it starts. A test that wants a cache asks for
+    `vector_cache`."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(_no_cache_dir))
+
+
+@pytest.fixture
+def vector_cache(tmp_path_factory, monkeypatch) -> Path:
+    """An empty vector cache for this test alone: the directory its entries go to."""
+    root = tmp_path_factory.mktemp("xdg-cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(root))
+    return root / "newscoherence"
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """Shard a table of any size over up to three processes; the list gets each

@@ -4,7 +4,9 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -561,6 +563,29 @@ class TestBadBytesExitTwo:
             assert f"Politics.txt line {line}: " in err
 
 
+class TestVectorCache:
+    """`report` reads a vector table it has parsed before from its cache entry;
+    a cache it cannot use changes nothing."""
+
+    def test_unwritable_cache_location_changes_nothing(self, workspace, capsys, caplog):
+        # The autouse fixture puts XDG_CACHE_HOME under a regular file.
+        assert not os.path.isdir(os.environ["XDG_CACHE_HOME"])
+        with caplog.at_level(logging.WARNING):
+            rc = main(["report", "--config", str(workspace / "run.conf")])
+        assert rc == EXIT_OK and not caplog.records and capsys.readouterr().err == ""
+
+    def test_malformed_table_is_never_cached(self, workspace, capsys, vector_cache):
+        words = workspace / "words.txt"
+        words.write_text(words.read_text() + "zebra 1 2 zzz\n")
+        lines = len(words.read_text().splitlines())
+        errors = []
+        for _ in range(2):
+            assert main(["report", "--config", str(workspace / "run.conf")]) == EXIT_DATA
+            errors.append(capsys.readouterr().err)
+        assert errors[1] == errors[0] and f"words.txt line {lines}: non-numeric" in errors[0]
+        assert list(vector_cache.iterdir()) == []
+
+
 class TestRowsNoCorpusUses:
     """The word table holds only the rows the corpora can look up; `report`
     still parses and checks every row, and reads the corpora first."""
@@ -1087,6 +1112,21 @@ def _sha(data: bytes, workspace) -> str:
 class TestGoldenOutput:
     @pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
     def test_outputs_unchanged(self, workspace, capsys, case):
+        assert self._outputs(workspace, capsys, case) == GOLDEN_SHA256[case]
+
+    def test_report_from_the_cache(self, workspace, capsys, vector_cache, forks):
+        """A second `report` reads both tables from the cache, forking no parser
+        process, and writes the same bytes."""
+        for parsed in (True, False):
+            before = len(forks)
+            shutil.rmtree(workspace / "out", ignore_errors=True)
+            assert self._outputs(workspace, capsys, "report") == GOLDEN_SHA256["report"]
+            assert (len(forks) > before) == parsed
+        assert len(list(vector_cache.iterdir())) == 2
+
+    @staticmethod
+    def _outputs(workspace, capsys, case):
+        """SHA-256 of each file a run of `case` writes, and of its stdout."""
         ws, out = str(workspace), str(workspace / "out")
         if case.endswith("-files"):
             assert main(["score", "--config", str(workspace / "run.conf"),
@@ -1099,4 +1139,4 @@ class TestGoldenOutput:
         got = {p.name: _sha(p.read_bytes(), workspace)
                for p in sorted((workspace / "out").iterdir())}
         got["<stdout>"] = _sha(capsys.readouterr().out.encode(), workspace)
-        assert got == GOLDEN_SHA256[case]
+        return got

@@ -221,8 +221,29 @@ class TestLoadCsv:
         with pytest.raises(CorpusError, match=r"open\.csv line 3: malformed CSV: "):
             load_csv(p, label=Label.FAKE)
 
+    def test_byte_order_mark_before_title_column(self, tmp_path):
+        """ISOT's column order, saved as Excel's "CSV UTF-8": the title is kept."""
+        p = tmp_path / "Fake.csv"
+        p.write_bytes(b"\xef\xbb\xbftitle,text,subject,date\nThe Head,Some body.,News,2017\n")
+        corpus = load_csv(p, label=Label.FAKE)
+        segment_corpus(corpus, include_title=True)
+        doc = corpus.documents[0]
+        assert doc.title == "The Head" and doc.sentences[0].text == "The Head"
+
+    def test_byte_order_mark_before_text_column(self, tmp_path):
+        p = tmp_path / "Fake.csv"
+        p.write_bytes(b"\xef\xbb\xbftext,title\nSome body.,The Head\n")
+        corpus = load_csv(p, label=Label.FAKE)
+        assert [(d.text, d.title) for d in corpus.documents] == [("Some body.", "The Head")]
+
 
 class TestJsonl:
+    def test_byte_order_mark_before_first_line(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_bytes(b"\xef\xbb\xbf" + json.dumps(
+            {"id": "a", "label": "fake", "text": "x."}).encode() + b"\n")
+        assert [d.id for d in load_jsonl(p).documents] == ["a"]
+
     def test_two_labels(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text(

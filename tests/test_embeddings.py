@@ -459,6 +459,153 @@ class TestHeldRows:
                 writer.join()
 
 
+def _parses(monkeypatch) -> list:
+    """A list that gets an item for each run of lines this process parses."""
+    calls = []
+    parse = embeddings._parse_rows
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(embeddings, "_parse_rows", counted)
+    return calls
+
+
+def _entries(cache) -> list:
+    return sorted(cache.iterdir()) if cache.exists() else []
+
+
+class TestCache:
+    """A table parsed once is read from its cache entry while its bytes stay the
+    same: to the same table and warnings. Any fault of the cache parses again."""
+
+    # "Apple" twice, blank line 5; "Pear" is the first token with the lower case "pear".
+    ROWS = "7 2\napple 1 2\nApple 3 4\nPear 5 6\n\nApple 7 8\nkiwi 0 1\nUK 2 2\nuk 1 1\n"
+
+    def _table(self, tmp_path):
+        p = tmp_path / "v.txt"
+        p.write_text(self.ROWS)
+        return p
+
+    @pytest.mark.parametrize("keep", [None, ["apple", "pear", "Uk", "fig"]])
+    def test_hit_is_the_parsed_table(self, tmp_path, vector_cache, monkeypatch, keep):
+        p = self._table(tmp_path)
+        parses = _parses(monkeypatch)
+        miss, hit = (load_vectors_text(p, keep=keep) for _ in range(2))
+        assert len(parses) == 1 and len(_entries(vector_cache)) == 1
+        monkeypatch.setenv("XDG_CACHE_HOME", str(p))  # under a regular file: no cache
+        want = load_vectors_text(p, keep=keep)
+        assert len(parses) == 2
+        for table in (miss, hit):
+            assert table.matrix.shape == want.matrix.shape
+            assert table.matrix.tobytes() == want.matrix.tobytes()
+            assert list(table.rows.items()) == list(want.rows.items())
+            assert len(table) == len(want) and table.dim == want.dim
+            for token in ("APPLE", "pear", "PEAR", "uK", "fig"):
+                assert table.row(token) == want.row(token)
+
+    def test_hit_warns_as_the_parse(self, tmp_path, vector_cache):
+        p = self._table(tmp_path)
+        miss, hit = (_loaded(load_vectors_text, p) for _ in range(2))
+        assert hit == miss
+        assert hit[1] == [f"{p} line 6: duplicate token 'Apple' overwritten"]
+
+    @seed(20191113)
+    @given(text=_vector_files(), keep=st.none() | st.lists(_TOKEN, max_size=6))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_table_loads_from_its_entry_as_it_parses(self, tmp_path, vector_cache, forks,
+                                                         monkeypatch, text, keep):
+        """Written by three processes, read back, against a parse in one."""
+        p = tmp_path / "v.txt"
+        p.write_bytes(text.encode("utf-8"))
+        load = functools.partial(load_vectors_text, keep=keep)
+        first, second = _loaded(load, p), _loaded(load, p)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(p))
+        assert first == second == _loaded_on(monkeypatch, 1, p, keep)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(vector_cache.parent))
+        on_cpus(monkeypatch, 3)
+
+    def test_entry_is_the_same_from_any_shards(self, tmp_path, vector_cache, forks, monkeypatch):
+        p = tmp_path / "v.txt"
+        p.write_bytes(TestShards.CASES["success"])
+        on_cpus(monkeypatch, 1)
+        load_vectors_text(p)
+        [entry] = _entries(vector_cache)
+        one = entry.read_bytes()
+        entry.unlink()
+        on_cpus(monkeypatch, 3)
+        load_vectors_text(p)
+        assert entry.read_bytes() == one and len(forks) == 2
+
+    def test_same_size_edit_is_parsed_again(self, tmp_path, vector_cache, monkeypatch):
+        """The entry is checked by the bytes, not by the size and modification time."""
+        p = tmp_path / "v.txt"
+        p.write_text("2 2\na 1 2\nb 3 4\n")
+        load_vectors_text(p)
+        [entry] = _entries(vector_cache)
+        before, st_before = entry.read_bytes(), p.stat()
+        with open(p, "r+b") as f:
+            f.seek(-2, os.SEEK_END)
+            f.write(b"5")
+        os.utime(p, ns=(st_before.st_atime_ns, st_before.st_mtime_ns))
+        assert (p.stat().st_size, p.stat().st_mtime_ns) == (st_before.st_size,
+                                                             st_before.st_mtime_ns)
+        parses = _parses(monkeypatch)
+        assert lookup(load_vectors_text(p), "b").tolist() == [3.0, 5.0] and len(parses) == 1
+        assert _entries(vector_cache) == [entry] and entry.read_bytes() != before
+        assert lookup(load_vectors_text(p), "b").tolist() == [3.0, 5.0] and len(parses) == 1
+
+    @pytest.mark.parametrize("damage", ["truncated", "other version", "inf in a row"])
+    def test_damaged_entry_is_parsed_again(self, tmp_path, vector_cache, monkeypatch, damage):
+        p = self._table(tmp_path)
+        want = _loaded(load_vectors_text, p)
+        [entry] = _entries(vector_cache)
+        data = bytearray(entry.read_bytes())
+        if damage == "truncated":
+            del data[len(data) // 2:]
+        elif damage == "other version":
+            data[:len(embeddings._MAGIC)] = b"newscoherence 0\n"
+        else:  # the first row's first component
+            data[embeddings._HEAD:embeddings._HEAD + 8] = np.float64(np.inf).tobytes()
+        entry.write_bytes(bytes(data))
+        parses = _parses(monkeypatch)
+        assert _loaded(load_vectors_text, p) == want and len(parses) == 1
+        assert _loaded(load_vectors_text, p) == want and len(parses) == 1  # written again
+
+    def test_failed_write_leaves_no_entry(self, tmp_path, vector_cache, monkeypatch, caplog):
+        def full(fd, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        p = tmp_path / "v.txt"
+        p.write_text("2 2\na 1 2\nb 3 4\n")
+        monkeypatch.setattr(embeddings, "_write_all", full)
+        with caplog.at_level(logging.DEBUG):
+            assert lookup(load_vectors_text(p), "b").tolist() == [3.0, 4.0]
+        assert not caplog.records and _entries(vector_cache) == []
+
+    @pytest.mark.parametrize("text", ["2 2\na 1 2\nb 3 zzz\n", "3 2\na 1 2\nb 3 4\n"])
+    def test_faulty_table_is_never_cached(self, tmp_path, vector_cache, text):
+        p = tmp_path / "v.txt"
+        p.write_text(text)
+        for _ in range(2):
+            with pytest.raises(EmbeddingError):
+                load_vectors_text(p)
+        assert _entries(vector_cache) == []
+
+    def test_pipe_is_never_cached(self, tmp_path, vector_cache):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(b"2 2\na 1 2\nb 3 4\n",))
+        writer.start()
+        try:
+            assert len(load_vectors_text(fifo)) == 2
+        finally:
+            writer.join()
+        assert not vector_cache.exists()
+
+
 class TestLookup:
     def test_exact(self, toy_table):
         assert np.allclose(lookup(toy_table, "a"), [1, 0])
