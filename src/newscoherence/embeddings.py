@@ -13,7 +13,6 @@ import signal
 import stat
 import sys
 import threading
-import zlib
 from array import array
 from collections.abc import Iterable, Iterator
 from itertools import chain
@@ -21,6 +20,8 @@ from pathlib import Path
 from typing import BinaryIO, NamedTuple
 
 import numpy as np
+
+from . import cache
 
 logger = logging.getLogger(__name__)
 
@@ -32,15 +33,10 @@ _READ_BYTES = 1 << 14
 # fork costs some 6 ms (2 vCPUs): two processes parsed a 300-d table of 2 MiB in
 # 34 ms against 41 ms in one, and a table of 1 MiB in 25 ms against 21 ms.
 _MIN_SHARD_BYTES = 1 << 20
-# Bytes per read or write when a cache entry is checked, read or joined: below the
-# 128 KiB from which glibc maps a buffer, since freeing one raises that threshold and
-# later arrays of that size stay on the heap (seen as +0.1 MB peak RSS at 256 KiB).
-_COPY_BYTES = 1 << 16
-# A cache entry (see `_cache_entry`): _MAGIC, then the int64s table size, table CRC-32,
+# A table's cache entry (see `cache.Entry`): its head, whose fields are the int64s
 # count, dim, token bytes and duplicates; every row, float64 in file order; each
 # token and a "\n"; and a (line, row) int64 pair per duplicate token.
-_MAGIC = b"newscoherence 1\n"
-_HEAD = len(_MAGIC) + 6 * 8
+_VERSION = b"newscoherence table 2\n"
 
 __all__ = [
     "EmbeddingTable",
@@ -168,12 +164,15 @@ def _pread_chunks(fd: int, start: int, end: int) -> Iterator[bytes]:
     return (os.pread(fd, min(_READ_BYTES, end - at), at) for at in range(start, end, _READ_BYTES))
 
 
-def text_lines(f, p: Path, error: type[Exception] = EmbeddingError):
+def text_lines(f, p: Path, error: type[Exception] = EmbeddingError,
+               summed: cache.Checksum | None = None):
     """(line number, text) of each line of a binary file, split at "\\n", "\\r\\n" or
-    "\\r" as text mode splits it. A line that is not UTF-8 raises `error` naming it."""
+    "\\r" as text mode splits it. A line that is not UTF-8 raises `error` naming it.
+    Every byte read passes through `summed`."""
     faults: list[tuple[int, str]] = []
     lineno = 0
-    for lines in _line_blocks(_read_chunks(f), faults):
+    chunks = _read_chunks(f)
+    for lines in _line_blocks(summed.read(chunks) if summed else chunks, faults):
         for line in lines:
             lineno += 1
             yield lineno, line
@@ -239,24 +238,19 @@ def _row_buffer(rows: int, dim: int) -> np.ndarray:
     return np.ndarray((rows, dim), buffer=mmap.mmap(-1, rows * dim * 8, access=mmap.ACCESS_COPY))
 
 
-class _Tee:
+class _Tee(cache.Checksum):
     """A shard's part of a new cache entry: the size and CRC-32 of the bytes the shard
     reads, and each row it parses, written to file `fd`. A failed write clears `ok`,
     and no entry is made."""
 
     def __init__(self, fd: int):
-        self.fd, self.ok, self.size, self.crc = fd, True, 0, 0
-
-    def read(self, chunks: Iterable[bytes]) -> Iterator[bytes]:
-        for data in chunks:
-            self.size += len(data)
-            self.crc = zlib.crc32(data, self.crc)
-            yield data
+        super().__init__()
+        self.fd, self.ok = fd, True
 
     def write(self, rows: np.ndarray) -> None:
         if self.ok:
             try:
-                _write_all(self.fd, rows)
+                cache.write_all(self.fd, rows)
             except OSError:  # no space left, say
                 self.ok = False
 
@@ -398,17 +392,6 @@ def _fork(fd: int, span: tuple[int, int], dim: int, count: int, wanted: set[str]
     return None, out
 
 
-def _read_into(stream: BinaryIO, rows: np.ndarray) -> bool:
-    """Fill `rows` from `stream`, _COPY_BYTES at most per read; False if it ends first."""
-    view = memoryview(rows).cast("B")
-    while view:
-        got = stream.readinto(view[:_COPY_BYTES])
-        if not got:
-            return False
-        view = view[got:]
-    return True
-
-
 def _receive(stream: BinaryIO, buf: np.ndarray, held: int) -> _Shard | None:
     """A _Shard from `stream`, or None if the stream ends before all of it. Its held
     rows go into `buf` after the `held` rows there, if they fit; if not, the file
@@ -418,7 +401,7 @@ def _receive(stream: BinaryIO, buf: np.ndarray, held: int) -> _Shard | None:
     except (EOFError, pickle.UnpicklingError):
         return None
     n = len(shard.held)
-    if n and held + n <= len(buf) and not _read_into(stream, buf[held:held + n]):
+    if n and held + n <= len(buf) and not cache.read_into(stream, buf[held:held + n]):
         return None
     return shard
 
@@ -438,82 +421,20 @@ def _lost(p: Path, pid: int | None) -> Exception:
     return RuntimeError(f"{p}: a parser process ended without its rows")
 
 
-def _write_all(fd: int, data) -> None:
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _crc32_combine(crc1: int, crc2: int, len2: int) -> int:
-    """zlib.crc32(a + b) from crc1 = zlib.crc32(a), crc2 = zlib.crc32(b) and len2 =
-    len(b), as zlib's crc32_combine makes it: crc1 times x^(8·len2), modulo the
-    CRC-32 polynomial, plus crc2."""
-    def times(a: int, b: int) -> int:  # polynomials with x^0 as bit 31, as zlib holds them
-        product = 0
-        for bit in range(31, -1, -1):
-            if a >> bit & 1:
-                product ^= b
-            b = b >> 1 ^ (0xEDB88320 if b & 1 else 0)  # b·x
-        return product
-
-    power, square, n = 1 << 31, 1 << 30, 8 * len2  # x^0, x^1
-    while n:
-        if n & 1:
-            power = times(power, square)
-        square, n = times(square, square), n >> 1
-    return times(power, crc1) ^ crc2
-
-
-def _cache_entry(p: Path) -> Path | None:
-    """The file that caches the parse of table `p`: one per resolved path, in
-    $XDG_CACHE_HOME/newscoherence, else ~/.cache/newscoherence. None where that
-    directory cannot be made."""
-    root = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(root):  # unset, empty or relative, which XDG says to ignore
-        root = os.path.join(os.path.expanduser("~"), ".cache")
-    if not os.path.isabs(root):  # no home directory
-        return None
-    directory = Path(root, "newscoherence")
-    try:
-        directory.mkdir(mode=0o700, parents=True, exist_ok=True)  # as XDG asks
-        key = os.fsencode(p.resolve())
-    except (OSError, RuntimeError):  # RuntimeError: a symbolic link loop
-        return None
-    return directory / f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
-
-
-def _temp(entry: Path) -> Path:
-    """Where this thread writes `entry` before it is published."""
-    return entry.with_name(f"{entry.name}.{os.getpid()}-{threading.get_ident()}")
-
-
-def _crc(f: BinaryIO) -> tuple[int, int]:
-    """The size and CRC-32 of file `f`, read from its start."""
-    f.seek(0)
-    chunk = bytearray(_COPY_BYTES)
-    size = crc = 0
-    while got := f.readinto(chunk):
-        crc = zlib.crc32(memoryview(chunk)[:got], crc)
-        size += got
-    return size, crc
-
-
-def _load_entry(entry: Path, f: BinaryIO, size: int, wanted: set[str] | None):
+def _load_entry(entry: cache.Entry, f: BinaryIO, size: int, wanted: set[str] | None):
     """Table file `f`, of `size` bytes, as its cache `entry` holds it, with the rows a
     parse would hold: (dim, buffer, held rows, tokens, duplicates). None where the
-    entry is missing, of another version, for other bytes or damaged, or a held row
-    is not finite. Only the held rows are read."""
+    entry is missing, of another kind or version, for other bytes or damaged, or a
+    held row is not finite. Only the held rows are read."""
     try:
-        with open(entry, "rb", buffering=0) as e:
-            head = e.read(_HEAD)
-            if len(head) != _HEAD or not head.startswith(_MAGIC):
+        with open(entry.path, "rb", buffering=0) as e:
+            fields = entry.fields(e, f, size)
+            if fields is None:
                 return None
-            fields = np.frombuffer(head, "<i8", offset=len(_MAGIC)).tolist()
-            table_size, crc, count, dim, nbytes, ndup = fields
-            tokens_at = _HEAD + count * dim * 8
-            if (table_size != size or min(count, nbytes, ndup) < 0 or dim <= 0
-                    or os.fstat(e.fileno()).st_size != tokens_at + nbytes + 16 * ndup
-                    or _crc(f) != (size, crc)):
+            count, dim, nbytes, ndup = fields
+            tokens_at = entry.head_size + count * dim * 8
+            if (min(count, nbytes, ndup) < 0 or dim <= 0
+                    or os.fstat(e.fileno()).st_size != tokens_at + nbytes + 16 * ndup):
                 return None
             e.seek(tokens_at)
             tokens = e.read(nbytes).decode("utf-8").split("\n")
@@ -525,8 +446,8 @@ def _load_entry(entry: Path, f: BinaryIO, size: int, wanted: set[str] | None):
             buf = _row_buffer(min(count, size // (2 * dim)), dim)
             starts = [j for j in range(len(held)) if not j or held[j] != held[j - 1] + 1]
             for j, k in zip(starts, starts[1:] + [len(held)]):  # a run of consecutive rows
-                e.seek(_HEAD + held[j] * dim * 8)
-                if not _read_into(e, buf[j:k]):
+                e.seek(entry.head_size + held[j] * dim * 8)
+                if not cache.read_into(e, buf[j:k]):
                     return None
             # Finite iff the least and greatest are: no rows x dim mask is made.
             if held and not np.isfinite([buf[:len(held)].min(), buf[:len(held)].max()]).all():
@@ -536,58 +457,58 @@ def _load_entry(entry: Path, f: BinaryIO, size: int, wanted: set[str] | None):
         return None
 
 
-def _open_entry(entry: Path, shards: int) -> list[_Tee | None]:
+def _open_entry(entry: cache.Entry, shards: int) -> list[_Tee | None]:
     """A _Tee for each of a table's `shards`, for a new cache `entry`: the first
-    writes to the entry's temporary file, after its header; each other to an
+    writes to the entry's temporary file, after its head; each other to an
     unlinked file of its own. All None if a file cannot be made."""
-    tmp, tees = _temp(entry), []
+    tmp, tees = entry.temp, []
     try:
         for k in range(shards):
             name = f"{tmp}.{k}" if k else tmp
             tees.append(_Tee(os.open(name, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)))
             if k:
                 os.unlink(name)
-        os.lseek(tees[0].fd, _HEAD, os.SEEK_SET)
+        os.lseek(tees[0].fd, entry.head_size, os.SEEK_SET)
         return tees
     except OSError:
         _close_entry(entry, tees)
         return [None] * shards
 
 
-def _close_entry(entry: Path | None, tees: list[_Tee | None]) -> None:
+def _close_entry(entry: cache.Entry | None, tees: list[_Tee | None]) -> None:
     """Close the files of `tees`, and remove the entry's temporary file if it was not
     published."""
     for tee in tees:
         if tee is not None:
             os.close(tee.fd)
     if tees and tees[0] is not None:
-        _temp(entry).unlink(missing_ok=True)
+        entry.temp.unlink(missing_ok=True)
 
 
-def _save_entry(entry: Path, tees: list[_Tee], size: int, dim: int, tokens: list[str],
-                duplicates: list[tuple[int, int]]) -> None:
+def _save_entry(entry: cache.Entry, tees: list[_Tee], size: int, dim: int,
+                tokens: list[str], duplicates: list[tuple[int, int]]) -> None:
     """Publish the cache `entry` of a table of `size` bytes whose shards, in file
     order, wrote their rows through `tees`: the other shards' files are copied on
-    after the first's rows, then come the tokens, the duplicates and the header.
+    after the first's rows, then come the tokens, the duplicates and the head.
     Nothing is published if a shard's write failed or they did not read the file."""
     if not all(tee.ok for tee in tees) or sum(tee.size for tee in tees) != size:
         return
     crc = 0
     for tee in tees:
-        crc = _crc32_combine(crc, tee.crc, tee.size)
+        crc = cache.crc32_combine(crc, tee.crc, tee.size)
     out = tees[0].fd
     try:
         for tee in tees[1:]:
             os.lseek(tee.fd, 0, os.SEEK_SET)
-            while data := os.read(tee.fd, _COPY_BYTES):
-                _write_all(out, data)
-        names = "".join(token + "\n" for token in tokens).encode("utf-8")
-        _write_all(out, names)
-        _write_all(out, np.array(duplicates, dtype="<i8"))
-        fields = [size, crc, len(tokens), dim, len(names), len(duplicates)]
+            while data := os.read(tee.fd, cache.COPY_BYTES):
+                cache.write_all(out, data)
+        names = cache.lines(tokens)
+        cache.write_all(out, names)
+        cache.write_all(out, np.array(duplicates, dtype="<i8"))
         os.lseek(out, 0, os.SEEK_SET)
-        _write_all(out, _MAGIC + np.array(fields, dtype="<i8").tobytes())
-        os.replace(_temp(entry), entry)
+        cache.write_all(out, entry.head(size, crc, [len(tokens), dim, len(names),
+                                                    len(duplicates)]))
+        entry.publish(out)
     except OSError:  # no space left, say: the run goes on without an entry
         pass
 
@@ -625,7 +546,7 @@ def load_vectors_text(path: str | Path, name: str = "",
 
     A regular file is parsed in as many processes as `_spans` cuts it into, all but
     the first forked, to the same table, warnings and errors. A regular file that
-    parses without a fault is cached (`_cache_entry`): a later load of the same path
+    parses without a fault is cached (`cache.entry`): a later load of the same path
     whose bytes have the same size and CRC-32 reads the rows it holds from there,
     and warns the same. Any fault of the cache is passed over, and the file parsed.
     """
@@ -636,7 +557,7 @@ def load_vectors_text(path: str | Path, name: str = "",
         fd = f.fileno()
         st = os.fstat(fd)
         regular = stat.S_ISREG(st.st_mode)
-        entry = _cache_entry(p) if regular else None
+        entry = cache.entry(p, _VERSION, 4) if regular else None
         if entry is not None:
             if cached := _load_entry(entry, f, st.st_size, wanted):
                 dim, buf, held, tokens, duplicates = cached

@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import logging
 import math
+import os
+import stat
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import cache
 from .corpus import tokenize
 from .embeddings import text_lines
 
@@ -199,19 +202,17 @@ def save_index(index: EsaIndex, path: str | Path) -> None:
 
 
 _CELL = np.dtype([("id", np.int64), ("weight", np.float64)])
+# An index's cache entry (see `cache.Entry`): its head, whose fields are the int64s
+# concepts, tokens, nnz, weighting (its place in WEIGHTINGS), token bytes and title
+# bytes; indptr, indices, data and df, in the parse's dtypes; then each token and
+# each concept title with a "\n".
+_VERSION = b"newscoherence index 1\n"
 
 
-def _cells(rows: bytes, widths: list[int], doc_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Concept ids and weights of the space-separated `id:weight` cells of UTF-8
-    rows, one row per line, which must hold widths[i] cells each; parsed by one
-    numpy call, one cell per line. Raises ValueError for a malformed cell, an id
-    out of range, a non-finite or negative weight, or an id twice in one row."""
-    cells = (np.loadtxt(io.BytesIO(rows.replace(b" ", b"\n")), dtype=_CELL, delimiter=":",
-                        comments=None, ndmin=1, encoding="utf-8")
-             if rows.strip(b" \n") else np.empty(0, _CELL))  # loadtxt warns on no data
-    ids, weights = cells["id"].copy(), cells["weight"].copy()
-    if len(ids) != sum(widths):  # loadtxt skips the empty lines of doubled spaces
-        raise ValueError("empty cell")
+def _check_cells(ids: np.ndarray, weights: np.ndarray, widths, doc_count: int) -> None:
+    """The rule for the cells of rows that hold widths[i] cells each: raises
+    ValueError for an id out of range, a non-finite or negative weight, or an id
+    twice in one row."""
     if len(ids) and not (ids.min() >= 0 and ids.max() < doc_count):
         raise ValueError(f"concept id out of range 0..{doc_count - 1}")
     if not np.isfinite(weights).all():
@@ -219,15 +220,93 @@ def _cells(rows: bytes, widths: list[int], doc_count: int) -> tuple[np.ndarray, 
     if (weights < 0).any():
         raise ValueError("negative weight")
     keys = np.repeat(np.arange(len(widths)), widths) * doc_count + ids
-    if (np.diff(np.sort(keys)) == 0).any():
+    # Rows whose ids rise, as `save_index` writes them, need no sort.
+    if (np.diff(keys) <= 0).any() and (np.diff(np.sort(keys)) == 0).any():
         raise ValueError("concept id twice in one row")
+
+
+def _cells(rows: bytes, widths: list[int], doc_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Concept ids and weights of the space-separated `id:weight` cells of UTF-8
+    rows, one row per line, which must hold widths[i] cells each; parsed by one
+    numpy call, one cell per line. Raises ValueError for a malformed cell or one
+    that breaks `_check_cells`."""
+    cells = (np.loadtxt(io.BytesIO(rows.replace(b" ", b"\n")), dtype=_CELL, delimiter=":",
+                        comments=None, ndmin=1, encoding="utf-8")
+             if rows.strip(b" \n") else np.empty(0, _CELL))  # loadtxt warns on no data
+    ids, weights = cells["id"].copy(), cells["weight"].copy()
+    if len(ids) != sum(widths):  # loadtxt skips the empty lines of doubled spaces
+        raise ValueError("empty cell")
+    _check_cells(ids, weights, widths, doc_count)
     return ids, weights
+
+
+def _save_entry(entry: cache.Entry, index: EsaIndex, size: int, crc: int) -> None:
+    """Publish the cache `entry` of `index`, parsed from a file of `size` bytes with
+    CRC-32 `crc`. Nothing is published where it cannot be written."""
+    tokens, titles = cache.lines(index.tokens), cache.lines(index.concepts)
+    fields = [index.doc_count, len(index.tokens), len(index.indices),
+              WEIGHTINGS.index(index.weighting), len(tokens), len(titles)]
+    try:
+        df = np.array([index.df[token] for token in index.tokens], dtype=np.int64)
+        fd = os.open(entry.temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    except (OverflowError, OSError):  # a df past int64, or no file
+        return
+    try:
+        for part in (entry.head(size, crc, fields), index.indptr, index.indices, index.data,
+                     df, tokens, titles):
+            cache.write_all(fd, part)
+        entry.publish(fd)
+    except OSError:  # no space left, say: the run goes on without an entry
+        pass
+    finally:
+        os.close(fd)
+        entry.temp.unlink(missing_ok=True)
+
+
+def _load_entry(entry: cache.Entry, f, size: int) -> EsaIndex | None:
+    """Index file `f`, of `size` bytes, as its cache `entry` holds it. None where the
+    entry is missing, of another kind or version, for other bytes or damaged, or
+    holds what a parse would reject."""
+    try:
+        with open(entry.path, "rb", buffering=0) as e:
+            fields = entry.fields(e, f, size)
+            if fields is None:
+                return None
+            doc_count, n, nnz, weighting, token_bytes, title_bytes = fields
+            if (min(fields) < 0 or weighting >= len(WEIGHTINGS) or os.fstat(e.fileno()).st_size
+                    != entry.head_size + 8 * (2 * n + 1 + 2 * nnz) + token_bytes + title_bytes):
+                return None
+            indptr, indices, df = (np.empty(k, np.int64) for k in (n + 1, nnz, n))
+            data = np.empty(nnz, np.float64)
+            if not all(cache.read_into(e, a) for a in (indptr, indices, data, df)):
+                return None
+            texts = e.read(token_bytes + title_bytes)
+        tokens = texts[:token_bytes].decode("utf-8").split("\n")
+        concepts = texts[token_bytes:].decode("utf-8").split("\n")
+        if (len(texts) != token_bytes + title_bytes or tokens.pop() or concepts.pop()
+                or (len(tokens), len(concepts)) != (n, doc_count)
+                or indptr[0] != 0 or indptr[-1] != nnz or (df < 0).any()):
+            return None
+        widths = np.diff(indptr)
+        if (widths < 0).any():
+            return None
+        _check_cells(indices, data, widths, doc_count)
+    except (OSError, ValueError):  # UnicodeDecodeError too
+        return None
+    index = EsaIndex(concepts=concepts, tokens=tokens, indptr=indptr, indices=indices,
+                     data=data, df=dict(zip(tokens, df.tolist())),
+                     weighting=WEIGHTINGS[weighting])
+    return index if len(index.rows) == n else None  # else a token is there twice
 
 
 def load_index(path: str | Path) -> EsaIndex:
     """Read an index file that `save_index` wrote. Records are split line by line;
     the cells of all rows are parsed at once, and on any fault each row is parsed
-    again alone, by the same parser, to name the first bad line."""
+    again alone, by the same parser, to name the first bad line.
+
+    A regular file that parses without a fault is cached (`cache.entry`): a later
+    load of the same path whose bytes have the same size and CRC-32 reads the index
+    from there. Any fault of the cache is passed over, and the file parsed."""
     p = Path(path)
     concepts: list[str] = []
     tokens: list[str] = []
@@ -236,8 +315,15 @@ def load_index(path: str | Path) -> EsaIndex:
     # Every row's cell text, one row per line: one large buffer, not a string per row.
     rows = bytearray()
     df: dict[str, int] = {}
+    summed = cache.Checksum()
     with open(p, "rb") as f:
-        lines = text_lines(f, p, EsaError)
+        st = os.fstat(f.fileno())
+        entry = cache.entry(p, _VERSION, 6) if stat.S_ISREG(st.st_mode) else None
+        if entry is not None:
+            if cached := _load_entry(entry, f, st.st_size):
+                return cached
+            f.seek(0)
+        lines = text_lines(f, p, EsaError, summed)
         header = next(lines, (1, ""))[1].split("\t")
         if len(header) != 3 or header[0] != "ESA1":
             raise EsaError(f"{p} line 1: not an ESA index file")
@@ -283,6 +369,9 @@ def load_index(path: str | Path) -> EsaIndex:
             except ValueError as e:
                 raise EsaError(f"{p} line {lineno}: malformed 'T' record: {e}") from e
         raise  # no row is malformed alone: the fault is in this loader
-    return EsaIndex(concepts=concepts, tokens=tokens,
-                    indptr=np.concatenate(([0], np.cumsum(widths, dtype=np.int64))),
-                    indices=indices, data=data, df=df, weighting=weighting)
+    index = EsaIndex(concepts=concepts, tokens=tokens,
+                     indptr=np.concatenate(([0], np.cumsum(widths, dtype=np.int64))),
+                     indices=indices, data=data, df=df, weighting=weighting)
+    if entry is not None and summed.size == st.st_size:
+        _save_entry(entry, index, summed.size, summed.crc)
+    return index

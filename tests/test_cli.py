@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import newscoherence
-from newscoherence import embeddings
+from newscoherence import embeddings, esa
 from newscoherence.cli import (
     EXIT_DATA,
     EXIT_INTERNAL,
@@ -502,6 +502,15 @@ class TestBadBytesExitTwo:
                             "--esa-index-path", str(workspace / "bad.esa"))
         assert rc == EXIT_DATA
         assert "bad.esa line 2" in err
+
+    def test_malformed_index_is_never_cached(self, workspace, capsys, vector_cache):
+        (workspace / "bad.esa").write_bytes(b"ESA1\t1\ttf\nC\tA\nT\tb\t1\t0:1\nT\tc\t1\t0:x\n")
+        for _ in range(2):
+            rc, err = self._run(workspace, capsys, "--methods", "esa",
+                                "--esa-index-path", str(workspace / "bad.esa"))
+            assert rc == EXIT_DATA
+            assert "bad.esa line 4" in err
+        assert list(vector_cache.iterdir()) == []
 
     def test_jsonl_id_with_lone_surrogate(self, workspace, capsys):
         bad = {"id": "x\ud800", "label": "fake", "text": "Treasury budget. Parliament vote."}
@@ -1114,15 +1123,36 @@ class TestGoldenOutput:
     def test_outputs_unchanged(self, workspace, capsys, case):
         assert self._outputs(workspace, capsys, case) == GOLDEN_SHA256[case]
 
-    def test_report_from_the_cache(self, workspace, capsys, vector_cache, forks):
+    def test_report_from_the_cache(self, workspace, capsys, vector_cache, forks, monkeypatch):
         """A second `report` reads both tables from the cache, forking no parser
-        process, and writes the same bytes."""
+        process, and writes the same bytes. So does one shaped as the benchmark's
+        long-parallel report, which reads an ESA1 index with two workers: its second
+        run parses no index, and both write what a run with no cache writes."""
         for parsed in (True, False):
             before = len(forks)
             shutil.rmtree(workspace / "out", ignore_errors=True)
             assert self._outputs(workspace, capsys, "report") == GOLDEN_SHA256["report"]
             assert (len(forks) > before) == parsed
         assert len(list(vector_cache.iterdir())) == 2
+
+        index = workspace / "kb.esa"
+        assert main(["build-esa-index", "--config", str(workspace / "run.conf"),
+                     "--out", str(index)]) == EXIT_OK
+        conf = workspace / "run.conf"
+        conf.write_text(conf.read_text().replace(f"esa_kb_path = {workspace / 'kb.jsonl'}",
+                                                 f"esa_index_path = {index}") + "workers = 2\n")
+        parse, cells = esa._cells, []
+        monkeypatch.setattr(esa, "_cells", lambda *args: cells.append(None) or parse(*args))
+        runs = []
+        for parsed in (True, False):
+            before = len(cells)
+            shutil.rmtree(workspace / "out", ignore_errors=True)
+            runs.append(self._outputs(workspace, capsys, "report"))
+            assert (len(cells) > before) == parsed
+        monkeypatch.setenv("XDG_CACHE_HOME", str(index))  # under a regular file: no cache
+        shutil.rmtree(workspace / "out")
+        assert runs[0] == runs[1] == self._outputs(workspace, capsys, "report")
+        assert len(list(vector_cache.iterdir())) == 3
 
     @staticmethod
     def _outputs(workspace, capsys, case):

@@ -7,6 +7,7 @@ import logging
 import math
 import os
 import re
+import subprocess
 import threading
 import warnings
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from newscoherence import embeddings
+from newscoherence import cache, embeddings, esa
 from newscoherence.corpus import tokenize
 from newscoherence.embeddings import (
     EmbeddingError,
@@ -23,9 +24,11 @@ from newscoherence.embeddings import (
     load_vectors_text,
     text_lines,
 )
+from newscoherence.esa import EsaError, build_esa_index, load_index, save_index
 
-from conftest import make_table, on_cpus, save_vectors_text
+from conftest import make_table, on_cpus, save_vectors_text, synthetic_kb
 from oracle import load_vectors_text_ref, lookup, mean_vector, text_lines_ref
+from test_cli import _esa_text, _mangled
 
 
 class TestLoadVectorsText:
@@ -459,16 +462,18 @@ class TestHeldRows:
                 writer.join()
 
 
-def _parses(monkeypatch) -> list:
-    """A list that gets an item for each run of lines this process parses."""
+def _parses(monkeypatch, kind: str = "table") -> list:
+    """A list that gets an item for each run of table lines, or each parse of index
+    cells, that this process makes."""
     calls = []
-    parse = embeddings._parse_rows
+    module, name = (embeddings, "_parse_rows") if kind == "table" else (esa, "_cells")
+    parse = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(None)
         return parse(*args, **kwargs)
 
-    monkeypatch.setattr(embeddings, "_parse_rows", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -476,16 +481,61 @@ def _entries(cache) -> list:
     return sorted(cache.iterdir()) if cache.exists() else []
 
 
+def _index_loaded(path):
+    """The index, or the error message."""
+    try:
+        return load_index(path)
+    except EsaError as e:
+        return str(e)
+
+
+def _damaged_index(p, damage) -> None:
+    """Rewrite the cache entry of index file `p` from its index as `damage` changes
+    it, with the size and CRC-32 of `p`."""
+    index = load_index(p)
+    damage(index)
+    with open(p, "rb") as f:
+        esa._save_entry(cache.entry(p, esa._VERSION, 6), index, *cache.checksum(f))
+
+
+def _set(name, at, value):
+    return lambda index: getattr(index, name).__setitem__(at, value)
+
+
+# An index entry whose version line is another kind's or version's, or whose index
+# breaks a rule a parse keeps. The index is TestCache.INDEX.
+_INDEX_DAMAGES = {
+    "index truncated": None,
+    "index table line": embeddings._VERSION,
+    "index other version": b"newscoherence index 0\n",
+    "index id out of range": _set("indices", 0, 3),
+    "index negative weight": _set("data", 0, -1.0),
+    "index nan weight": _set("data", 0, np.nan),
+    "index indptr not ending at nnz": _set("indptr", -1, 2),
+    "index id twice in a row": _set("indices", 1, 2),
+    "index negative df": lambda index: index.df.__setitem__("x", -1),
+    "index token twice": _set("tokens", 1, "x"),
+}
+
+
 class TestCache:
-    """A table parsed once is read from its cache entry while its bytes stay the
-    same: to the same table and warnings. Any fault of the cache parses again."""
+    """A table or an index parsed once is read from its cache entry while its bytes
+    stay the same: to the same table and warnings, or the same index. Any fault of
+    the cache parses again."""
 
     # "Apple" twice, blank line 5; "Pear" is the first token with the lower case "pear".
     ROWS = "7 2\napple 1 2\nApple 3 4\nPear 5 6\n\nApple 7 8\nkiwi 0 1\nUK 2 2\nuk 1 1\n"
+    # Row "x" holds its ids out of order, row "y" none; the third title is empty.
+    INDEX = "ESA1\t3\ttfidf\nC\tA\nC\tB\nC\t\nT\tx\t2\t2:1.5 0:0.25\nT\ty\t1\t\nT\tz\t1\t1:2.0\n"
 
     def _table(self, tmp_path):
         p = tmp_path / "v.txt"
         p.write_text(self.ROWS)
+        return p
+
+    def _index(self, tmp_path):
+        p = tmp_path / "i.esa"
+        p.write_text(self.INDEX)
         return p
 
     @pytest.mark.parametrize("keep", [None, ["apple", "pear", "Uk", "fig"]])
@@ -504,6 +554,36 @@ class TestCache:
             assert len(table) == len(want) and table.dim == want.dim
             for token in ("APPLE", "pear", "PEAR", "uK", "fig"):
                 assert table.row(token) == want.row(token)
+
+    @pytest.mark.parametrize("source", ["file", "built"])
+    def test_hit_is_the_parsed_index(self, tmp_path, vector_cache, monkeypatch, source):
+        p = self._index(tmp_path)
+        if source == "built":
+            save_index(build_esa_index(synthetic_kb()), p)
+        parses = _parses(monkeypatch, "index")
+        miss, hit = (load_index(p) for _ in range(2))
+        assert len(parses) == 1 and len(_entries(vector_cache)) == 1
+        monkeypatch.setenv("XDG_CACHE_HOME", str(p))  # under a regular file: no cache
+        want = load_index(p)
+        assert len(parses) == 2
+        for index in (miss, hit):
+            assert index == want and index.rows == want.rows
+            for got, expected in zip((index.indptr, index.indices, index.data),
+                                     (want.indptr, want.indices, want.data)):
+                assert got.dtype == expected.dtype and got.flags.writeable
+
+    @seed(20191114)
+    @given(text=_mangled(_esa_text()))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_index_loads_from_its_entry_as_it_parses(self, tmp_path, vector_cache,
+                                                         monkeypatch, text):
+        p = tmp_path / "i.esa"
+        p.write_bytes(text)
+        first, second = _index_loaded(p), _index_loaded(p)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(p))
+        assert first == second == _index_loaded(p)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(vector_cache.parent))
 
     def test_hit_warns_as_the_parse(self, tmp_path, vector_cache):
         p = self._table(tmp_path)
@@ -540,39 +620,55 @@ class TestCache:
         assert entry.read_bytes() == one and len(forks) == 2
 
     def test_same_size_edit_is_parsed_again(self, tmp_path, vector_cache, monkeypatch):
-        """The entry is checked by the bytes, not by the size and modification time."""
-        p = tmp_path / "v.txt"
-        p.write_text("2 2\na 1 2\nb 3 4\n")
-        load_vectors_text(p)
-        [entry] = _entries(vector_cache)
-        before, st_before = entry.read_bytes(), p.stat()
-        with open(p, "r+b") as f:
-            f.seek(-2, os.SEEK_END)
-            f.write(b"5")
-        os.utime(p, ns=(st_before.st_atime_ns, st_before.st_mtime_ns))
-        assert (p.stat().st_size, p.stat().st_mtime_ns) == (st_before.st_size,
-                                                             st_before.st_mtime_ns)
-        parses = _parses(monkeypatch)
-        assert lookup(load_vectors_text(p), "b").tolist() == [3.0, 5.0] and len(parses) == 1
-        assert _entries(vector_cache) == [entry] and entry.read_bytes() != before
-        assert lookup(load_vectors_text(p), "b").tolist() == [3.0, 5.0] and len(parses) == 1
+        """The entry is checked by the bytes, not by the size and modification time.
+        The edit turns the last 4 into a 5."""
+        for kind, text, row, edited in [
+                ("table", "2 2\na 1 2\nb 3 4\n",
+                 lambda p: lookup(load_vectors_text(p), "b").tolist(), [3.0, 5.0]),
+                ("index", "ESA1\t1\ttf\nC\tA\nT\tb\t1\t0:4\n",
+                 lambda p: load_index(p).inverted["b"], {0: 5.0})]:
+            p = tmp_path / kind
+            p.write_text(text)
+            row(p)
+            entry = cache.entry(p, b"", 0).path
+            before, st_before = entry.read_bytes(), p.stat()
+            with open(p, "r+b") as f:
+                f.seek(-2, os.SEEK_END)
+                f.write(b"5")
+            os.utime(p, ns=(st_before.st_atime_ns, st_before.st_mtime_ns))
+            assert (p.stat().st_size, p.stat().st_mtime_ns) == (st_before.st_size,
+                                                                 st_before.st_mtime_ns)
+            parses = _parses(monkeypatch, kind)
+            assert row(p) == edited and len(parses) == 1 and entry.read_bytes() != before
+            assert row(p) == edited and len(parses) == 1
+        assert len(_entries(vector_cache)) == 2
 
-    @pytest.mark.parametrize("damage", ["truncated", "other version", "inf in a row"])
+    @pytest.mark.parametrize("damage", ["truncated", "other version", "inf in a row",
+                                        *_INDEX_DAMAGES])
     def test_damaged_entry_is_parsed_again(self, tmp_path, vector_cache, monkeypatch, damage):
-        p = self._table(tmp_path)
-        want = _loaded(load_vectors_text, p)
+        kind = "index" if damage in _INDEX_DAMAGES else "table"
+        p, load, version = ((self._index(tmp_path), load_index, esa._VERSION) if kind == "index"
+                            else (self._table(tmp_path), functools.partial(_loaded, load_vectors_text),
+                                  embeddings._VERSION))
+        want = load(p)
         [entry] = _entries(vector_cache)
+        change = _INDEX_DAMAGES.get(damage)
+        if callable(change):
+            _damaged_index(p, change)
         data = bytearray(entry.read_bytes())
-        if damage == "truncated":
+        if damage.endswith("truncated"):
             del data[len(data) // 2:]
         elif damage == "other version":
-            data[:len(embeddings._MAGIC)] = b"newscoherence 0\n"
-        else:  # the first row's first component
-            data[embeddings._HEAD:embeddings._HEAD + 8] = np.float64(np.inf).tobytes()
+            data[:len(version)] = b"newscoherence table 1\n"
+        elif damage == "inf in a row":  # the first row's first component
+            head = cache.entry(p, version, 4).head_size
+            data[head:head + 8] = np.float64(np.inf).tobytes()
+        elif isinstance(change, bytes):
+            data[:len(version)] = change
         entry.write_bytes(bytes(data))
-        parses = _parses(monkeypatch)
-        assert _loaded(load_vectors_text, p) == want and len(parses) == 1
-        assert _loaded(load_vectors_text, p) == want and len(parses) == 1  # written again
+        parses = _parses(monkeypatch, kind)
+        assert load(p) == want and len(parses) == 1
+        assert load(p) == want and len(parses) == 1  # written again
 
     def test_failed_write_leaves_no_entry(self, tmp_path, vector_cache, monkeypatch, caplog):
         def full(fd, data):
@@ -580,30 +676,87 @@ class TestCache:
 
         p = tmp_path / "v.txt"
         p.write_text("2 2\na 1 2\nb 3 4\n")
-        monkeypatch.setattr(embeddings, "_write_all", full)
+        index = self._index(tmp_path)
+        monkeypatch.setattr(cache, "write_all", full)
         with caplog.at_level(logging.DEBUG):
             assert lookup(load_vectors_text(p), "b").tolist() == [3.0, 4.0]
+            assert load_index(index).inverted["x"] == {2: 1.5, 0: 0.25}
         assert not caplog.records and _entries(vector_cache) == []
 
-    @pytest.mark.parametrize("text", ["2 2\na 1 2\nb 3 zzz\n", "3 2\na 1 2\nb 3 4\n"])
+    @pytest.mark.parametrize("text", ["2 2\na 1 2\nb 3 zzz\n", "3 2\na 1 2\nb 3 4\n",
+                                      "ESA1\t1\ttf\nC\tA\nT\tb\t1\t0:4\nT\tc\t1\t1:4\n",
+                                      "ESA1\t2\ttf\nC\tA\nT\tb\t1\t0:4\n"])
     def test_faulty_table_is_never_cached(self, tmp_path, vector_cache, text):
         p = tmp_path / "v.txt"
         p.write_text(text)
+        load, error = ((load_index, EsaError) if text.startswith("ESA1")
+                       else (load_vectors_text, EmbeddingError))
         for _ in range(2):
-            with pytest.raises(EmbeddingError):
-                load_vectors_text(p)
+            with pytest.raises(error, match=f"^{re.escape(str(p))}"):
+                load(p)
         assert _entries(vector_cache) == []
 
     def test_pipe_is_never_cached(self, tmp_path, vector_cache):
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(b"2 2\na 1 2\nb 3 4\n",))
-        writer.start()
-        try:
-            assert len(load_vectors_text(fifo)) == 2
-        finally:
-            writer.join()
+        for text, rows in [(b"2 2\na 1 2\nb 3 4\n", lambda p: len(load_vectors_text(p))),
+                           (b"ESA1\t1\ttf\nC\tA\nT\tb\t1\t0:4\nT\tc\t1\t\n",
+                            lambda p: len(load_index(p).tokens))]:
+            writer = threading.Thread(target=fifo.write_bytes, args=(text,))
+            writer.start()
+            try:
+                assert rows(fifo) == 2
+            finally:
+                writer.join()
         assert not vector_cache.exists()
+
+    def test_entry_is_on_disk_before_it_is_published(self, tmp_path, vector_cache, monkeypatch):
+        """The temporary file is flushed by fsync, then renamed into place: a crash
+        leaves no entry whose rows were never written."""
+        calls = []  # (call, inode of the file it acts on)
+        fsync, replace = os.fsync, os.replace
+
+        def synced(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def renamed(src, dst):
+            calls.append(("replace", os.stat(src).st_ino))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", synced)
+        monkeypatch.setattr(os, "replace", renamed)
+        load_vectors_text(self._table(tmp_path))
+        load_index(self._index(tmp_path))
+        inodes = [entry.stat().st_ino for entry in _entries(vector_cache)]
+        assert len(calls) == 4 and sorted(ino for _, ino in calls) == sorted(inodes * 2)
+        assert [name for name, _ in calls] == ["fsync", "replace"] * 2
+        assert calls[0][1] == calls[1][1] and calls[2][1] == calls[3][1]
+
+    def test_publish_sweeps_what_is_stale(self, tmp_path, vector_cache):
+        """A publish removes the entries of files that are gone, and the temporary
+        files of processes that have ended; a hit removes nothing."""
+        gone, live = tmp_path / "gone.txt", self._table(tmp_path)
+        gone.write_text("1 1\na 1\n")
+        load_vectors_text(gone)
+        load_vectors_text(live)
+        gone_entry, live_entry = (cache.entry(p, b"", 0).path for p in (gone, live))
+        ended = subprocess.Popen(["true"])
+        ended.wait()
+        unsourced = vector_cache / "0123456789abcdef"  # recorded no path
+        unsourced.write_bytes(b"newscoherence 1\n" + bytes(48))
+        stale = [gone_entry, unsourced, vector_cache / f"{gone_entry.name}.{ended.pid}-1"]
+        other = [vector_cache / f"{gone_entry.name}.{os.getpid()}-1",
+                 vector_cache / "fedcba9876543210", vector_cache / "notes"]
+        for path in stale[2:] + other:
+            path.write_bytes(b"of another program")
+        gone.unlink()
+        load_vectors_text(live)  # a hit
+        assert all(path.exists() for path in stale + other)
+        load_index(self._index(tmp_path))  # a miss
+        assert not any(path.exists() for path in stale)
+        assert len(_entries(vector_cache)) == 5 and live_entry.exists()
+        assert all(path.exists() for path in other)
 
 
 class TestLookup:
