@@ -29,7 +29,7 @@ COPY_BYTES = 1 << 16
 _UNSOURCED = b"newscoherence 1\n"
 _PREFIX = b"newscoherence "
 _ENTRY = re.compile(r"[0-9a-f]{16}")
-_TEMP = re.compile(r"[0-9a-f]{16}\.(\d+)-\d+(\.\d+)?")  # see `Entry.temp`
+_TEMP = re.compile(r"[0-9a-f]{16}\.(\d+)-\d+")  # see `Entry.temp`
 
 
 class Checksum:
@@ -54,26 +54,6 @@ def checksum(f: BinaryIO) -> tuple[int, int]:
         crc = zlib.crc32(memoryview(chunk)[:got], crc)
         size += got
     return size, crc
-
-
-def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
-    """zlib.crc32(a + b) from crc1 = zlib.crc32(a), crc2 = zlib.crc32(b) and len2 =
-    len(b), as zlib's crc32_combine makes it: crc1 times x^(8·len2), modulo the
-    CRC-32 polynomial, plus crc2."""
-    def times(a: int, b: int) -> int:  # polynomials with x^0 as bit 31, as zlib holds them
-        product = 0
-        for bit in range(31, -1, -1):
-            if a >> bit & 1:
-                product ^= b
-            b = b >> 1 ^ (0xEDB88320 if b & 1 else 0)  # b·x
-        return product
-
-    power, square, n = 1 << 31, 1 << 30, 8 * len2  # x^0, x^1
-    while n:
-        if n & 1:
-            power = times(power, square)
-        square, n = times(square, square), n >> 1
-    return times(power, crc1) ^ crc2
 
 
 def read_into(stream: BinaryIO, array: np.ndarray) -> bool:
@@ -177,7 +157,7 @@ def _stale(path: Path) -> bool:
 
 def _running(pid: int) -> bool:
     try:
-        os.kill(pid, 0)  # sends no signal
+        os.kill(pid, 0)  # delivers nothing: only checks that the pid exists
     except ProcessLookupError:
         return False
     except PermissionError:  # another user's

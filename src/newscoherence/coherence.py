@@ -373,7 +373,7 @@ def read_scores_csv(path: str | Path) -> tuple[list[CoherenceScore], dict[str, s
         except ValueError as e:
             raise CoherenceError(f"{where}: {e}") from e
         valid = (-1.0 <= value <= 1.0 if status == "ok"
-                 else status == "undefined" and not math.isfinite(value))
+                 else status == "undefined" and not raw)
         if not valid:
             raise CoherenceError(f"{where}: status {status!r} with value {raw!r}; "
                                  f"'ok' takes a value in [-1, 1], 'undefined' none")

@@ -8,11 +8,8 @@ import io
 import logging
 import mmap
 import os
-import pickle
-import signal
 import stat
 import sys
-import threading
 from array import array
 from collections.abc import Iterable, Iterator
 from itertools import chain
@@ -29,10 +26,6 @@ logger = logging.getLogger(__name__)
 _BLOCK_ROWS = 64
 # Bytes per read of a text file.
 _READ_BYTES = 1 << 14
-# Bytes of vector table per process below which a fork costs more than it saves. A
-# fork costs some 6 ms (2 vCPUs): two processes parsed a 300-d table of 2 MiB in
-# 34 ms against 41 ms in one, and a table of 1 MiB in 25 ms against 21 ms.
-_MIN_SHARD_BYTES = 1 << 20
 # A table's cache entry (see `cache.Entry`): its head, whose fields are the int64s
 # count, dim, token bytes and duplicates; every row, float64 in file order; each
 # token and a "\n"; and a (line, row) int64 pair per duplicate token.
@@ -158,12 +151,6 @@ def _read_chunks(f) -> Iterator[bytes]:
     return iter(functools.partial(f.read, _READ_BYTES), b"")
 
 
-def _pread_chunks(fd: int, start: int, end: int) -> Iterator[bytes]:
-    """Bytes [start, end) of file `fd`, read by pread: that leaves alone the file
-    offset, which a forked process shares."""
-    return (os.pread(fd, min(_READ_BYTES, end - at), at) for at in range(start, end, _READ_BYTES))
-
-
 def text_lines(f, p: Path, error: type[Exception] = EmbeddingError,
                summed: cache.Checksum | None = None):
     """(line number, text) of each line of a binary file, split at "\\n", "\\r\\n" or
@@ -239,9 +226,9 @@ def _row_buffer(rows: int, dim: int) -> np.ndarray:
 
 
 class _Tee(cache.Checksum):
-    """A shard's part of a new cache entry: the size and CRC-32 of the bytes the shard
-    reads, and each row it parses, written to file `fd`. A failed write clears `ok`,
-    and no entry is made."""
+    """A new cache entry: the size and CRC-32 of the bytes the parse reads, and each
+    row it parses, written to file `fd`. A failed write clears `ok`, and no entry is
+    made."""
 
     def __init__(self, fd: int):
         super().__init__()
@@ -255,15 +242,13 @@ class _Tee(cache.Checksum):
                 self.ok = False
 
 
-class _Shard(NamedTuple):
-    """What parsing a run of lines found. Line numbers count from its first line."""
+class _Parsed(NamedTuple):
+    """What parsing the rows of a table found."""
 
-    lines: int                     # lines read, blank ones included
     tokens: list[str]              # the token of each row above the first malformed line
     linenos: array                 # the line of each of those rows
     held: array                    # positions in `tokens` of the rows written to the buffer
     fault: tuple[int, str] | None  # (line, what is wrong) of the first malformed line
-    tee: _Tee | None               # where its bytes were summed and its rows written
 
 
 def _taken(tokens: Iterable[str], wanted: set[str] | None) -> list[int]:
@@ -274,7 +259,7 @@ def _taken(tokens: Iterable[str], wanted: set[str] | None) -> list[int]:
 
 def _parse_rows(blocks: Iterable[list[str]], faults: list[tuple[int, str]], dim: int,
                 count: int, wanted: set[str] | None, buf: np.ndarray,
-                lineno: int = 0, tee: _Tee | None = None) -> tuple[_Shard, np.ndarray]:
+                lineno: int = 0, tee: _Tee | None = None) -> tuple[_Parsed, np.ndarray]:
     """Parse and check the rows of `blocks`, lists of lines the first of which is
     line `lineno` + 1, up to the first malformed line, _BLOCK_ROWS rows per parse.
     `faults` holds the first line that `blocks` could not read, once they end.
@@ -325,100 +310,7 @@ def _parse_rows(blocks: Iterable[list[str]], faults: list[tuple[int, str]], dim:
     if fault:  # keep only the rows above it
         del tokens[bisect.bisect_left(linenos, fault[0]):]
         del linenos[len(tokens):]
-    return _Shard(lineno, tokens, linenos, held, fault, tee), buf
-
-
-def _send(out: BinaryIO, fd: int, span: tuple[int, int], dim: int, count: int,
-          wanted: set[str] | None, tee: _Tee | None) -> None:
-    """Parse bytes [start, end) of file `fd` and write to `out` its _Shard, pickled,
-    then the bytes of its held rows."""
-    start, end = span
-    buf = _row_buffer(min(count, (end - start) // (2 * dim)), dim)
-    faults: list[tuple[int, str]] = []
-    chunks = _pread_chunks(fd, start, end)
-    blocks = _line_blocks(tee.read(chunks) if tee else chunks, faults)
-    shard, buf = _parse_rows(blocks, faults, dim, count, wanted, buf, tee=tee)
-    pickle.dump(shard, out, pickle.HIGHEST_PROTOCOL)
-    out.write(buf[:len(shard.held)])
-
-
-def _spans(fd: int, size: int) -> list[tuple[int, int]]:
-    """Byte ranges of a regular file, one per process that parses it: no more than
-    the CPUs this process may run on, and none under _MIN_SHARD_BYTES. Each range
-    but the last ends just after a "\\n". A process with other threads is not
-    forked: a lock one of them holds would stay held in the child."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return [(0, size)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    shards = min(cpus or 1, size // max(_MIN_SHARD_BYTES, 1))
-    cuts = [0]
-    for k in range(1, shards):
-        at = k * size // shards
-        while window := os.pread(fd, min(1 << 16, size - at), at):
-            if (i := window.find(b"\n")) >= 0:
-                cuts.append(max(cuts[-1], at + i + 1))
-                break
-            at += len(window)
-    cuts = sorted(set(cuts + [size]))
-    return list(zip(cuts, cuts[1:])) or [(0, size)]
-
-
-def _fork(fd: int, span: tuple[int, int], dim: int, count: int, wanted: set[str] | None,
-          tee: _Tee | None) -> tuple[int | None, BinaryIO]:
-    """Parse `span` of `fd` in a forked process: its pid, and the pipe it `_send`s
-    through. If no process can be made, the span is parsed here: no pid, and a
-    stream of the same bytes."""
-    r, w = os.pipe()
-    pid = -1
-    try:
-        pid = os.fork()
-        if pid == 0:  # the child, which never logs
-            os.close(r)
-            with open(w, "wb") as out:
-                _send(out, fd, span, dim, count, wanted, tee)
-            os._exit(0)
-    except OSError:  # from the fork: no process was made
-        pass
-    finally:
-        if pid == 0:  # whatever went wrong, the child never returns into its caller
-            os._exit(1)
-    os.close(w)
-    if pid != -1:
-        return pid, open(r, "rb")
-    os.close(r)
-    out = io.BytesIO()
-    _send(out, fd, span, dim, count, wanted, tee)
-    out.seek(0)
-    return None, out
-
-
-def _receive(stream: BinaryIO, buf: np.ndarray, held: int) -> _Shard | None:
-    """A _Shard from `stream`, or None if the stream ends before all of it. Its held
-    rows go into `buf` after the `held` rows there, if they fit; if not, the file
-    has more rows than its header declares."""
-    try:
-        shard = pickle.load(stream)
-    except (EOFError, pickle.UnpicklingError):
-        return None
-    n = len(shard.held)
-    if n and held + n <= len(buf) and not cache.read_into(stream, buf[held:held + n]):
-        return None
-    return shard
-
-
-def _lost(p: Path, pid: int | None) -> Exception:
-    """The error for the process `pid` that ended without sending all its rows of
-    table `p`, once it is reaped. A signal that ended it (the out-of-memory killer's,
-    say) is a data error; a process that exited by itself, or no process, is a bug."""
-    try:
-        status = os.waitpid(pid, 0)[1] if pid is not None else 0
-    except ChildProcessError:  # reaped already: SIGCHLD is ignored
-        status = 0
-    if os.WIFSIGNALED(status):
-        sig = os.WTERMSIG(status)
-        return EmbeddingError(f"{p}: a parser process was killed by signal {sig} "
-                              f"({signal.strsignal(sig)})")
-    return RuntimeError(f"{p}: a parser process ended without its rows")
+    return _Parsed(tokens, linenos, held, fault), buf
 
 
 def _load_entry(entry: cache.Entry, f: BinaryIO, size: int, wanted: set[str] | None):
@@ -457,58 +349,44 @@ def _load_entry(entry: cache.Entry, f: BinaryIO, size: int, wanted: set[str] | N
         return None
 
 
-def _open_entry(entry: cache.Entry, shards: int) -> list[_Tee | None]:
-    """A _Tee for each of a table's `shards`, for a new cache `entry`: the first
-    writes to the entry's temporary file, after its head; each other to an
-    unlinked file of its own. All None if a file cannot be made."""
-    tmp, tees = entry.temp, []
+def _open_entry(entry: cache.Entry) -> _Tee | None:
+    """A _Tee that writes to the temporary file of a new cache `entry`, after its
+    head. None if the file cannot be made."""
     try:
-        for k in range(shards):
-            name = f"{tmp}.{k}" if k else tmp
-            tees.append(_Tee(os.open(name, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)))
-            if k:
-                os.unlink(name)
-        os.lseek(tees[0].fd, entry.head_size, os.SEEK_SET)
-        return tees
+        fd = os.open(entry.temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     except OSError:
-        _close_entry(entry, tees)
-        return [None] * shards
-
-
-def _close_entry(entry: cache.Entry | None, tees: list[_Tee | None]) -> None:
-    """Close the files of `tees`, and remove the entry's temporary file if it was not
-    published."""
-    for tee in tees:
-        if tee is not None:
-            os.close(tee.fd)
-    if tees and tees[0] is not None:
-        entry.temp.unlink(missing_ok=True)
-
-
-def _save_entry(entry: cache.Entry, tees: list[_Tee], size: int, dim: int,
-                tokens: list[str], duplicates: list[tuple[int, int]]) -> None:
-    """Publish the cache `entry` of a table of `size` bytes whose shards, in file
-    order, wrote their rows through `tees`: the other shards' files are copied on
-    after the first's rows, then come the tokens, the duplicates and the head.
-    Nothing is published if a shard's write failed or they did not read the file."""
-    if not all(tee.ok for tee in tees) or sum(tee.size for tee in tees) != size:
-        return
-    crc = 0
-    for tee in tees:
-        crc = cache.crc32_combine(crc, tee.crc, tee.size)
-    out = tees[0].fd
+        return None
+    tee = _Tee(fd)
     try:
-        for tee in tees[1:]:
-            os.lseek(tee.fd, 0, os.SEEK_SET)
-            while data := os.read(tee.fd, cache.COPY_BYTES):
-                cache.write_all(out, data)
+        os.lseek(fd, entry.head_size, os.SEEK_SET)
+    except OSError:
+        _close_entry(entry, tee)
+        return None
+    return tee
+
+
+def _close_entry(entry: cache.Entry, tee: _Tee) -> None:
+    """Close the file of `tee`, and remove the entry's temporary file if it was not
+    published."""
+    os.close(tee.fd)
+    entry.temp.unlink(missing_ok=True)
+
+
+def _save_entry(entry: cache.Entry, tee: _Tee, size: int, dim: int,
+                tokens: list[str], duplicates: list[tuple[int, int]]) -> None:
+    """Publish the cache `entry` of a table of `size` bytes whose rows the parse wrote
+    through `tee`: after the rows come the tokens and the duplicates, then the head.
+    Nothing is published if a write failed or the parse did not read the file."""
+    if not tee.ok or tee.size != size:
+        return
+    try:
         names = cache.lines(tokens)
-        cache.write_all(out, names)
-        cache.write_all(out, np.array(duplicates, dtype="<i8"))
-        os.lseek(out, 0, os.SEEK_SET)
-        cache.write_all(out, entry.head(size, crc, [len(tokens), dim, len(names),
-                                                    len(duplicates)]))
-        entry.publish(out)
+        cache.write_all(tee.fd, names)
+        cache.write_all(tee.fd, np.array(duplicates, dtype="<i8"))
+        os.lseek(tee.fd, 0, os.SEEK_SET)
+        cache.write_all(tee.fd, entry.head(size, tee.crc, [len(tokens), dim, len(names),
+                                                           len(duplicates)]))
+        entry.publish(tee.fd)
     except OSError:  # no space left, say: the run goes on without an entry
         pass
 
@@ -544,32 +422,27 @@ def load_vectors_text(path: str | Path, name: str = "",
     the full table. The lower cases of `keep` and the held tokens are interned,
     so a held token is the very string that `corpus.tokenize` gives for it.
 
-    A regular file is parsed in as many processes as `_spans` cuts it into, all but
-    the first forked, to the same table, warnings and errors. A regular file that
-    parses without a fault is cached (`cache.entry`): a later load of the same path
-    whose bytes have the same size and CRC-32 reads the rows it holds from there,
-    and warns the same. Any fault of the cache is passed over, and the file parsed.
+    A regular file that parses without a fault is cached (`cache.entry`): a later
+    load of the same path whose bytes have the same size and CRC-32 reads the rows
+    it holds from there, and warns the same. Any fault of the cache is passed over,
+    and the file parsed.
     """
     p = Path(path)
     wanted = None if keep is None else {sys.intern(t.lower()) for t in keep}
-    children: list[tuple[int | None, BinaryIO]] = []
     with open(p, "rb") as f:
-        fd = f.fileno()
-        st = os.fstat(fd)
-        regular = stat.S_ISREG(st.st_mode)
-        entry = cache.entry(p, _VERSION, 4) if regular else None
+        st = os.fstat(f.fileno())
+        entry = cache.entry(p, _VERSION, 4) if stat.S_ISREG(st.st_mode) else None
         if entry is not None:
             if cached := _load_entry(entry, f, st.st_size, wanted):
                 dim, buf, held, tokens, duplicates = cached
                 _warn_duplicates(p, duplicates, tokens)
                 return _table(dim, buf, held, tokens, wanted, name or p.stem)
             f.seek(0)
-        spans = _spans(fd, st.st_size) if regular else [(0, 0)]
-        tees = _open_entry(entry, len(spans)) if entry is not None else [None] * len(spans)
+        tee = _open_entry(entry) if entry is not None else None
         try:
             faults: list[tuple[int, str]] = []
-            chunks = _read_chunks(f) if len(spans) == 1 else _pread_chunks(fd, *spans[0])
-            blocks = _line_blocks(tees[0].read(chunks) if tees[0] else chunks, faults)
+            chunks = _read_chunks(f)
+            blocks = _line_blocks(tee.read(chunks) if tee else chunks, faults)
             first = next(blocks, [""])
             if faults:
                 raise EmbeddingError(f"{p} line {faults[0][0]}: {faults[0][1]}")
@@ -579,54 +452,26 @@ def load_vectors_text(path: str | Path, name: str = "",
             # header can reserve. A file whose size does not show its rows (a pipe, or a
             # file still being written) grows the buffer as its rows arrive.
             buf = _row_buffer(min(limit, st.st_size // (2 * dim)), dim)
-            for span, tee in zip(spans[1:], tees[1:]):
-                children.append(_fork(fd, span, dim, limit, wanted, tee))
-            shard, buf = _parse_rows(chain([first[1:]], blocks), faults, dim, limit, wanted,
-                                     buf, 1, tees[0])
+            parsed, buf = _parse_rows(chain([first[1:]], blocks), faults, dim, limit, wanted,
+                                      buf, 1, tee)
             seen: set[str] = set()
-            tokens: list[str] = []
-            held = array("q")  # the rows of `tokens` in `buf`, in order
             duplicates: list[tuple[int, int]] = []  # (line, row)
-            written: list[_Tee] = []
-            lines = 0
-            for k in range(len(spans)):
-                if k:  # the shards after the first, in file order
-                    pid, stream = children[k - 1]
-                    shard = _receive(stream, buf, len(held))
-                    if shard is None:
-                        children[k - 1] = None, stream  # reaped by _lost, not killed below
-                        raise _lost(p, pid)
-                for row, (lineno, token) in enumerate(zip(shard.linenos, shard.tokens),
-                                                      len(tokens)):
-                    if token in seen:
-                        duplicates.append((lines + lineno, row))
-                    seen.add(token)
-                held.extend(len(tokens) + i for i in shard.held)
-                tokens += shard.tokens
-                if shard.fault:
-                    break
-                lines += shard.lines
-                written.append(shard.tee)
-            # Still inside the try: a child that has sent its rows exits meanwhile.
-            _warn_duplicates(p, duplicates, tokens)
-            if shard.fault:
-                raise EmbeddingError(f"{p} line {lines + shard.fault[0]}: {shard.fault[1]}")
-            parsed = len(tokens)
-            if parsed != count:
-                raise EmbeddingError(f"{p}: header declares {count} vectors, file has {parsed}")
-            if tees[0]:
-                _save_entry(entry, written, st.st_size, dim, tokens, duplicates)
-            return _table(dim, buf, held, tokens, wanted, name or p.stem)
+            for row, (lineno, token) in enumerate(zip(parsed.linenos, parsed.tokens)):
+                if token in seen:
+                    duplicates.append((lineno, row))
+                seen.add(token)
+            _warn_duplicates(p, duplicates, parsed.tokens)
+            if parsed.fault:
+                raise EmbeddingError(f"{p} line {parsed.fault[0]}: {parsed.fault[1]}")
+            if len(parsed.tokens) != count:
+                raise EmbeddingError(f"{p}: header declares {count} vectors, "
+                                     f"file has {len(parsed.tokens)}")
+            if tee:
+                _save_entry(entry, tee, st.st_size, dim, parsed.tokens, duplicates)
+            return _table(dim, buf, parsed.held, parsed.tokens, wanted, name or p.stem)
         finally:
-            for pid, stream in children:
-                stream.close()
-                if pid is not None:
-                    os.kill(pid, signal.SIGKILL)
-                    try:
-                        os.waitpid(pid, 0)
-                    except ChildProcessError:  # reaped already: SIGCHLD is ignored
-                        pass
-            _close_entry(entry, tees)
+            if tee:
+                _close_entry(entry, tee)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

@@ -221,12 +221,23 @@ def text_lines_ref(data: bytes):
 
 
 
+def _utf8_ref(p, lineno, line):
+    """`line`, read with surrogateescape; an EmbeddingError names it if it held a
+    byte that is not UTF-8."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise EmbeddingError(f"{p} line {lineno}: invalid UTF-8: {e}") from e
+    return line
+
+
 def load_vectors_text_ref(path, name=""):
     """The word2vec text loader as it was before the numpy parser: text mode, one
-    `np.array` per line, components split at single spaces."""
+    `np.array` per line, components split at single spaces. A line that is not
+    UTF-8 is an error naming it, once the lines above it are read."""
     p = Path(path)
-    with open(p, encoding="utf-8") as f:
-        header = f.readline().split()
+    with open(p, encoding="utf-8", errors="surrogateescape") as f:
+        header = _utf8_ref(p, 1, f.readline()).split()
         if len(header) != 2:
             raise EmbeddingError(f"{p}: header must be 'count dim'")
         try:
@@ -238,7 +249,7 @@ def load_vectors_text_ref(path, name=""):
         entries = {}
         lines = 0
         for lineno, line in enumerate(f, start=2):
-            if not line.strip():
+            if not _utf8_ref(p, lineno, line).strip():
                 continue
             lines += 1
             parts = line.rstrip("\n").split(" ")

@@ -7,7 +7,6 @@ import json
 import logging
 import os
 import shutil
-import signal
 import subprocess
 import sys
 from dataclasses import fields
@@ -21,7 +20,6 @@ import newscoherence
 from newscoherence import embeddings, esa
 from newscoherence.cli import (
     EXIT_DATA,
-    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     MAX_HIST_BUCKETS,
@@ -365,6 +363,8 @@ class TestCompareCommand:
         (["f1,fake,embedding,1.500000,3,3,ok"], 2),
         (["f1,fake,embedding,,3,3,ok"], 2),
         (["f1,fake,embedding,0.500000,1,0,undefined"], 2),
+        (["f1,fake,embedding,nan,0,0,undefined"], 2),
+        (["f1,fake,embedding,inf,0,0,undefined"], 2),
         (["f1,fake,embedding,0.500000,3,3,maybe"], 2),
         (["f1,fake,telepathy,0.500000,3,3,ok"], 2),
         (_GOOD + ["l2,legitimate,esa,0.600000,3,3,ok"], 4),
@@ -375,7 +375,8 @@ class TestCompareCommand:
         (["f1,fake,embedding,0.500000,3,3"], 2),
         (["f1,fake,embedding,0.500000,3,3,ok,extra"], 2),
     ], ids=["value-not-a-number", "nan-with-ok", "inf-with-ok", "value-out-of-range",
-            "no-value-with-ok", "value-with-undefined", "unknown-status", "unknown-method",
+            "no-value-with-ok", "value-with-undefined", "nan-with-undefined",
+            "inf-with-undefined", "unknown-status", "unknown-method",
             "two-methods", "duplicate-doc-id", "unknown-label", "negative-count",
             "count-not-integer", "field-missing", "field-extra"])
     def test_malformed_score_file_names_line(self, workspace, capsys, lines, line):
@@ -920,73 +921,12 @@ class TestReport:
         assert (workspace / "out" / "scores_esa.csv").is_file()
         assert scipy_modules == []
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-    def test_bad_row_in_a_forked_shard_is_one_data_error(self, workspace):
-        """The forked parser never returns into `main`: one error line, not two."""
-        words = workspace / "words.txt"
-        lines = words.read_text().splitlines()
-        lines.append("zebra 1 2 zzz")
-        words.write_text("\n".join(lines) + "\n")
-        # Shard even this small table, on two CPUs; say on stderr when a fork is made.
-        code = ("import os, sys\n"
-                "from newscoherence import embeddings\n"
-                "from newscoherence.cli import main\n"
-                "embeddings._MIN_SHARD_BYTES = 0\n"
-                "os.sched_getaffinity = lambda pid: {0, 1}\n"
-                "fork = os.fork\n"
-                "def announced():\n"
-                "    pid = fork()\n"
-                "    if pid:\n"
-                "        print('forked', file=sys.stderr)\n"
-                "    return pid\n"
-                "os.fork = announced\n"
-                "sys.exit(main(sys.argv[1:]))")
-        src = str(Path(newscoherence.__file__).parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "report", "--config", str(workspace / "run.conf"),
-             "--methods", "embedding", "--workers", "2"],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == EXIT_DATA
-        stderr = proc.stderr.splitlines()
-        assert stderr.count("forked") == 1
-        errors = [line for line in stderr if "data error" in line]
-        assert len(errors) == 1 and f"words.txt line {len(lines)}: non-numeric" in errors[0]
-
     def test_deterministic_across_runs_and_workers(self, workspace):
         main(["report", "--config", str(workspace / "run.conf")])
         first = _snapshot(workspace / "out")
         main(["report", "--config", str(workspace / "run.conf"), "--workers", "3"])
         second = _snapshot(workspace / "out")
         assert first == second
-
-    def test_workers_changes_no_process_count(self, workspace, forks):
-        """The parser's process count follows the CPUs alone; `workers` is read by nothing."""
-        runs = []
-        for w in ("1", "3"):
-            before = len(forks)
-            assert main(["report", "--config", str(workspace / "run.conf"), "--workers", w]) == 0
-            runs.append((len(forks) - before, _snapshot(workspace / "out")))
-        assert runs[0][0] > 0 and runs[1] == runs[0]
-
-    @pytest.mark.parametrize("end, code, message", [
-        (lambda: os.kill(os.getpid(), signal.SIGKILL), EXIT_DATA,
-         "data error: {words}: a parser process was killed by signal 9"),
-        (lambda: os._exit(0), EXIT_INTERNAL,
-         "internal error: {words}: a parser process ended without its rows"),
-    ], ids=["killed", "exited"])
-    def test_parser_process_that_ends_without_its_rows(self, workspace, forks, monkeypatch,
-                                                       capsys, end, code, message):
-        """A signal that ends a parser process (the out-of-memory killer's, say) is a
-        data error; a process that exits by itself without its rows is a bug."""
-        monkeypatch.setattr(embeddings, "_send", lambda *args: end())
-        assert main(["report", "--config", str(workspace / "run.conf")]) == code
-        stderr = capsys.readouterr().err.splitlines()
-        assert len(stderr) == 1 and stderr[0].startswith(
-            message.format(words=workspace / "words.txt"))
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
 
 # One run per subcommand shape. "{ws}" is the workspace; "{out}" the run's out_dir.
@@ -1123,16 +1063,19 @@ class TestGoldenOutput:
     def test_outputs_unchanged(self, workspace, capsys, case):
         assert self._outputs(workspace, capsys, case) == GOLDEN_SHA256[case]
 
-    def test_report_from_the_cache(self, workspace, capsys, vector_cache, forks, monkeypatch):
-        """A second `report` reads both tables from the cache, forking no parser
-        process, and writes the same bytes. So does one shaped as the benchmark's
+    def test_report_from_the_cache(self, workspace, capsys, vector_cache, monkeypatch):
+        """A second `report` reads both tables from the cache, parsing no table rows,
+        and writes the same bytes. So does one shaped as the benchmark's
         long-parallel report, which reads an ESA1 index with two workers: its second
         run parses no index, and both write what a run with no cache writes."""
+        parse_rows, rows = embeddings._parse_rows, []
+        monkeypatch.setattr(embeddings, "_parse_rows",
+                            lambda *args: rows.append(None) or parse_rows(*args))
         for parsed in (True, False):
-            before = len(forks)
+            before = len(rows)
             shutil.rmtree(workspace / "out", ignore_errors=True)
             assert self._outputs(workspace, capsys, "report") == GOLDEN_SHA256["report"]
-            assert (len(forks) > before) == parsed
+            assert (len(rows) > before) == parsed
         assert len(list(vector_cache.iterdir())) == 2
 
         index = workspace / "kb.esa"

@@ -26,7 +26,7 @@ from newscoherence.embeddings import (
 )
 from newscoherence.esa import EsaError, build_esa_index, load_index, save_index
 
-from conftest import make_table, on_cpus, save_vectors_text, synthetic_kb
+from conftest import make_table, save_vectors_text, synthetic_kb
 from oracle import load_vectors_text_ref, lookup, mean_vector, text_lines_ref
 from test_cli import _esa_text, _mangled
 
@@ -201,12 +201,16 @@ class TestLoaderMatchesReference:
         return result, [r.getMessage() for r in records]
 
     @seed(20191108)
-    @given(_vector_files())
+    @given(text=_vector_files(), bad=st.none() | st.integers(0, 10**6))
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_same_rows_warnings_and_error_lines(self, tmp_path, text):
+    def test_same_rows_warnings_and_error_lines(self, tmp_path, text, bad):
+        data = text.encode("utf-8")
+        if bad is not None:  # a byte that is not UTF-8, anywhere
+            bad %= len(data) + 1
+            data = data[:bad] + b"\xff" + data[bad:]
         p = tmp_path / "v.txt"
-        p.write_bytes(text.encode("utf-8"))
+        p.write_bytes(data)
         assert self._outcome(load_vectors_text, p) == self._outcome(load_vectors_text_ref, p)
 
     def test_underscore_digit_separator_now_rejected(self, tmp_path):
@@ -239,99 +243,6 @@ def _loaded(load, path):
     finally:
         logger.removeHandler(handler)
     return result, [r.getMessage() for r in records]
-
-
-def _loaded_on(monkeypatch, cpus: int, path, keep=None):
-    """`_loaded` with this process allowed `cpus` CPUs."""
-    on_cpus(monkeypatch, cpus)
-    return _loaded(functools.partial(load_vectors_text, keep=keep), path)
-
-
-class TestShards:
-    """Processes on any number of CPUs parse a table to the same rows, warnings
-    and errors."""
-
-    @seed(20191111)
-    @given(text=_vector_files(), keep=st.none() | st.lists(_TOKEN, max_size=6),
-           bad=st.none() | st.integers(0, 10**6))
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_any_cpus_give_the_same_outcome(self, tmp_path, forks, monkeypatch, text, keep, bad):
-        data = text.encode("utf-8")
-        if bad is not None:  # a byte that is not UTF-8, anywhere
-            bad %= len(data) + 1
-            data = data[:bad] + b"\xff" + data[bad:]
-        p = tmp_path / "v.txt"
-        p.write_bytes(data)
-        one, two, three = (_loaded_on(monkeypatch, n, p, keep) for n in (1, 2, 3))
-        assert two == one and three == one
-
-    # Eight rows, then a bad row, a bad byte or a wrong count for the parse to find.
-    _ROWS = "".join(f"w{i % 5} {i} 1\n" for i in range(8)).encode()
-    CASES = {
-        "success": b"8 2\n" + _ROWS,
-        "bad row in a child's shard": b"9 2\n" + _ROWS + b"x 1 zzz\n",
-        "bad row in the parent's shard": b"9 2\nx 1 zzz\n" + _ROWS,
-        "not UTF-8": b"9 2\n" + _ROWS[:-20] + b"\xff" + _ROWS[-20:],
-        "header count": b"9 2\n" + _ROWS,
-    }
-
-    @pytest.mark.parametrize("case", CASES)
-    def test_no_child_outlives_a_load(self, tmp_path, forks, monkeypatch, case):
-        p = tmp_path / "v.txt"
-        p.write_bytes(self.CASES[case])
-        one = _loaded_on(monkeypatch, 1, p)
-        three = _loaded_on(monkeypatch, 3, p)
-        assert three == one and len(forks) == 2
-        assert isinstance(one[0], str) == (case != "success")
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.parametrize("fails", [{1, 2}, {2}])
-    def test_a_failed_fork_parses_its_shard_here(self, tmp_path, forks, monkeypatch, fails):
-        p = tmp_path / "v.txt"
-        p.write_bytes(self.CASES["success"])
-        calls = []
-        fork = os.fork
-
-        def failing():
-            calls.append(None)
-            if len(calls) in fails:
-                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-            return fork()
-
-        monkeypatch.setattr(os, "fork", failing)
-        three = _loaded_on(monkeypatch, 3, p)
-        assert three == _loaded_on(monkeypatch, 1, p) and len(calls) == 2
-        assert len(forks) == 2 - len(fails)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_one_process_beside_another_thread(self, tmp_path, forks):
-        p = tmp_path / "v.txt"
-        p.write_bytes(self.CASES["success"])
-        stop = threading.Event()
-        other = threading.Thread(target=stop.wait, daemon=True)
-        other.start()
-        try:
-            table = load_vectors_text(p)
-        finally:
-            stop.set()
-            other.join(10)
-        assert not forks and not other.is_alive() and len(table) == 5
-
-    def test_one_process_for_a_small_table(self, tmp_path, monkeypatch):
-        on_cpus(monkeypatch, 3)
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a small table"))
-        p = tmp_path / "v.txt"
-        p.write_bytes(self.CASES["success"])
-        assert len(load_vectors_text(p)) == 5
-
-    def test_one_process_on_one_cpu(self, tmp_path, forks, monkeypatch):
-        on_cpus(monkeypatch, 1)
-        p = tmp_path / "v.txt"
-        p.write_bytes(self.CASES["success"])
-        assert len(load_vectors_text(p)) == 5 and not forks
 
 
 class TestTextLines:
@@ -595,29 +506,16 @@ class TestCache:
     @given(text=_vector_files(), keep=st.none() | st.lists(_TOKEN, max_size=6))
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_any_table_loads_from_its_entry_as_it_parses(self, tmp_path, vector_cache, forks,
+    def test_any_table_loads_from_its_entry_as_it_parses(self, tmp_path, vector_cache,
                                                          monkeypatch, text, keep):
-        """Written by three processes, read back, against a parse in one."""
+        """Parsed and written, read back, against a parse with no cache."""
         p = tmp_path / "v.txt"
         p.write_bytes(text.encode("utf-8"))
         load = functools.partial(load_vectors_text, keep=keep)
         first, second = _loaded(load, p), _loaded(load, p)
         monkeypatch.setenv("XDG_CACHE_HOME", str(p))
-        assert first == second == _loaded_on(monkeypatch, 1, p, keep)
+        assert first == second == _loaded(load, p)
         monkeypatch.setenv("XDG_CACHE_HOME", str(vector_cache.parent))
-        on_cpus(monkeypatch, 3)
-
-    def test_entry_is_the_same_from_any_shards(self, tmp_path, vector_cache, forks, monkeypatch):
-        p = tmp_path / "v.txt"
-        p.write_bytes(TestShards.CASES["success"])
-        on_cpus(monkeypatch, 1)
-        load_vectors_text(p)
-        [entry] = _entries(vector_cache)
-        one = entry.read_bytes()
-        entry.unlink()
-        on_cpus(monkeypatch, 3)
-        load_vectors_text(p)
-        assert entry.read_bytes() == one and len(forks) == 2
 
     def test_same_size_edit_is_parsed_again(self, tmp_path, vector_cache, monkeypatch):
         """The entry is checked by the bytes, not by the size and modification time.
