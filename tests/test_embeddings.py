@@ -245,6 +245,33 @@ def _loaded(load, path):
     return result, [r.getMessage() for r in records]
 
 
+class TestShards:
+    """A process that sees any number of CPUs parses a table to the same rows,
+    warnings and errors."""
+
+    @seed(20191111)
+    @given(text=_vector_files(), keep=st.none() | st.lists(_TOKEN, max_size=6),
+           bad=st.none() | st.integers(0, 10**6))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_cpus_give_the_same_outcome(self, tmp_path, monkeypatch, text, keep, bad):
+        data = text.encode("utf-8")
+        if bad is not None:  # a byte that is not UTF-8, anywhere
+            bad %= len(data) + 1
+            data = data[:bad] + b"\xff" + data[bad:]
+        p = tmp_path / "v.txt"
+        p.write_bytes(data)
+        load = functools.partial(load_vectors_text, keep=keep)
+        outcomes = []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n: set(range(n)),
+                                raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda n=n: n)
+            outcomes.append(_loaded(load, p))
+        one, two, three = outcomes
+        assert two == one and three == one
+
+
 class TestTextLines:
     """The block reader splits and decodes as the line-by-line reader did, for any
     read size: line ends and multi-byte characters split across reads."""
