@@ -164,7 +164,7 @@ def resolved_config_lines(config: RunConfig) -> list[str]:
             for f in sorted(_FIELDS.values(), key=lambda f: f.name) if f.name != "workers"]
 
 
-def _load_corpus(config: RunConfig, label: str) -> LabeledCorpus:
+def _load_corpus(config: RunConfig, label: str, vocab: corpus_mod.Vocabulary) -> LabeledCorpus:
     path = config.fake_path if label == Label.FAKE else config.legit_path
     fmt = config.fake_format if label == Label.FAKE else config.legit_format
     if fmt == "csv":
@@ -176,7 +176,7 @@ def _load_corpus(config: RunConfig, label: str) -> LabeledCorpus:
         if d.label != label:
             raise CorpusError(f"{path}: document {d.id!r} is labelled {d.label!r}, "
                               f"but this is the {label} file")
-    corpus_mod.segment_corpus(c, include_title=config.include_title)
+    corpus_mod.segment_corpus(c, include_title=config.include_title, vocab=vocab)
     return c
 
 
@@ -223,7 +223,8 @@ def run(config: RunConfig, score: bool, both_labels: bool = False) -> tuple[Corp
 
     The corpora come first, so a corpus fault is reported before a resource
     fault, and the word table holds only the rows the corpora's tokens can look
-    up. With `both_labels`, a corpus with no documents is such a fault. Linking
+    up: both are encoded through one vocabulary, which is the table's `keep`.
+    With `both_labels`, a corpus with no documents is such a fault. Linking
     runs for the entity method when scoring, else whenever an entity table is
     configured. Returns the corpora by label and, per method, the scores sorted
     by doc id with a doc id -> label map read from the documents.
@@ -232,7 +233,8 @@ def run(config: RunConfig, score: bool, both_labels: bool = False) -> tuple[Corp
     methods = config.method_list() if score else []
     link = "entity" in methods if score else bool(config.entity_vectors_path)
 
-    corpora = {lab: _load_corpus(config, lab) for lab in (Label.FAKE, Label.LEGITIMATE)}
+    vocab = corpus_mod.Vocabulary()
+    corpora = {lab: _load_corpus(config, lab, vocab) for lab in (Label.FAKE, Label.LEGITIMATE)}
     labels: dict[str, str] = {}
     for c in corpora.values():
         for d in c.documents:
@@ -244,18 +246,16 @@ def run(config: RunConfig, score: bool, both_labels: bool = False) -> tuple[Corp
             raise CorpusError(f"{c.source}: empty corpus")
     embedding_table = None
     if "embedding" in methods:
-        vocab = coh.corpus_vocab(d for c in corpora.values() for d in c.documents)
         embedding_table = load_vectors_text(config.embeddings_path, keep=vocab)
     esa_index = _esa_index(config) if "esa" in methods else None
     entity_table = load_vectors_text(config.entity_vectors_path) if link else None
+    both = LabeledCorpus(documents=[d for c in corpora.values() for d in c.documents])
     if link:
         gazetteer = entitylink.build_gazetteer(entity_table)
         if config.alias_path:
             entitylink.load_aliases(config.alias_path, entity_table, gazetteer)
-        for c in corpora.values():
-            entitylink.link_corpus(c, gazetteer)
+        entitylink.link_corpus(both, gazetteer)
 
-    both = LabeledCorpus(documents=[d for c in corpora.values() for d in c.documents])
     per_method: PerMethod = {}
     for method in methods:
         scores = coh.score_corpus(

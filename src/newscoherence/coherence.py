@@ -5,14 +5,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Document, Label, LabeledCorpus, Sentence, csv_records
+from .corpus import Document, Label, LabeledCorpus, Sentence, Sentences, Vocabulary, csv_records
 from .embeddings import EmbeddingTable
 from .entitylink import entity_set
 from .esa import EsaIndex
@@ -27,7 +26,6 @@ __all__ = [
     "coherence_entities",
     "score_corpus",
     "sentence_matrix",
-    "corpus_vocab",
     "scores_csv",
     "read_scores_csv",
 ]
@@ -40,6 +38,10 @@ Csr = tuple[np.ndarray, np.ndarray, np.ndarray]  # indptr, indices, data
 # stays under half a MB however many entries a document has. On 2 vCPUs, 2**11
 # scored a wide index 10 % slower and 2**13 no faster, while holding more.
 _CHUNK_ENTRIES = 1 << 12
+# Word-vector cells that `_sentence_means` gathers at once: 64 KB of float64, 27 rows
+# of a 300-d table. A halved pass holds a second such block. On `isot`, 2**14 peaked
+# 0.16 MB higher, and 2**12 0.05 MB lower at about one gather per sentence.
+_CHUNK_CELLS = 1 << 13
 
 
 class CoherenceError(Exception):
@@ -76,22 +78,28 @@ def sentence_rep_embedding(
 ) -> np.ndarray | None:
     """Mean of the in-vocabulary token vectors (occurrence-weighted by default), as
     method "embedding" takes it; None when there is none or it is the zero vector."""
-    [tokens] = _token_lists([s], unique_tokens)
-    [rep] = _sentence_means([tokens], _row_map(table, tokens), table.matrix)
+    vocab = Vocabulary()
+    sentences = Sentences.of([s], vocab)
+    _, rows, counts = _occurrences(sentences, *_id_maps(vocab, table.row, unique_tokens))
+    [rep] = _sentence_means(rows, counts, table.matrix)
     return rep if np.any(rep) else None
 
 
-def _token_lists(sentences: list[Sentence], unique_tokens: bool) -> list[list[str]]:
-    """Each sentence's tokens: distinct and sorted with `unique_tokens`, else all."""
-    return [sorted(set(s.tokens)) if unique_tokens else s.tokens for s in sentences]
+def _id_maps(vocab: Vocabulary, row: Callable[[str], int | None],
+             unique_tokens: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The row that `row` gives each id of `vocab`, -1 for none. With `unique_tokens`,
+    the rows by rank instead, and each id's rank in the sorted order of the tokens."""
+    rows = np.fromiter((-1 if (r := row(t)) is None else r for t in vocab.tokens),
+                       dtype=np.intp, count=len(vocab.tokens))
+    if not unique_tokens:
+        return rows, None
+    order = np.array(sorted(range(len(rows)), key=vocab.tokens.__getitem__), dtype=np.intp)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rows[order], rank
 
 
-def _row_map(table: EmbeddingTable, tokens: Iterable[str]) -> dict[str, int]:
-    """Token -> its row in `table`, for each of `tokens` that the table has."""
-    return {t: row for t in tokens if (row := table.row(t)) is not None}
-
-
-def _score(doc_id: str, method: str, rows) -> CoherenceScore:
+def _score(doc_id: str, method: str, rows, in_place: bool = False) -> CoherenceScore:
     """Mean pairwise cosine of the nonzero rows of a dense matrix or of CSR arrays.
 
     With u_i the K unit rows and S their sum, |S|^2 = sum_i |u_i|^2 + sum_{i != j} u_i.u_j,
@@ -100,7 +108,8 @@ def _score(doc_id: str, method: str, rows) -> CoherenceScore:
     scaled by the power of two that brings its largest component into [0.5, 1),
     so no square overflows or underflows whatever the row's magnitude; that scaling
     is exact, and the unit rows are the ones the unscaled rows give. The scaled
-    rows are the one copy made of `rows`, which is left as it was.
+    rows are the one copy made of `rows`, which is left as it was; `in_place`
+    scales a caller's rows that it has no more use for, and makes no copy.
     """
     if isinstance(rows, tuple):
         indptr, cols, values = rows
@@ -112,11 +121,11 @@ def _score(doc_id: str, method: str, rows) -> CoherenceScore:
             starts = indptr[:-1][filled]
             peaks[filled] = np.maximum(np.maximum.reduceat(values, starts),
                                        -np.minimum.reduceat(values, starts))
-        unit = np.ldexp(values, -np.frexp(peaks)[1][row])
+        unit = np.ldexp(values, -np.frexp(peaks)[1][row], out=values if in_place else None)
         sq = np.bincount(row, weights=np.square(unit), minlength=len(lengths))
     else:
         peaks = np.maximum(rows.max(axis=1, initial=0.0), -rows.min(axis=1, initial=0.0))
-        unit = np.ldexp(rows, -np.frexp(peaks)[1][:, None])
+        unit = np.ldexp(rows, -np.frexp(peaks)[1][:, None], out=rows if in_place else None)
         sq = np.einsum("ij,ij->i", unit, unit)
     keep = sq > 0.0
     k = int(np.count_nonzero(keep))
@@ -140,15 +149,18 @@ def _score(doc_id: str, method: str, rows) -> CoherenceScore:
                           pair_count=k * (k - 1) // 2, status="ok")
 
 
-def _occurrences(token_lists: list[list[str]],
-                 row_of: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sentence and the row that `row_of` gives of each token occurrence it
-    knows, in occurrence order, and each sentence's count of them."""
-    lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
-    rows = np.fromiter(map(row_of.get, chain.from_iterable(token_lists), repeat(-1)),
-                       dtype=np.intp, count=int(lengths.sum()))
+def _occurrences(sentences: Sentences, row_of: np.ndarray,
+                 rank: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sentence and the row of each token occurrence that has one, in occurrence
+    order, and each sentence's count of them: `_id_maps`' rows and ranks. With
+    `rank`, each sentence's distinct ids count once, in the order of their ranks."""
+    ids, lengths = sentences.ids, np.diff(sentences.starts)
+    sentence = np.repeat(np.arange(len(lengths)), lengths)
+    if rank is not None:  # sentence-major keys; `row_of` is by rank
+        sentence, ids = np.divmod(np.unique(sentence * len(rank) + rank[ids]), len(rank))
+    rows = row_of[ids]
     known = rows >= 0
-    sentence = np.repeat(np.arange(len(lengths)), lengths)[known]
+    sentence = sentence[known]
     return sentence, rows[known], np.bincount(sentence, minlength=len(lengths))
 
 
@@ -158,22 +170,46 @@ def _halvings(counts: np.ndarray) -> np.ndarray:
     return np.frexp(counts)[1]
 
 
-def _sentence_means(token_lists: list[list[str]], row_of: dict[str, int],
-                    matrix: np.ndarray) -> np.ndarray:
-    """Row i is the mean of the rows of `matrix` that `row_of` gives the tokens of
-    `token_lists[i]`, added in token order; zeros when it has none."""
-    sentence, ids, counts = _occurrences(token_lists, row_of)
+def _chunks(done: np.ndarray, budget: int) -> list[int]:
+    """Each chunk's first sentence, then the sentence count, where sentence i's
+    entries end at done[i + 1] (done[0] is 0): a chunk holds whole sentences of at
+    most `budget` entries in all, or one wider sentence."""
+    bounds = [0]
+    while bounds[-1] < len(done) - 1:
+        s = bounds[-1]
+        t = int(np.searchsorted(done, done[s] + budget, side="right")) - 1
+        bounds.append(max(t, s + 1))
+    return bounds
+
+
+def _sentence_means(rows: np.ndarray, counts: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Row i is the mean of sentence i's `rows` of `matrix`, the counts[i] after
+    those of the sentences before it, added in their order; zeros when it has none.
+    The rows are gathered in chunks of whole sentences, each of at most _CHUNK_CELLS
+    cells or one wider sentence, and each sentence's block is summed alone, as
+    `np.add.reduce` sums it (`reduceat` adds in another order), so the scratch
+    follows the chunk, not the document."""
     means = np.zeros((len(counts), matrix.shape[1]))
-    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-    spans = [(i, a, b) for i, (a, b) in enumerate(zip(bounds, bounds[1:])) if b > a]
+    firsts = np.concatenate(([0], np.cumsum(counts)))
+    bounds = _chunks(firsts * matrix.shape[1], _CHUNK_CELLS)
+    firsts = firsts.tolist()
+
+    def summed(halvings: np.ndarray | None) -> None:
+        """Each sentence's sum into `means`; with `halvings`, its terms halved that
+        many times."""
+        for s, t in zip(bounds, bounds[1:]):
+            a = firsts[s]
+            block = matrix.take(rows[a:firsts[t]], axis=0)
+            if halvings is not None:
+                block = np.ldexp(block, -np.repeat(halvings[s:t], counts[s:t])[:, None])
+            for i in range(s, t):
+                if firsts[i + 1] > firsts[i]:
+                    np.add.reduce(block[firsts[i] - a:firsts[i + 1] - a], axis=0, out=means[i])
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, a, b in spans:
-            np.add.reduce(matrix.take(ids[a:b], axis=0), axis=0, out=means[i])
+        summed(None)
     if not np.isfinite(means).all():
-        halvings = _halvings(counts)
-        for i, a, b in spans:
-            rows = np.ldexp(matrix.take(ids[a:b], axis=0), -halvings[i])
-            np.add.reduce(rows, axis=0, out=means[i])
+        summed(_halvings(counts))
     means /= np.maximum(counts, 1)[:, None]
     return means
 
@@ -188,6 +224,17 @@ def sentence_matrix(index: EsaIndex,
     """One row per token list: the sum of its tokens' ESA concept vectors, which
     points the way of their mean; out-of-index tokens add nothing. Returns the
     rows and the concept id of each of their C columns, the concepts the lists touch.
+    The lists are encoded as `score_corpus` encodes a hand-built document."""
+    vocab = Vocabulary()
+    sentences = Sentences.of([Sentence(i, "", tokens) for i, tokens in enumerate(token_lists)],
+                             vocab)
+    return _sentence_sums(index, *_occurrences(sentences, *_id_maps(vocab, index.rows.get, False)))
+
+
+def _sentence_sums(index: EsaIndex, sentence: np.ndarray, flat: np.ndarray,
+                   counts: np.ndarray) -> tuple[np.ndarray | Csr, np.ndarray]:
+    """`sentence_matrix` of the index rows `flat`, which `sentence` gives to the
+    sentences that `counts` counts them for.
 
     Each token occurrence contributes its row's entries, E in all, and each cell
     is their sum in occurrence order. The rows are a dense K x C array when
@@ -196,7 +243,6 @@ def sentence_matrix(index: EsaIndex,
     each of at most _CHUNK_ENTRIES of them or one wider sentence, so the scratch
     follows the chunk and the output, not E."""
     indptr, indices, data = index.indptr, index.indices, index.data
-    sentence, flat, counts = _occurrences(token_lists, index.rows)
     k = len(counts)
     # The document's distinct tokens, their rows' entries and the concepts those touch.
     tokens, occurrence = np.unique(flat, return_inverse=True)
@@ -212,11 +258,7 @@ def sentence_matrix(index: EsaIndex,
     firsts = np.concatenate(([0], np.cumsum(counts)))
     done = np.concatenate(([0], np.cumsum(spans)))[firsts]
     dense = k * c <= done[-1]
-    bounds = [0]  # each chunk's first sentence, then k
-    while bounds[-1] < k:
-        s = bounds[-1]
-        t = int(np.searchsorted(done, done[s] + _CHUNK_ENTRIES, side="right")) - 1
-        bounds.append(max(t, s + 1))
+    bounds = _chunks(done, _CHUNK_ENTRIES)
 
     def summed(halvings: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
         """Each cell's sum, and the cells when the rows are CSR; with `halvings`,
@@ -249,16 +291,7 @@ def sentence_matrix(index: EsaIndex,
     return (np.concatenate(([0], np.cumsum(row_lengths))), cells % c, sums), columns
 
 
-def corpus_vocab(docs: Iterable[Document]) -> set[str]:
-    """Every sentence token of `docs`: the tokens method "embedding" looks up."""
-    vocab: set[str] = set()
-    for doc in docs:
-        for s in _sentences(doc):
-            vocab.update(s.tokens)
-    return vocab
-
-
-def _sentences(doc: Document) -> list[Sentence]:
+def _sentences(doc: Document) -> Sequence[Sentence]:
     if doc.sentences is None:
         raise CoherenceError(f"document {doc.id!r} has not been segmented")
     return doc.sentences
@@ -273,7 +306,7 @@ def coherence_sentences(doc: Document, rep) -> CoherenceScore:
     """
     reps = [r for r in (rep(s) for s in _sentences(doc)) if r is not None]
     rows = np.array(reps, dtype=np.float64) if reps else np.zeros((0, 0))
-    return _score(doc.id, "embedding", rows)
+    return _score(doc.id, "embedding", rows, in_place=True)
 
 
 def coherence_entities(
@@ -283,7 +316,7 @@ def coherence_entities(
 
     `multiset` scores over the mention multiset instead of distinct entities.
     """
-    return _score(doc.id, "entity", _entity_rows(doc, entity_table, multiset))
+    return _score(doc.id, "entity", _entity_rows(doc, entity_table, multiset), in_place=True)
 
 
 def _entity_rows(doc: Document, entity_table: EmbeddingTable, multiset: bool) -> np.ndarray:
@@ -318,19 +351,25 @@ def score_corpus(
     if method == "entity" and entity_table is None:
         raise CoherenceError("method 'entity' requires an entity vector table")
 
-    if method == "embedding":  # each distinct token is looked up once per corpus
-        row_of = _row_map(embedding_table, corpus_vocab(corpus.documents))
+    docs = corpus.documents
+    if method == "entity":
+        def rows(i: int):
+            return _entity_rows(docs[i], entity_table, entity_multiset)
+    else:  # each distinct token is looked up once per vocabulary
+        hand = Vocabulary()  # for hand-built sentence lists, all encoded before any lookup
+        encoded = [Sentences.of(_sentences(doc), hand) for doc in docs]
+        row = embedding_table.row if method == "embedding" else esa_index.rows.get
+        id_maps = {id(v): _id_maps(v, row, unique_tokens)
+                   for v in {id(e.vocab): e.vocab for e in encoded}.values()}
 
-    def rows(doc: Document):
-        if method == "entity":
-            return _entity_rows(doc, entity_table, entity_multiset)
-        tokens = _token_lists(_sentences(doc), unique_tokens)
-        if method == "embedding":
-            return _sentence_means(tokens, row_of, embedding_table.matrix)
-        return sentence_matrix(esa_index, tokens)[0]  # sums point the way of the means
+        def rows(i: int):
+            occurrences = _occurrences(encoded[i], *id_maps[id(encoded[i].vocab)])
+            if method == "embedding":
+                return _sentence_means(*occurrences[1:], embedding_table.matrix)
+            return _sentence_sums(esa_index, *occurrences)[0]  # sums point the way of the means
 
-    # No name holds a document's rows, so `_score` frees each copy as it makes the next.
-    return sorted((_score(doc.id, method, rows(doc)) for doc in corpus.documents),
+    # No name holds a document's rows, so `_score` scales them in place and frees them.
+    return sorted((_score(doc.id, method, rows(i), in_place=True) for i, doc in enumerate(docs)),
                   key=lambda s: s.doc_id)
 
 

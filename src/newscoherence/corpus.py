@@ -7,9 +7,11 @@ import json
 import logging
 import re
 import sys
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .embeddings import text_lines
 from .stats import mean_sd
@@ -19,6 +21,8 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "Label",
     "Sentence",
+    "Sentences",
+    "Vocabulary",
     "Document",
     "LabeledCorpus",
     "CorpusError",
@@ -58,13 +62,77 @@ class Sentence:
     start: int | None = None
 
 
+class Vocabulary(dict):
+    """The distinct tokens of a run, each held once: token -> id, and `tokens[id]`.
+
+    Looking up a token it lacks adds it, interned, with the next id. So every
+    corpus encoded through one vocabulary holds each distinct token as one
+    string, and a word table loaded for the vocabulary keys its rows by them.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.tokens: list[str] = []
+
+    def __missing__(self, token: str) -> int:
+        token = sys.intern(token)
+        self[token] = new_id = len(self.tokens)
+        self.tokens.append(token)
+        return new_id
+
+
+class Sentences(Sequence):
+    """A document's sentences as token ids into `vocab`, with no Sentence kept.
+
+    Sentence i's ids are ids[starts[i]:starts[i + 1]] and its characters
+    text[spans[i, 0]:spans[i, 1]]. A sentence with no body offset, a prepended
+    title, has the span (-1, -1) and the text `title.strip()`. Indexing builds
+    a Sentence whose tokens are the vocabulary's own strings.
+    """
+
+    __slots__ = ("vocab", "ids", "starts", "spans", "text", "title")
+
+    def __init__(self, vocab: Vocabulary, ids: list[int], starts: list[int],
+                 spans: list[tuple[int, int]], text: str = "", title: str = ""):
+        self.vocab, self.text, self.title = vocab, text, title
+        self.ids = np.array(ids, dtype=np.int32)
+        self.starts = np.array(starts, dtype=np.int32)
+        self.spans = np.array(spans, dtype=np.int64).reshape(-1, 2)
+
+    @classmethod
+    def of(cls, sentences: Sequence[Sentence], vocab: Vocabulary) -> Sentences:
+        """`sentences` themselves when encoded, else a hand-built list encoded
+        through `vocab`, each sentence spanning its `text` from its `start`."""
+        if isinstance(sentences, Sentences):
+            return sentences
+        ids, starts = [], [0]
+        for s in sentences:
+            ids.extend(map(vocab.__getitem__, s.tokens))
+            starts.append(len(ids))
+        return cls(vocab, ids, starts, [(-1, -1) if s.start is None
+                                        else (s.start, s.start + len(s.text)) for s in sentences])
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def __getitem__(self, i: int) -> Sentence:
+        i = range(len(self))[i]
+        a, b = self.starts[i:i + 2].tolist()
+        tokens = list(map(self.vocab.tokens.__getitem__, self.ids[a:b].tolist()))
+        start, end = self.spans[i].tolist()
+        if start < 0:
+            return Sentence(index=i, text=self.title.strip(), tokens=tokens)
+        return Sentence(index=i, text=self.text[start:end], tokens=tokens, start=start)
+
+
 @dataclass
 class Document:
     id: str
     label: str
     text: str
     title: str | None = None
-    sentences: list[Sentence] | None = None
+    # `segment_corpus` gives Sentences; a hand-built list scores and links the same.
+    sentences: Sequence[Sentence] | None = None
     # None means entity linking has not run; [] means it ran and found nothing.
     entity_mentions: list | None = None
 
@@ -103,9 +171,9 @@ def surface_tokens(text: str) -> Iterator[str]:
     return map(str.lower, _TOKEN_RE.findall(text))
 
 
-def token_spans(text: str) -> list[tuple[int, int]]:
-    """(start, end) in `text` of each token that `tokenize` yields."""
-    return [m.span() for m in _TOKEN_RE.finditer(text)]
+def token_spans(text: str, start: int = 0, end: int | None = None) -> list[tuple[int, int]]:
+    """(start, end) in `text` of each token that `tokenize` yields for text[start:end]."""
+    return [m.span() for m in _TOKEN_RE.finditer(text, start, len(text) if end is None else end)]
 
 
 def _abbreviation_test(abbreviations: tuple[str, ...]):
@@ -153,39 +221,52 @@ def split_sentences(
     unless the text up to the punctuation ends in a known abbreviation. Each
     sentence is stripped of surrounding whitespace and records its offset.
     """
-    is_abbreviation = _abbreviation_test(abbreviations)
+    return list(_segment(text, None, Vocabulary(), _abbreviation_test(abbreviations)))
+
+
+def _segment(text: str, title: str | None, vocab: Vocabulary, is_abbreviation) -> Sentences:
+    """The sentences of `text`, as `split_sentences` splits them, encoded through
+    `vocab`; a `title` comes first. A token is lower-cased on its own, as
+    `tokenize` does: a lower-cased "İ" or final "Σ" depends on its neighbours."""
     ends = [m.end() for m in _BOUNDARY_RE.finditer(text)
             if not is_abbreviation(text, m.start() + 1)]
-    sentences = []
+    ids: list[int] = []
+    starts, spans = [0], []
+    if title is not None:
+        ids.extend(map(vocab.__getitem__, surface_tokens(title)))
+        starts.append(len(ids))
+        spans.append((-1, -1))
     start = 0
     for end in ends + [len(text)]:
         raw = text[start:end]
-        piece = raw.strip()
-        if piece:
-            sentences.append(Sentence(index=len(sentences), text=piece, tokens=tokenize(piece),
-                                      start=start + raw.find(piece)))
+        first, last = start + len(raw) - len(raw.lstrip()), start + len(raw.rstrip())
+        if first < last:
+            ids.extend(map(vocab.__getitem__,
+                           map(str.lower, _TOKEN_RE.findall(text, first, last))))
+            starts.append(len(ids))
+            spans.append((first, last))
         start = end
-    return sentences
+    return Sentences(vocab, ids, starts, spans, text, title or "")
 
 
 def segment_corpus(
     corpus: LabeledCorpus,
     abbreviations: tuple[str, ...] = DEFAULT_ABBREVIATIONS,
     include_title: bool = False,
-) -> None:
-    """Populate `sentences` for every document, in place.
+    vocab: Vocabulary | None = None,
+) -> Vocabulary:
+    """Populate `sentences` for every document, in place, as Sentences encoded
+    through `vocab` (a new one when None); returns the vocabulary.
 
     With `include_title`, the title (when present) is prepended as sentence 0,
     with no body offset.
     """
+    vocab = Vocabulary() if vocab is None else vocab
+    is_abbreviation = _abbreviation_test(abbreviations)
     for doc in corpus.documents:
-        sentences = split_sentences(doc.text, abbreviations)
-        if include_title and doc.title:
-            for s in sentences:
-                s.index += 1
-            sentences.insert(0, Sentence(index=0, text=doc.title.strip(),
-                                         tokens=tokenize(doc.title)))
-        doc.sentences = sentences
+        title = doc.title if include_title and doc.title else None
+        doc.sentences = _segment(doc.text, title, vocab, is_abbreviation)
+    return vocab
 
 
 def _read_text_file(path: str | Path) -> Path:

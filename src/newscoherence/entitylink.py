@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Document, LabeledCorpus, Sentence, surface_tokens, token_spans
+import numpy as np
+
+from .corpus import Document, LabeledCorpus, Sentences, Vocabulary, surface_tokens, token_spans
 from .embeddings import EmbeddingTable, text_lines
 
 __all__ = [
@@ -97,33 +99,68 @@ def extract_entities(
     original surface starts with an uppercase letter or digit are candidates.
     A sentence with no body offset, such as a prepended title, is not linked.
     """
-    if doc.sentences is None:
-        raise EntityLinkError(f"document {doc.id!r} has not been segmented")
-    return [m for sentence in doc.sentences if sentence.start is not None
-            for m in _sentence_mentions(doc.text, sentence, gaz, require_uppercase)]
+    [mentions] = _link([doc], gaz, require_uppercase)
+    return mentions
 
 
-def _sentence_mentions(text: str, sentence: Sentence, gaz: Gazetteer, require_uppercase: bool):
-    """Mentions in one body sentence, with offsets in the body `text`."""
-    tokens = sentence.tokens
-    spans = None  # token offsets in the sentence, found at its first surface match
-    resume = 0
-    for i, token in enumerate(tokens):
-        longest = gaz.longest.get(token)
-        if longest is None or i < resume:
+def _id_surfaces(gaz: Gazetteer, vocab: Vocabulary) -> tuple[dict, np.ndarray]:
+    """The gazetteer keyed by the token ids of `vocab`, and per id the most ids of a
+    surface that starts with it, 0 for none. A surface with a token `vocab` lacks
+    can match no sentence: it is left out."""
+    surfaces: dict[tuple[int, ...], str] = {}
+    longest = np.zeros(len(vocab.tokens), dtype=np.intp)
+    for key, entity_id in gaz.surfaces.items():
+        ids = tuple(map(vocab.get, key))
+        if None not in ids:
+            surfaces[ids] = entity_id
+            longest[ids[0]] = max(longest[ids[0]], len(ids))
+    return surfaces, longest
+
+
+def _link(docs: list[Document], gaz: Gazetteer, require_uppercase: bool):
+    """Each document's mentions, as `extract_entities` finds them. The gazetteer is
+    keyed by ids once per vocabulary the documents are encoded in; hand-built
+    sentence lists are encoded into one, before any is linked."""
+    for doc in docs:
+        if doc.sentences is None:
+            raise EntityLinkError(f"document {doc.id!r} has not been segmented")
+    hand = Vocabulary()
+    encoded = [Sentences.of(doc.sentences, hand) for doc in docs]
+    keyed: dict[int, tuple] = {}
+    for doc, sentences in zip(docs, encoded):
+        if id(sentences.vocab) not in keyed:
+            keyed[id(sentences.vocab)] = _id_surfaces(gaz, sentences.vocab)
+        yield list(_mentions(doc.text, sentences, *keyed[id(sentences.vocab)],
+                             require_uppercase))
+
+
+def _mentions(text: str, sentences: Sentences, surfaces: dict, longest: np.ndarray,
+              require_uppercase: bool):
+    """Mentions in the body sentences of `sentences`, with offsets in the body `text`.
+    Only the positions whose id starts some surface are tried."""
+    ids, starts = sentences.ids, sentences.starts
+    at = np.flatnonzero(longest[ids])
+    of = np.searchsorted(starts, at, side="right") - 1  # the sentence of each position
+    resume, sentence = 0, None  # a match ends inside its sentence: none later resets `resume`
+    for i, s, most in zip(at.tolist(), of.tolist(), longest[ids[at]].tolist()):
+        if i < resume:
             continue
-        for length in range(min(longest, len(tokens) - i), 0, -1):
-            entity_id = gaz.surfaces.get(tuple(tokens[i:i + length]))
+        if s != sentence:  # token offsets in `text` are found at the sentence's first match
+            sentence, spans = s, None
+            a, b = starts[s:s + 2].tolist()
+            start, end = sentences.spans[s].tolist()
+        if start < 0:
+            continue
+        for length in range(min(most, b - i), 0, -1):
+            entity_id = surfaces.get(tuple(ids[i:i + length].tolist()))
             if entity_id is None:
                 continue
             if spans is None:
-                spans = token_spans(sentence.text)
-            first_char = sentence.text[spans[i][0]]
-            if require_uppercase and not (first_char.isupper() or first_char.isdigit()):
+                spans = token_spans(text, start, end)
+            first, last = spans[i - a][0], spans[i - a + length - 1][1]
+            if require_uppercase and not (text[first].isupper() or text[first].isdigit()):
                 break  # every shorter surface here starts with the same character
-            start = sentence.start + spans[i][0]
-            end = sentence.start + spans[i + length - 1][1]
-            yield EntityMention(surface=text[start:end], start=start, end=end,
+            yield EntityMention(surface=text[first:last], start=first, end=last,
                                 entity_id=entity_id)
             resume = i + length
             break
@@ -142,5 +179,5 @@ def entity_set(mentions: list[EntityMention]) -> list[str]:
 
 def link_corpus(corpus: LabeledCorpus, gaz: Gazetteer, require_uppercase: bool = True) -> None:
     """Populate `entity_mentions` for every document, in place."""
-    for doc in corpus.documents:
-        doc.entity_mentions = extract_entities(doc, gaz, require_uppercase)
+    for doc, mentions in zip(corpus.documents, _link(corpus.documents, gaz, require_uppercase)):
+        doc.entity_mentions = mentions

@@ -6,14 +6,16 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import newscoherence
+from newscoherence import coherence
 from newscoherence.coherence import (
     CoherenceError,
     _score,
@@ -24,7 +26,7 @@ from newscoherence.coherence import (
 )
 from newscoherence.corpus import Document, LabeledCorpus, Label, Sentence, segment_corpus
 from newscoherence.entitylink import EntityMention
-from newscoherence.esa import build_esa_index, load_index, save_index
+from newscoherence.esa import EsaIndex, build_esa_index, load_index, save_index
 
 from conftest import make_doc, make_table
 from oracle import (
@@ -465,9 +467,114 @@ class TestEmbeddingMatchesReference:
                 assert a.value == pytest.approx(b.value, abs=1e-12)
 
 
+# Words of a segmented text: table tokens in other casings, out-of-table tokens, an
+# underscore joint and a digit run. "The" opens each sentence and no table holds it.
+_TEXT_WORDS = ["alpha", "Alpha", "beta", "BETA", "gamma", "oov", "x_y", "2020", "pos", "neg"]
+
+
+@st.composite
+def _segmented_case(draw):
+    """A word table with components near 1e308, so sums overflow and are halved, and
+    the text of sentences drawn from _TEXT_WORDS, some with no table token."""
+    dim = draw(st.integers(1, 4))
+    component = st.floats(-4, 4).filter(lambda x: x == 0.0 or abs(x) >= 1e-6)
+    if draw(st.booleans()):
+        component |= st.sampled_from([1e308, -1e308, 1.7e308, -1.6e308, 8.9e307])
+    vector = st.lists(component, min_size=dim, max_size=dim)
+    names = draw(st.lists(st.sampled_from(["alpha", "Beta", "gamma", "x", "2020"]),
+                          unique=True, max_size=5))
+    entries = {name: draw(vector) for name in names}
+    entries["pos"] = draw(vector)
+    entries["neg"] = [-x for x in entries["pos"]]
+    sentences = draw(st.lists(st.lists(st.sampled_from(_TEXT_WORDS), max_size=14),
+                              min_size=1, max_size=12))
+    return entries, " ".join(" ".join(["The", *words]) + "." for words in sentences)
+
+
+def _esa_index_of(entries: dict[str, list[float]]) -> EsaIndex:
+    """An index whose row for each lower-case token is the magnitudes of its vector."""
+    rows = {t: [(c, abs(x)) for c, x in enumerate(v) if x] for t, v in entries.items()
+            if t == t.lower()}
+    width = len(next(iter(entries.values())))
+    return EsaIndex(concepts=[f"C{c}" for c in range(width)], tokens=list(rows),
+                    indptr=np.cumsum([0] + [len(r) for r in rows.values()]),
+                    indices=np.array([c for r in rows.values() for c, _ in r], dtype=np.int64),
+                    data=np.array([w for r in rows.values() for _, w in r], dtype=np.float64),
+                    df={t: len(r) for t, r in rows.items()}, weighting="tf")
+
+
+class TestEncodedMatchesHandBuilt:
+    """A segmented document scores, bit for bit, as the same sentences built by hand,
+    at any gather chunk size; method "embedding" also as the one-sentence route
+    and, while no sum leaves the float range, as the oracle's `np.mean` of each
+    sentence's rows. Under `unique_tokens` it scores as the hand-built lists of
+    each sentence's distinct tokens in sorted order."""
+
+    @seed(20191108)
+    @given(_segmented_case(), st.booleans(), st.sampled_from([None, 1, 7]))
+    @example(({"alpha": [1e308, 1e308], "pos": [1.0, 2.0], "neg": [-1.0, -2.0]},
+              "The alpha alpha pos. The oov. The alpha neg. The pos pos."), False, 1)
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits(self, case, unique_tokens, budget):
+        entries, text = case
+        table, index = make_table(entries), _esa_index_of(entries)
+        doc = Document(id="d", label=Label.FAKE, text=text)
+        segment_corpus(LabeledCorpus(documents=[doc]))
+        hand, distinct = (Document(id="d", label=Label.FAKE, text=text, sentences=[
+            Sentence(s.index, s.text, tokens(s.tokens), s.start) for s in doc.sentences])
+            for tokens in (list, lambda ts: sorted(set(ts))))
+
+        def bits(score):
+            return repr(score.value), score.element_count, score.pair_count, score.status
+
+        def scored(d, method, unique=unique_tokens):
+            [score] = score_corpus(LabeledCorpus(documents=[d]), method, embedding_table=table,
+                                   esa_index=index, unique_tokens=unique)
+            return bits(score)
+
+        with pytest.MonkeyPatch.context() as mp:
+            if budget:
+                mp.setattr(coherence, "_CHUNK_CELLS", budget)
+                mp.setattr(coherence, "_CHUNK_ENTRIES", budget)
+            for method in ("embedding", "esa"):
+                assert scored(doc, method) == scored(hand, method)
+                if unique_tokens:
+                    assert scored(doc, method) == scored(distinct, method, unique=False)
+            embedding = scored(doc, "embedding")
+        one = coherence_sentences(doc, lambda s: sentence_rep_embedding(s, table, unique_tokens))
+        assert embedding == scored(doc, "embedding") == bits(one)
+        if max(abs(x) for v in entries.values() for x in v) < 1e300:
+            assert embedding == bits(score_embedding_ref([doc], table, unique_tokens)[0])
+
+
+class TestGatherScratch:
+    """Method "embedding" gathers a document's rows in chunks of whole sentences, so
+    its scratch memory does not grow with the document."""
+
+    def test_long_document_within_budget(self):
+        rng = np.random.default_rng(5)
+        words = [f"w{i}" for i in range(500)]
+        table = make_table({w: list(rng.standard_normal(300)) for w in words})
+        text = " ".join(" ".join(["The", *rng.choice(words, size=19)]) + "."
+                        for _ in range(100))
+        doc = Document(id="d", label=Label.FAKE, text=text)
+        segment_corpus(LabeledCorpus(documents=[doc]))
+        assert len(doc.sentences) == 100 and len(doc.sentences.ids) == 2000
+        tracemalloc.start()
+        try:
+            [score] = score_corpus(LabeledCorpus(documents=[doc]), "embedding",
+                                   embedding_table=table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The whole document's rows would be 1900 x 300 x 8 B = 4.6 MB.
+        assert score.ok and peak < 1_000_000, peak
+
+
 class TestScoreLeavesItsRows:
     """`_score` scales and normalizes a copy: the caller's rows, dense or CSR, are
-    read-only here, so any write to them raises, and they end as they began."""
+    read-only here, so any write to them raises, and they end as they began. Only
+    with `in_place` does it scale the rows it is given."""
 
     @pytest.mark.parametrize("zero_row", [False, True], ids=["all-nonzero", "a-zero-row"])
     def test_dense_and_csr_rows_unchanged(self, zero_row):
@@ -485,6 +592,10 @@ class TestScoreLeavesItsRows:
             assert [a.tobytes() for a in arrays] == [a.tobytes() for a in before]
         assert scores[0].element_count == scores[1].element_count == 3 - zero_row
         assert scores[0].value == pytest.approx(scores[1].value, abs=1e-15)
+        # Scaled in place, rows the caller is done with score the same, bit for bit.
+        spent = [_score("d", "esa", rows, in_place=True)
+                 for rows in (dense.copy(), tuple(a.copy() for a in csr))]
+        assert [repr(s.value) for s in spent] == [repr(s.value) for s in scores]
 
 
 class TestExtremeMagnitudes:

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from newscoherence.corpus import (
@@ -13,6 +14,7 @@ from newscoherence.corpus import (
     Document,
     LabeledCorpus,
     Label,
+    Sentence,
     corpus_stats,
     load_csv,
     load_jsonl,
@@ -142,6 +144,52 @@ class TestSegmenterMatchesReference:
         # "İ." lower-cases to the three characters of "i\u0307.", and the letter
         # before the match is the "İ" itself, so "İ." is not an abbreviation.
         assert [s.text for s in split_sentences("İ. A", ("i\u0307.",))] == ["İ.", "A"]
+
+
+class TestEncodedSegmentation:
+    """`segment_corpus` keeps token ids, sentence starts and character ranges alone;
+    the sentences read back from them are those `split_sentences` and the
+    reference segmenter make, with a title as sentence 0."""
+
+    @staticmethod
+    def _fields(sentences, shift=0):
+        return [(s.index + shift, s.text, s.tokens, s.start) for s in sentences]
+
+    @seed(20191108)
+    @given(_abbreviated_text(),
+           st.one_of(st.none(), st.text(alphabet="aZİıΣσς09_ .", max_size=12)))
+    @example(("İstanbul met ΟΔΟΣ. The x_y 2020 vote, 12ab34 ΣΑΣ!", ()), "ΟΔΟΣ_İ 42 ")
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip(self, case, title):
+        text, abbreviations = case
+        plain = Document(id="p", label=Label.FAKE, text=text, title=title)
+        titled = Document(id="t", label=Label.FAKE, text=text, title=title)
+        vocab = segment_corpus(LabeledCorpus(documents=[plain]), abbreviations)
+        assert segment_corpus(LabeledCorpus(documents=[titled]), abbreviations,
+                              include_title=True, vocab=vocab) is vocab
+        want = split_sentences(text, abbreviations)
+        ref = split_sentences_ref(text, abbreviations)
+        assert self._fields(plain.sentences) == self._fields(want)
+        assert [f[:3] for f in self._fields(want)] == [f[:3] for f in self._fields(ref)]
+        head = [Sentence(index=0, text=title.strip(), tokens=tokenize(title))] if title else []
+        assert self._fields(titled.sentences) == \
+            self._fields(head) + self._fields(want, shift=len(head))
+        # The ids are the tokens in order, each distinct token one vocabulary entry.
+        encoded = plain.sentences
+        assert [vocab.tokens[i] for i in encoded.ids.tolist()] == \
+            [t for s in ref for t in s.tokens]
+        assert encoded.starts.tolist() == [0, *itertools.accumulate(len(s.tokens) for s in ref)]
+        assert [vocab.get(t) for t in vocab.tokens] == list(range(len(vocab.tokens)))
+        assert len(set(vocab.tokens)) == len(vocab.tokens)
+
+    def test_sentence_views_index_like_a_list(self):
+        doc = Document(id="d", label=Label.FAKE, text="One two. Three four. Five.")
+        segment_corpus(LabeledCorpus(documents=[doc]))
+        listed = split_sentences(doc.text)
+        assert doc.sentences[-1] == listed[-1] and doc.sentences[-3] == listed[0]
+        assert list(doc.sentences) == listed
+        with pytest.raises(IndexError):
+            doc.sentences[3]
 
 
 class TestLoadCsv:

@@ -173,7 +173,8 @@ def _linking_case(draw):
 
 class TestLinkerMatchesReference:
     """The linker against the one that re-tokenized each sentence and found it with
-    `str.find`: the same mentions, and a title never changes the body's."""
+    `str.find`: the same mentions, and neither a title nor sentences built by hand
+    change the body's."""
 
     @seed(20191108)
     @given(_linking_case(), st.booleans())
@@ -193,6 +194,9 @@ class TestLinkerMatchesReference:
         want = extract_entities_ref(plain, gaz, require_uppercase)
         assert extract_entities(plain, gaz, require_uppercase) == want
         assert extract_entities(titled, gaz, require_uppercase) == want
+        # The same sentences built by hand link the same.
+        hand = Document(id="h", label=Label.FAKE, text=text, sentences=list(titled.sentences))
+        assert extract_entities(hand, gaz, require_uppercase) == want
 
 
 class TestEntitySet:
