@@ -6,7 +6,10 @@ Entries live in $XDG_CACHE_HOME/newscoherence, else ~/.cache/newscoherence, name
 by the input's resolved path. Each starts with a head: a version line that names
 its kind, the int64 length of the resolved path and its bytes, then the int64s the
 input's size, its CRC-32 and the fields of its kind. An entry is written to a
-temporary file, flushed to disk and renamed into place."""
+temporary file, flushed to disk and renamed into place.
+
+`load` is the one place this policy lives: which inputs are cached, when an entry
+is read in place of a parse, and when a parse publishes one."""
 
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import re
 import stat
 import threading
 import zlib
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import BinaryIO
 
@@ -29,20 +32,7 @@ COPY_BYTES = 1 << 16
 _UNSOURCED = b"newscoherence 1\n"
 _PREFIX = b"newscoherence "
 _ENTRY = re.compile(r"[0-9a-f]{16}")
-_TEMP = re.compile(r"[0-9a-f]{16}\.(\d+)-\d+")  # see `Entry.temp`
-
-
-class Checksum:
-    """The size and CRC-32 of the bytes that pass through `read`."""
-
-    def __init__(self):
-        self.size = self.crc = 0
-
-    def read(self, chunks: Iterable[bytes]) -> Iterator[bytes]:
-        for data in chunks:
-            self.size += len(data)
-            self.crc = zlib.crc32(data, self.crc)
-            yield data
+_TEMP = re.compile(r"[0-9a-f]{16}\.(\d+)-\d+")  # see `Writer.temp`
 
 
 def checksum(f: BinaryIO) -> tuple[int, int]:
@@ -88,11 +78,6 @@ class Entry:
         self._prefix = version + len(source).to_bytes(8, "little") + source
         self.head_size = len(self._prefix) + 8 * (2 + fields)
 
-    @property
-    def temp(self) -> Path:
-        """Where this thread writes the entry before it is published."""
-        return self.path.with_name(f"{self.path.name}.{os.getpid()}-{threading.get_ident()}")
-
     def head(self, size: int, crc: int, fields: list[int]) -> bytes:
         """The head for an input of `size` bytes and CRC-32 `crc`."""
         return self._prefix + np.array([size, crc, *fields], dtype="<i8").tobytes()
@@ -108,13 +93,6 @@ class Entry:
         if recorded != size or checksum(f) != (size, crc):
             return None
         return fields
-
-    def publish(self, fd: int) -> None:
-        """Flush the temporary file that `fd` wrote whole to disk, rename it into
-        place and `sweep` the directory. Raises OSError if it cannot."""
-        os.fsync(fd)  # else a crash may leave an entry of the right size but zeroed
-        os.replace(self.temp, self.path)
-        sweep(self.path.parent)
 
 
 def entry(p: Path, version: bytes, fields: int) -> Entry | None:
@@ -134,6 +112,103 @@ def entry(p: Path, version: bytes, fields: int) -> Entry | None:
         return None
     name = f"{zlib.crc32(source):08x}{zlib.adler32(source):08x}"
     return Entry(directory / name, source, version, fields)
+
+
+class Writer:
+    """A new cache `entry`, made in a temporary file of this thread: the size and
+    CRC-32 of the bytes that pass through `read`, and the bytes given to `write`,
+    after room for the head. With no entry, or once the file cannot be made or
+    written, it sums and writes nothing, and `ok` is False."""
+
+    def __init__(self, entry: Entry | None):
+        self.entry, self.fd, self.size, self.crc = entry, None, 0, 0
+        if entry is None:
+            return
+        self.temp = entry.path.with_name(
+            f"{entry.path.name}.{os.getpid()}-{threading.get_ident()}")
+        try:
+            self.fd = os.open(self.temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            os.lseek(self.fd, entry.head_size, os.SEEK_SET)
+        except OSError:
+            self.close()
+
+    @property
+    def ok(self) -> bool:
+        return self.fd is not None
+
+    def __enter__(self) -> Writer:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def read(self, chunks: Iterable[bytes]) -> Iterable[bytes]:
+        return self._summed(chunks) if self.ok else chunks
+
+    def _summed(self, chunks: Iterable[bytes]) -> Iterator[bytes]:
+        for data in chunks:
+            self.size += len(data)
+            self.crc = zlib.crc32(data, self.crc)
+            yield data
+
+    def write(self, data) -> None:
+        if self.ok:
+            try:
+                write_all(self.fd, data)
+            except OSError:  # no space left, say: the run goes on without an entry
+                self.close()
+
+    def publish(self, size: int, fields: list[int]) -> None:
+        """Write the head and rename the entry into place, if what passed through
+        `read` was all `size` bytes of the input and every write was made; then
+        `sweep` the directory."""
+        if not self.ok or self.size != size:
+            return
+        try:
+            os.lseek(self.fd, 0, os.SEEK_SET)
+            write_all(self.fd, self.entry.head(size, self.crc, fields))
+            os.fsync(self.fd)  # else a crash may leave an entry of the right size but zeroed
+            os.replace(self.temp, self.entry.path)
+            sweep(self.entry.path.parent)
+        except OSError:  # no space left, say: the run goes on without an entry
+            pass
+
+    def close(self) -> None:
+        """Close the file, and remove it if it was not published."""
+        if self.ok:
+            os.close(self.fd)
+            self.fd = None
+            self.temp.unlink(missing_ok=True)
+
+
+def load(p: Path, version: bytes, fields: int, hit: Callable, parse: Callable):
+    """What input file `p` gives, read through its cache entry of kind `version`, whose
+    head holds `fields` int64s of that kind.
+
+    If `p` is a regular file whose entry records its size and CRC-32, that is
+    `hit(e, values)`: `e` is the entry file, read up to the end of its head, and
+    `values` are the fields its head holds. A `hit` that returns None or raises
+    OSError or ValueError (a damaged entry) is a miss. On a miss it is what
+    `parse(f, writer)` gives, `f` being `p` open at its start: `parse` returns that
+    and the fields of the entry it wrote through `writer`, or None for no entry. The
+    entry is published only if the parse read the whole file."""
+    with open(p, "rb") as f:
+        st = os.fstat(f.fileno())
+        target = entry(p, version, fields) if stat.S_ISREG(st.st_mode) else None
+        if target is not None:
+            try:
+                with open(target.path, "rb", buffering=0) as e:
+                    head = target.fields(e, f, st.st_size)
+                    if head is not None and (found := hit(e, head)) is not None:
+                        return found
+            except (OSError, ValueError):  # UnicodeDecodeError too
+                pass
+            f.seek(0)
+        with Writer(target) as writer:
+            found, head = parse(f, writer)
+            if head is not None:
+                writer.publish(st.st_size, head)
+        return found
 
 
 def _stale(path: Path) -> bool:

@@ -8,7 +8,6 @@ import io
 import logging
 import mmap
 import os
-import stat
 import sys
 from array import array
 from collections.abc import Iterable, Iterator
@@ -105,13 +104,15 @@ class EmbeddingTable:
         return row
 
 
-def _line_blocks(chunks: Iterable[bytes], faults: list[tuple[int, str]]) -> Iterator[list[str]]:
-    """The lines of a file read as `chunks` of bytes, split at "\\n", "\\r\\n" or
-    "\\r" as text mode splits them: a list at a time, each up to the last line end
-    read. At the first line that is not UTF-8 they stop, and (its number, what is
-    wrong) is appended to `faults`."""
+def text_lines(f, p: Path, error: type[Exception] = EmbeddingError,
+               summed: cache.Writer | None = None) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line of a binary file, split at "\\n", "\\r\\n" or
+    "\\r" as text mode splits it; decoded a read at a time, up to its last line end.
+    A line that is not UTF-8 raises `error` naming it, once the lines above it are
+    given. Every byte read passes through `summed`."""
+    chunks = iter(functools.partial(f.read, _READ_BYTES), b"")
     lineno, pending = 0, []  # the bytes read since the last line end
-    for data in chain(chunks, [None]):
+    for data in chain(summed.read(chunks) if summed else chunks, [None]):
         if data is None:  # the end of the file
             data, pending = b"".join(pending), []
         else:
@@ -127,44 +128,23 @@ def _line_blocks(chunks: Iterable[bytes], faults: list[tuple[int, str]]) -> Iter
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError:
-            good = []  # decoded one at a time, each with its "\n", to name the bad one
+            # Decoded one at a time, each with its "\n", to name the bad one.
             for chunk in io.BytesIO(data):
                 for raw in chunk.splitlines() if b"\r" in chunk else (chunk,):
                     try:
-                        good.append(raw.decode("utf-8").rstrip("\n"))
+                        line = raw.decode("utf-8").rstrip("\n")
                     except UnicodeDecodeError as e:
-                        if good:
-                            yield good
-                        faults.append((lineno + len(good) + 1, f"invalid UTF-8: {e}"))
-                        return
+                        raise error(f"{p} line {lineno + 1}: invalid UTF-8: {e}") from None
+                    lineno += 1
+                    yield lineno, line
             raise
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         lines = text.split("\n")
         if text.endswith("\n"):
             lines.pop()
+        yield from enumerate(lines, lineno + 1)
         lineno += len(lines)
-        yield lines
-
-
-def _read_chunks(f) -> Iterator[bytes]:
-    return iter(functools.partial(f.read, _READ_BYTES), b"")
-
-
-def text_lines(f, p: Path, error: type[Exception] = EmbeddingError,
-               summed: cache.Checksum | None = None):
-    """(line number, text) of each line of a binary file, split at "\\n", "\\r\\n" or
-    "\\r" as text mode splits it. A line that is not UTF-8 raises `error` naming it.
-    Every byte read passes through `summed`."""
-    faults: list[tuple[int, str]] = []
-    lineno = 0
-    chunks = _read_chunks(f)
-    for lines in _line_blocks(summed.read(chunks) if summed else chunks, faults):
-        for line in lines:
-            lineno += 1
-            yield lineno, line
-    if faults:
-        raise error(f"{p} line {faults[0][0]}: {faults[0][1]}")
 
 
 def _header(p: Path, line: str) -> tuple[int, int]:
@@ -225,30 +205,13 @@ def _row_buffer(rows: int, dim: int) -> np.ndarray:
     return np.ndarray((rows, dim), buffer=mmap.mmap(-1, rows * dim * 8, access=mmap.ACCESS_COPY))
 
 
-class _Tee(cache.Checksum):
-    """A new cache entry: the size and CRC-32 of the bytes the parse reads, and each
-    row it parses, written to file `fd`. A failed write clears `ok`, and no entry is
-    made."""
-
-    def __init__(self, fd: int):
-        super().__init__()
-        self.fd, self.ok = fd, True
-
-    def write(self, rows: np.ndarray) -> None:
-        if self.ok:
-            try:
-                cache.write_all(self.fd, rows)
-            except OSError:  # no space left, say
-                self.ok = False
-
-
 class _Parsed(NamedTuple):
     """What parsing the rows of a table found."""
 
     tokens: list[str]              # the token of each row above the first malformed line
     linenos: array                 # the line of each of those rows
     held: array                    # positions in `tokens` of the rows written to the buffer
-    fault: tuple[int, str] | None  # (line, what is wrong) of the first malformed line
+    fault: EmbeddingError | None   # names the first malformed line
 
 
 def _taken(tokens: Iterable[str], wanted: set[str] | None) -> list[int]:
@@ -257,138 +220,91 @@ def _taken(tokens: Iterable[str], wanted: set[str] | None) -> list[int]:
     return [j for j, token in enumerate(tokens) if wanted is None or token.lower() in wanted]
 
 
-def _parse_rows(blocks: Iterable[list[str]], faults: list[tuple[int, str]], dim: int,
-                count: int, wanted: set[str] | None, buf: np.ndarray,
-                lineno: int = 0, tee: _Tee | None = None) -> tuple[_Parsed, np.ndarray]:
-    """Parse and check the rows of `blocks`, lists of lines the first of which is
-    line `lineno` + 1, up to the first malformed line, _BLOCK_ROWS rows per parse.
-    `faults` holds the first line that `blocks` could not read, once they end.
+def _parse_rows(p: Path, lines: Iterator[tuple[int, str]], dim: int, count: int,
+                wanted: set[str] | None, buf: np.ndarray,
+                writer: cache.Writer) -> tuple[_Parsed, np.ndarray]:
+    """Parse and check the rows of `lines`, those of `text_lines` below the header of
+    table file `p`, up to the first malformed line, _BLOCK_ROWS rows per parse.
 
     Of its first `count` rows, those `_taken` for `wanted` are written to `buf`,
-    which grows as needed; every parsed row goes to `tee`. Returns what was found,
-    and the buffer.
+    which grows as needed; every parsed row goes to `writer`. Returns what was
+    found, and the buffer.
     """
     tokens: list[str] = []
     linenos, held = array("q"), array("q")
     rests: list[str] = []  # the components texts of the last rows read, not yet parsed
 
-    def parse(n: int) -> None:  # the first n of `rests`
+    def parse() -> None:
         nonlocal buf, rests
-        first = len(tokens) - len(rests)
-        for at in range(first, first + n, _BLOCK_ROWS):  # `at`: a block's first row
-            size = min(_BLOCK_ROWS, first + n - at)
-            matrix = _parse_block(rests[at - first:at - first + size], linenos[at:at + size], dim)
-            if tee:
-                tee.write(matrix)
-            taken = _taken(tokens[at:min(at + size, count)], wanted)
-            if taken:
-                k = len(held)
-                if k + len(taken) > len(buf):
-                    grown = _row_buffer(min(count, max(2 * len(buf), k + len(taken))), dim)
-                    if k:  # else `buf` may be 0 x 0
-                        grown[:k] = buf[:k]
-                    buf = grown
-                buf[k:k + len(taken)] = matrix if len(taken) == size else matrix[taken]
-                held.extend(at + j for j in taken)
-        rests = rests[n:]
+        at = len(tokens) - len(rests)  # the block's first row
+        matrix = _parse_block(rests, linenos[at:], dim)
+        writer.write(matrix)
+        taken = _taken(tokens[at:count], wanted)
+        if taken:
+            k = len(held)
+            if k + len(taken) > len(buf):
+                grown = _row_buffer(min(count, max(2 * len(buf), k + len(taken))), dim)
+                if k:  # else `buf` may be 0 x 0
+                    grown[:k] = buf[:k]
+                buf = grown
+            buf[k:k + len(taken)] = matrix if len(taken) == len(rests) else matrix[taken]
+            held.extend(at + j for j in taken)
+        rests = []
 
+    fault = None
     try:
-        for lines in blocks:
-            for line in lines:
-                lineno += 1
+        try:
+            for lineno, line in lines:
                 if line.strip():
                     token, _, rest = line.partition(" ")
                     tokens.append(token)
                     linenos.append(lineno)
                     rests.append(rest)
-            if len(rests) >= _BLOCK_ROWS:
-                parse(len(rests) - len(rests) % _BLOCK_ROWS)
-        parse(len(rests))
-        fault = faults[0] if faults else None
-    except _BadRow as e:
-        fault = e.args
-    if fault:  # keep only the rows above it
-        del tokens[bisect.bisect_left(linenos, fault[0]):]
+                    if len(rests) == _BLOCK_ROWS:
+                        parse()
+        except EmbeddingError as e:  # a line that is not UTF-8, below every row read
+            fault = e
+        if rests:
+            parse()
+    except _BadRow as e:  # above any line that is not UTF-8: keep only the rows above it
+        lineno, what = e.args
+        del tokens[bisect.bisect_left(linenos, lineno):]
         del linenos[len(tokens):]
+        fault = EmbeddingError(f"{p} line {lineno}: {what}")
     return _Parsed(tokens, linenos, held, fault), buf
 
 
-def _load_entry(entry: cache.Entry, f: BinaryIO, size: int, wanted: set[str] | None):
-    """Table file `f`, of `size` bytes, as its cache `entry` holds it, with the rows a
-    parse would hold: (dim, buffer, held rows, tokens, duplicates). None where the
-    entry is missing, of another kind or version, for other bytes or damaged, or a
-    held row is not finite. Only the held rows are read."""
-    try:
-        with open(entry.path, "rb", buffering=0) as e:
-            fields = entry.fields(e, f, size)
-            if fields is None:
-                return None
-            count, dim, nbytes, ndup = fields
-            tokens_at = entry.head_size + count * dim * 8
-            if (min(count, nbytes, ndup) < 0 or dim <= 0
-                    or os.fstat(e.fileno()).st_size != tokens_at + nbytes + 16 * ndup):
-                return None
-            e.seek(tokens_at)
-            tokens = e.read(nbytes).decode("utf-8").split("\n")
-            duplicates = np.frombuffer(e.read(16 * ndup), "<i8").reshape(-1, 2).tolist()
-            if tokens.pop() or len(tokens) != count or any(
-                    not 0 <= row < count for _, row in duplicates):
-                return None
-            held = _taken(tokens, wanted)
-            buf = _row_buffer(min(count, size // (2 * dim)), dim)
-            starts = [j for j in range(len(held)) if not j or held[j] != held[j - 1] + 1]
-            for j, k in zip(starts, starts[1:] + [len(held)]):  # a run of consecutive rows
-                e.seek(entry.head_size + held[j] * dim * 8)
-                if not cache.read_into(e, buf[j:k]):
-                    return None
-            # Finite iff the least and greatest are: no rows x dim mask is made.
-            if held and not np.isfinite([buf[:len(held)].min(), buf[:len(held)].max()]).all():
-                return None
-            return dim, buf, held, tokens, duplicates
-    except (OSError, ValueError):  # UnicodeDecodeError too
+def _load_entry(p: Path, wanted: set[str] | None, e: BinaryIO, fields: list[int]):
+    """The table of file `p` that entry file `e` holds, `e` read up to the end of its
+    head, whose fields are `fields`: (dim, buffer, held rows, tokens), with the rows a
+    parse would hold, once it has warned of duplicates as the parse did. None where
+    the entry is damaged or a held row is not finite. Only the held rows are read."""
+    count, dim, nbytes, ndup = fields
+    rows_at = e.tell()
+    tokens_at = rows_at + count * dim * 8
+    if (min(count, nbytes, ndup) < 0 or dim <= 0
+            or os.fstat(e.fileno()).st_size != tokens_at + nbytes + 16 * ndup):
         return None
-
-
-def _open_entry(entry: cache.Entry) -> _Tee | None:
-    """A _Tee that writes to the temporary file of a new cache `entry`, after its
-    head. None if the file cannot be made."""
-    try:
-        fd = os.open(entry.temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    except OSError:
+    e.seek(tokens_at)
+    tokens = e.read(nbytes).decode("utf-8").split("\n")
+    duplicates = np.frombuffer(e.read(16 * ndup), "<i8").reshape(-1, 2).tolist()
+    if tokens.pop() or len(tokens) != count or any(
+            not 0 <= row < count for _, row in duplicates):
         return None
-    tee = _Tee(fd)
-    try:
-        os.lseek(fd, entry.head_size, os.SEEK_SET)
-    except OSError:
-        _close_entry(entry, tee)
+    held = _taken(tokens, wanted)
+    # A row at least where the table has one, so that a table holding none is 0 x dim
+    # as parsed.
+    buf = _row_buffer(max(len(held), min(count, 1)), dim)
+    starts = [j for j in range(len(held)) if not j or held[j] != held[j - 1] + 1]
+    for j, k in zip(starts, starts[1:] + [len(held)]):  # a run of consecutive rows
+        e.seek(rows_at + held[j] * dim * 8)
+        if not cache.read_into(e, buf[j:k]):
+            return None
+    # Finite iff the least and greatest are: no rows x dim mask is made.
+    if held and not np.isfinite([buf[:len(held)].min(), buf[:len(held)].max()]).all():
         return None
-    return tee
-
-
-def _close_entry(entry: cache.Entry, tee: _Tee) -> None:
-    """Close the file of `tee`, and remove the entry's temporary file if it was not
-    published."""
-    os.close(tee.fd)
-    entry.temp.unlink(missing_ok=True)
-
-
-def _save_entry(entry: cache.Entry, tee: _Tee, size: int, dim: int,
-                tokens: list[str], duplicates: list[tuple[int, int]]) -> None:
-    """Publish the cache `entry` of a table of `size` bytes whose rows the parse wrote
-    through `tee`: after the rows come the tokens and the duplicates, then the head.
-    Nothing is published if a write failed or the parse did not read the file."""
-    if not tee.ok or tee.size != size:
-        return
-    try:
-        names = cache.lines(tokens)
-        cache.write_all(tee.fd, names)
-        cache.write_all(tee.fd, np.array(duplicates, dtype="<i8"))
-        os.lseek(tee.fd, 0, os.SEEK_SET)
-        cache.write_all(tee.fd, entry.head(size, tee.crc, [len(tokens), dim, len(names),
-                                                           len(duplicates)]))
-        entry.publish(tee.fd)
-    except OSError:  # no space left, say: the run goes on without an entry
-        pass
+    _warn_duplicates(p, duplicates, tokens)
+    return dim, buf, held, tokens
 
 
 def _warn_duplicates(p: Path, duplicates: list[tuple[int, int]], tokens: list[str]) -> None:
@@ -408,6 +324,38 @@ def _table(dim: int, buf: np.ndarray, held, tokens: list[str], wanted: set[str] 
     return EmbeddingTable.from_matrix(dim, buf[:len(held)], row_of, name)
 
 
+def _parse_table(p: Path, wanted: set[str] | None, f: BinaryIO, writer: cache.Writer):
+    """(dim, buffer, held rows, tokens) of table file `p`, parsed from its open file
+    `f`, and the head fields of the entry written through `writer` (None for none)."""
+    lines = text_lines(f, p, EmbeddingError, writer)
+    count, dim = _header(p, next(lines, (1, ""))[1])
+    limit = max(count, 0)  # rows held
+    # A row takes at least 2·dim bytes, so a regular file's size bounds what its
+    # header can reserve. A file whose size does not show its rows (a pipe, or a
+    # file still being written) grows the buffer as its rows arrive.
+    buf = _row_buffer(min(limit, os.fstat(f.fileno()).st_size // (2 * dim)), dim)
+    parsed, buf = _parse_rows(p, lines, dim, limit, wanted, buf, writer)
+    seen: set[str] = set()
+    duplicates: list[tuple[int, int]] = []  # (line, row)
+    for row, (lineno, token) in enumerate(zip(parsed.linenos, parsed.tokens)):
+        if token in seen:
+            duplicates.append((lineno, row))
+        seen.add(token)
+    _warn_duplicates(p, duplicates, parsed.tokens)
+    if parsed.fault:
+        raise parsed.fault
+    if len(parsed.tokens) != count:
+        raise EmbeddingError(f"{p}: header declares {count} vectors, "
+                             f"file has {len(parsed.tokens)}")
+    fields = None
+    if writer.ok:  # after the rows, the tokens and the duplicates
+        names = cache.lines(parsed.tokens)
+        writer.write(names)
+        writer.write(np.array(duplicates, dtype="<i8"))
+        fields = [len(parsed.tokens), dim, len(names), len(duplicates)]
+    return (dim, buf, parsed.held, parsed.tokens), fields
+
+
 def load_vectors_text(path: str | Path, name: str = "",
                       keep: Iterable[str] | None = None) -> EmbeddingTable:
     """Parse the word2vec text format: header `count dim`, then `token v1 .. v_dim` lines.
@@ -422,64 +370,25 @@ def load_vectors_text(path: str | Path, name: str = "",
     the full table. The lower cases of `keep` and the held tokens are interned,
     so a held token is the very string that `corpus.tokenize` gives for it.
 
-    A regular file that parses without a fault is cached (`cache.entry`): a later
-    load of the same path whose bytes have the same size and CRC-32 reads the rows
-    it holds from there, and warns the same. Any fault of the cache is passed over,
-    and the file parsed.
+    The file is read through the parse cache (`cache.load`): a later load of the
+    same regular file whose bytes have the same size and CRC-32 reads the rows it
+    holds from its entry, and warns the same.
     """
     p = Path(path)
     wanted = None if keep is None else {sys.intern(t.lower()) for t in keep}
-    with open(p, "rb") as f:
-        st = os.fstat(f.fileno())
-        entry = cache.entry(p, _VERSION, 4) if stat.S_ISREG(st.st_mode) else None
-        if entry is not None:
-            if cached := _load_entry(entry, f, st.st_size, wanted):
-                dim, buf, held, tokens, duplicates = cached
-                _warn_duplicates(p, duplicates, tokens)
-                return _table(dim, buf, held, tokens, wanted, name or p.stem)
-            f.seek(0)
-        tee = _open_entry(entry) if entry is not None else None
-        try:
-            faults: list[tuple[int, str]] = []
-            chunks = _read_chunks(f)
-            blocks = _line_blocks(tee.read(chunks) if tee else chunks, faults)
-            first = next(blocks, [""])
-            if faults:
-                raise EmbeddingError(f"{p} line {faults[0][0]}: {faults[0][1]}")
-            count, dim = _header(p, first[0])
-            limit = max(count, 0)  # rows held
-            # A row takes at least 2·dim bytes, so a regular file's size bounds what its
-            # header can reserve. A file whose size does not show its rows (a pipe, or a
-            # file still being written) grows the buffer as its rows arrive.
-            buf = _row_buffer(min(limit, st.st_size // (2 * dim)), dim)
-            parsed, buf = _parse_rows(chain([first[1:]], blocks), faults, dim, limit, wanted,
-                                      buf, 1, tee)
-            seen: set[str] = set()
-            duplicates: list[tuple[int, int]] = []  # (line, row)
-            for row, (lineno, token) in enumerate(zip(parsed.linenos, parsed.tokens)):
-                if token in seen:
-                    duplicates.append((lineno, row))
-                seen.add(token)
-            _warn_duplicates(p, duplicates, parsed.tokens)
-            if parsed.fault:
-                raise EmbeddingError(f"{p} line {parsed.fault[0]}: {parsed.fault[1]}")
-            if len(parsed.tokens) != count:
-                raise EmbeddingError(f"{p}: header declares {count} vectors, "
-                                     f"file has {len(parsed.tokens)}")
-            if tee:
-                _save_entry(entry, tee, st.st_size, dim, parsed.tokens, duplicates)
-            return _table(dim, buf, parsed.held, parsed.tokens, wanted, name or p.stem)
-        finally:
-            if tee:
-                _close_entry(entry, tee)
+    return _table(*cache.load(p, _VERSION, 4, functools.partial(_load_entry, p, wanted),
+                              functools.partial(_parse_table, p, wanted)),
+                  wanted, name or p.stem)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """dot(u,v) / (|u| |v|), accumulated in float64. Zero-norm inputs are an error."""
     if u.shape != v.shape:
         raise EmbeddingError("mixed dimensions in cosine")
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    # Each scaled by a power of two, which is exact, to a largest component in
+    # [0.5, 1): no square is subnormal, so the norm of a tiny vector keeps its bits.
+    u, v = (np.ldexp(x, -np.frexp(np.abs(x).max(initial=0.0))[1])
+            for x in (np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)))
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:

@@ -40,20 +40,11 @@ class Gazetteer:
     def __init__(self, surfaces: dict[tuple[str, ...], str]):
         if not surfaces:
             raise EntityLinkError("empty gazetteer")
-        self.surfaces: dict[tuple[str, ...], str] = {}
-        # First token -> the most tokens of a surface that starts with it.
-        self.longest: dict[str, int] = {}
-        for key, entity_id in surfaces.items():
-            self.add(key, entity_id)
+        self.surfaces = dict(surfaces)
 
     def add(self, key: tuple[str, ...], entity_id: str) -> None:
         """Map a surface, as its lower-cased tokens, to an entity id."""
         self.surfaces[key] = entity_id
-        self.longest[key[0]] = max(self.longest.get(key[0], 0), len(key))
-
-    @property
-    def max_phrase_len(self) -> int:
-        return max(self.longest.values())
 
 
 def build_gazetteer(entity_table: EmbeddingTable) -> Gazetteer:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import logging
 import math
 import os
-import stat
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -240,59 +240,42 @@ def _cells(rows: bytes, widths: list[int], doc_count: int) -> tuple[np.ndarray, 
     return ids, weights
 
 
-def _save_entry(entry: cache.Entry, index: EsaIndex, size: int, crc: int) -> None:
-    """Publish the cache `entry` of `index`, parsed from a file of `size` bytes with
-    CRC-32 `crc`. Nothing is published where it cannot be written."""
-    tokens, titles = cache.lines(index.tokens), cache.lines(index.concepts)
-    fields = [index.doc_count, len(index.tokens), len(index.indices),
-              WEIGHTINGS.index(index.weighting), len(tokens), len(titles)]
+def _entry_body(index: EsaIndex, writer: cache.Writer) -> list[int] | None:
+    """Write through `writer` what the cache entry of `index` holds after its head.
+    Returns the fields of its head, or None where a df is past int64: no entry."""
     try:
         df = np.array([index.df[token] for token in index.tokens], dtype=np.int64)
-        fd = os.open(entry.temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    except (OverflowError, OSError):  # a df past int64, or no file
-        return
-    try:
-        for part in (entry.head(size, crc, fields), index.indptr, index.indices, index.data,
-                     df, tokens, titles):
-            cache.write_all(fd, part)
-        entry.publish(fd)
-    except OSError:  # no space left, say: the run goes on without an entry
-        pass
-    finally:
-        os.close(fd)
-        entry.temp.unlink(missing_ok=True)
-
-
-def _load_entry(entry: cache.Entry, f, size: int) -> EsaIndex | None:
-    """Index file `f`, of `size` bytes, as its cache `entry` holds it. None where the
-    entry is missing, of another kind or version, for other bytes or damaged, or
-    holds what a parse would reject."""
-    try:
-        with open(entry.path, "rb", buffering=0) as e:
-            fields = entry.fields(e, f, size)
-            if fields is None:
-                return None
-            doc_count, n, nnz, weighting, token_bytes, title_bytes = fields
-            if (min(fields) < 0 or weighting >= len(WEIGHTINGS) or os.fstat(e.fileno()).st_size
-                    != entry.head_size + 8 * (2 * n + 1 + 2 * nnz) + token_bytes + title_bytes):
-                return None
-            indptr, indices, df = (np.empty(k, np.int64) for k in (n + 1, nnz, n))
-            data = np.empty(nnz, np.float64)
-            if not all(cache.read_into(e, a) for a in (indptr, indices, data, df)):
-                return None
-            texts = e.read(token_bytes + title_bytes)
-        tokens = texts[:token_bytes].decode("utf-8").split("\n")
-        concepts = texts[token_bytes:].decode("utf-8").split("\n")
-        if (len(texts) != token_bytes + title_bytes or tokens.pop() or concepts.pop()
-                or (len(tokens), len(concepts)) != (n, doc_count)
-                or indptr[0] != 0 or indptr[-1] != nnz or (df < 0).any()):
-            return None
-        widths = np.diff(indptr)
-        if (widths < 0).any():
-            return None
-        _check_cells(indices, data, widths, doc_count)
-    except (OSError, ValueError):  # UnicodeDecodeError too
+    except OverflowError:
         return None
+    tokens, titles = cache.lines(index.tokens), cache.lines(index.concepts)
+    for part in (index.indptr, index.indices, index.data, df, tokens, titles):
+        writer.write(part)
+    return [index.doc_count, len(index.tokens), len(index.indices),
+            WEIGHTINGS.index(index.weighting), len(tokens), len(titles)]
+
+
+def _load_entry(e, fields: list[int]) -> EsaIndex | None:
+    """The index that entry file `e` holds, `e` read up to the end of its head, whose
+    fields are `fields`. None where it is damaged or holds what a parse would reject."""
+    doc_count, n, nnz, weighting, token_bytes, title_bytes = fields
+    if (min(fields) < 0 or weighting >= len(WEIGHTINGS) or os.fstat(e.fileno()).st_size
+            != e.tell() + 8 * (2 * n + 1 + 2 * nnz) + token_bytes + title_bytes):
+        return None
+    indptr, indices, df = (np.empty(k, np.int64) for k in (n + 1, nnz, n))
+    data = np.empty(nnz, np.float64)
+    if not all(cache.read_into(e, a) for a in (indptr, indices, data, df)):
+        return None
+    texts = e.read(token_bytes + title_bytes)
+    tokens = texts[:token_bytes].decode("utf-8").split("\n")
+    concepts = texts[token_bytes:].decode("utf-8").split("\n")
+    if (len(texts) != token_bytes + title_bytes or tokens.pop() or concepts.pop()
+            or (len(tokens), len(concepts)) != (n, doc_count)
+            or indptr[0] != 0 or indptr[-1] != nnz or (df < 0).any()):
+        return None
+    widths = np.diff(indptr)
+    if (widths < 0).any():
+        return None
+    _check_cells(indices, data, widths, doc_count)
     index = EsaIndex(concepts=concepts, tokens=tokens, indptr=indptr, indices=indices,
                      data=data, df=dict(zip(tokens, df.tolist())),
                      weighting=WEIGHTINGS[weighting])
@@ -304,10 +287,16 @@ def load_index(path: str | Path) -> EsaIndex:
     the cells of all rows are parsed at once, and on any fault each row is parsed
     again alone, by the same parser, to name the first bad line.
 
-    A regular file that parses without a fault is cached (`cache.entry`): a later
-    load of the same path whose bytes have the same size and CRC-32 reads the index
-    from there. Any fault of the cache is passed over, and the file parsed."""
+    The file is read through the parse cache (`cache.load`): a later load of the
+    same regular file whose bytes have the same size and CRC-32 reads the index
+    from its entry."""
     p = Path(path)
+    return cache.load(p, _VERSION, 6, _load_entry, functools.partial(_parse, p))
+
+
+def _parse(p: Path, f, writer: cache.Writer) -> tuple[EsaIndex, list[int] | None]:
+    """The index of file `p`, parsed from its open file `f`, and the head fields of
+    the entry written through `writer` (None for none)."""
     concepts: list[str] = []
     tokens: list[str] = []
     linenos: list[int] = []
@@ -315,48 +304,40 @@ def load_index(path: str | Path) -> EsaIndex:
     # Every row's cell text, one row per line: one large buffer, not a string per row.
     rows = bytearray()
     df: dict[str, int] = {}
-    summed = cache.Checksum()
-    with open(p, "rb") as f:
-        st = os.fstat(f.fileno())
-        entry = cache.entry(p, _VERSION, 6) if stat.S_ISREG(st.st_mode) else None
-        if entry is not None:
-            if cached := _load_entry(entry, f, st.st_size):
-                return cached
-            f.seek(0)
-        lines = text_lines(f, p, EsaError, summed)
-        header = next(lines, (1, ""))[1].split("\t")
-        if len(header) != 3 or header[0] != "ESA1":
-            raise EsaError(f"{p} line 1: not an ESA index file")
+    lines = text_lines(f, p, EsaError, writer)
+    header = next(lines, (1, ""))[1].split("\t")
+    if len(header) != 3 or header[0] != "ESA1":
+        raise EsaError(f"{p} line 1: not an ESA index file")
+    try:
+        doc_count = int(header[1])
+    except ValueError as e:
+        raise EsaError(f"{p} line 1: bad concept count: {e}") from e
+    weighting = header[2]
+    if weighting not in WEIGHTINGS:
+        raise EsaError(f"{p} line 1: unknown weighting {weighting!r}")
+    for lineno, line in lines:
+        parts = line.split("\t")
+        width = {"C": 2, "T": 4}.get(parts[0])
+        if width is None:
+            raise EsaError(f"{p} line {lineno}: unknown record type {parts[0]!r}")
         try:
-            doc_count = int(header[1])
+            if len(parts) != width:
+                raise ValueError(f"expected {width} tab-separated fields, got {len(parts)}")
+            if parts[0] == "C":
+                concepts.append(parts[1])
+                continue
+            token, token_df = parts[1], int(parts[2])
+            if token_df < 0:
+                raise ValueError(f"negative df {token_df}")
         except ValueError as e:
-            raise EsaError(f"{p} line 1: bad concept count: {e}") from e
-        weighting = header[2]
-        if weighting not in WEIGHTINGS:
-            raise EsaError(f"{p} line 1: unknown weighting {weighting!r}")
-        for lineno, line in lines:
-            parts = line.split("\t")
-            width = {"C": 2, "T": 4}.get(parts[0])
-            if width is None:
-                raise EsaError(f"{p} line {lineno}: unknown record type {parts[0]!r}")
-            try:
-                if len(parts) != width:
-                    raise ValueError(f"expected {width} tab-separated fields, got {len(parts)}")
-                if parts[0] == "C":
-                    concepts.append(parts[1])
-                    continue
-                token, token_df = parts[1], int(parts[2])
-                if token_df < 0:
-                    raise ValueError(f"negative df {token_df}")
-            except ValueError as e:
-                raise EsaError(f"{p} line {lineno}: malformed {parts[0]!r} record: {e}") from e
-            if token in df:
-                raise EsaError(f"{p} line {lineno}: duplicate token {token!r}")
-            df[token] = token_df
-            tokens.append(token)
-            linenos.append(lineno)
-            widths.append(parts[3].count(" ") + 1 if parts[3] else 0)
-            rows += parts[3].encode() + b"\n"
+            raise EsaError(f"{p} line {lineno}: malformed {parts[0]!r} record: {e}") from e
+        if token in df:
+            raise EsaError(f"{p} line {lineno}: duplicate token {token!r}")
+        df[token] = token_df
+        tokens.append(token)
+        linenos.append(lineno)
+        widths.append(parts[3].count(" ") + 1 if parts[3] else 0)
+        rows += parts[3].encode() + b"\n"
     if doc_count != len(concepts):
         raise EsaError(f"{p} line 1: header declares {doc_count} concepts, "
                        f"the file has {len(concepts)}")
@@ -372,6 +353,4 @@ def load_index(path: str | Path) -> EsaIndex:
     index = EsaIndex(concepts=concepts, tokens=tokens,
                      indptr=np.concatenate(([0], np.cumsum(widths, dtype=np.int64))),
                      indices=indices, data=data, df=df, weighting=weighting)
-    if entry is not None and summed.size == st.st_size:
-        _save_entry(entry, index, summed.size, summed.crc)
-    return index
+    return index, _entry_body(index, writer) if writer.ok else None

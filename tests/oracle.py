@@ -334,6 +334,7 @@ def extract_entities_ref(doc, gaz, require_uppercase: bool = True) -> list[Entit
     if doc.sentences is None:
         raise EntityLinkError(f"document {doc.id!r} has not been segmented")
     mentions: list[EntityMention] = []
+    longest = max(map(len, gaz.surfaces))  # the most tokens of a surface
     cursor = 0
     for sentence in doc.sentences:
         sent_start = doc.text.find(sentence.text, cursor)
@@ -348,7 +349,7 @@ def extract_entities_ref(doc, gaz, require_uppercase: bool = True) -> list[Entit
         i = 0
         while i < len(spans):
             matched = False
-            for length in range(min(gaz.max_phrase_len, len(spans) - i), 0, -1):
+            for length in range(min(longest, len(spans) - i), 0, -1):
                 window = spans[i : i + length]
                 key = tuple(tok.lower() for tok, _, _ in window)
                 entity_id = gaz.surfaces.get(key)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import functools
+import hashlib
 import io
 import logging
 import math
@@ -10,10 +11,11 @@ import re
 import subprocess
 import threading
 import warnings
+import zlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from newscoherence import cache, embeddings, esa
@@ -104,10 +106,12 @@ class TestLoadVectorsText:
 
     @pytest.mark.parametrize("line", ["a", "a ", "a \t", "a 1", "a 1 2 3", "a 1 inf", "a 1 1e999"])
     def test_malformed_row_names_its_line(self, tmp_path, line):
+        """Also where a line below it, in the same block of rows, is not UTF-8."""
         p = tmp_path / "v.txt"
-        p.write_text("3 2\nb 1 2\n\n" + line + "\nc 1 zzz\n")
-        with pytest.raises(EmbeddingError, match="v.txt line 4:"):
-            load_vectors_text(p)
+        for below in (b"c 1 zzz\n", b"\xffc 1 2\n"):
+            p.write_bytes(b"3 2\nb 1 2\n\n" + line.encode() + b"\n" + below)
+            with pytest.raises(EmbeddingError, match="v.txt line 4:"):
+                load_vectors_text(p)
 
     def test_non_utf8_byte_names_its_line(self, tmp_path):
         p = tmp_path / "v.txt"
@@ -273,8 +277,9 @@ class TestShards:
 
 
 class TestTextLines:
-    """The block reader splits and decodes as the line-by-line reader did, for any
-    read size: line ends and multi-byte characters split across reads."""
+    """`text_lines`, which decodes a read at a time, splits and decodes as the
+    line-by-line reader did, for any read size: line ends and multi-byte characters
+    split across reads."""
 
     @seed(20191112)
     @given(pieces=st.lists(st.sampled_from([b"a", b" 1", b"\n", b"\r", b"\r\n", b"\xff",
@@ -432,8 +437,10 @@ def _damaged_index(p, damage) -> None:
     it, with the size and CRC-32 of `p`."""
     index = load_index(p)
     damage(index)
-    with open(p, "rb") as f:
-        esa._save_entry(cache.entry(p, esa._VERSION, 6), index, *cache.checksum(f))
+    with cache.Writer(cache.entry(p, esa._VERSION, 6)) as writer:
+        for _ in writer.read([p.read_bytes()]):  # sums the size and CRC-32 of `p`
+            pass
+        writer.publish(p.stat().st_size, esa._entry_body(index, writer))
 
 
 def _set(name, at, value):
@@ -476,7 +483,7 @@ class TestCache:
         p.write_text(self.INDEX)
         return p
 
-    @pytest.mark.parametrize("keep", [None, ["apple", "pear", "Uk", "fig"]])
+    @pytest.mark.parametrize("keep", [None, ["apple", "pear", "Uk", "fig"], ["fig"]])
     def test_hit_is_the_parsed_table(self, tmp_path, vector_cache, monkeypatch, keep):
         p = self._table(tmp_path)
         parses = _parses(monkeypatch)
@@ -522,6 +529,21 @@ class TestCache:
         monkeypatch.setenv("XDG_CACHE_HOME", str(p))
         assert first == second == _index_loaded(p)
         monkeypatch.setenv("XDG_CACHE_HOME", str(vector_cache.parent))
+
+    def test_entry_layout_is_pinned(self, tmp_path, vector_cache):
+        """The bytes of each entry after its version line and recorded path: a change
+        to either layout must change its version line too."""
+        for p, load, version, digest in [
+                (self._table(tmp_path), load_vectors_text, embeddings._VERSION,
+                 "b614c747e923caa0ad387d75df1d585123d23483c162af3b8a8b12287ba10140"),
+                (self._index(tmp_path), load_index, esa._VERSION,
+                 "7320c553765fc0fa516d30d36e8ebde3497f286e18ddbde3db10e32125e650c0")]:
+            load(p)
+            data = cache.entry(p, b"", 0).path.read_bytes()
+            source = os.fsencode(p.resolve())
+            at = len(version) + 8 + len(source)
+            assert data[:at] == version + len(source).to_bytes(8, "little") + source
+            assert hashlib.sha256(data[at:]).hexdigest() == digest
 
     def test_hit_warns_as_the_parse(self, tmp_path, vector_cache):
         p = self._table(tmp_path)
@@ -620,6 +642,15 @@ class TestCache:
             with pytest.raises(error, match=f"^{re.escape(str(p))}"):
                 load(p)
         assert _entries(vector_cache) == []
+
+    def test_no_entry_sums_no_crc(self, tmp_path, monkeypatch):
+        """Where no entry can be written, a parse sums no CRC-32 of its input."""
+        crc32, calls = zlib.crc32, []
+        monkeypatch.setattr(zlib, "crc32", lambda *args: calls.append(None) or crc32(*args))
+        table, index = self._table(tmp_path), self._index(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(table))  # under a regular file: no cache
+        assert len(load_vectors_text(table)) == 6 and len(load_index(index).tokens) == 3
+        assert calls == []
 
     def test_pipe_is_never_cached(self, tmp_path, vector_cache):
         fifo = tmp_path / "fifo"
@@ -757,6 +788,7 @@ class TestCosine:
             cosine(np.array([1.0]), np.array([1.0, 0.0]))
 
     @given(finite_vec, finite_vec)
+    @example([1.0, 0.0], [3.122936908090662e-157, 0.0, 1.0])  # squares below 2**-1022
     @settings(max_examples=200)
     def test_symmetry_and_bound(self, u, v):
         n = min(len(u), len(v))
