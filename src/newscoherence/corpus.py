@@ -171,9 +171,10 @@ def surface_tokens(text: str) -> Iterator[str]:
     return map(str.lower, _TOKEN_RE.findall(text))
 
 
-def token_spans(text: str, start: int = 0, end: int | None = None) -> list[tuple[int, int]]:
-    """(start, end) in `text` of each token that `tokenize` yields for text[start:end]."""
-    return [m.span() for m in _TOKEN_RE.finditer(text, start, len(text) if end is None else end)]
+def token_spans(text: str, start: int = 0, end: int | None = None) -> Iterator[tuple[int, int]]:
+    """(start, end) in `text` of each token that `tokenize` yields for text[start:end],
+    found as they are read."""
+    return (m.span() for m in _TOKEN_RE.finditer(text, start, len(text) if end is None else end))
 
 
 def _abbreviation_test(abbreviations: tuple[str, ...]):

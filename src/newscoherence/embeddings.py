@@ -49,6 +49,8 @@ def _case_fallback(rows: dict[str, int]) -> dict[str, str]:
     Pre-trained tables mix casing conventions. A lower case missing here is
     itself the first token with that lower case, or no token has it.
     """
+    if all(token == token.lower() for token in rows):  # no dict over a lower-case table
+        return {}
     first: dict[str, str] = {}
     for token in rows:
         first.setdefault(token.lower(), token)
@@ -214,10 +216,10 @@ class _Parsed(NamedTuple):
     fault: EmbeddingError | None   # names the first malformed line
 
 
-def _taken(tokens: Iterable[str], wanted: set[str] | None) -> list[int]:
-    """Positions of the `tokens` whose rows a table holds: those with the lower case
-    of a `wanted` token, every one where `wanted` is None."""
-    return [j for j, token in enumerate(tokens) if wanted is None or token.lower() in wanted]
+def _holds(token: str, wanted: set[str] | None) -> bool:
+    """Whether a table holds the rows of `token`: those with the lower case of a
+    `wanted` token, every one where `wanted` is None."""
+    return wanted is None or token.lower() in wanted
 
 
 def _parse_rows(p: Path, lines: Iterator[tuple[int, str]], dim: int, count: int,
@@ -226,7 +228,7 @@ def _parse_rows(p: Path, lines: Iterator[tuple[int, str]], dim: int, count: int,
     """Parse and check the rows of `lines`, those of `text_lines` below the header of
     table file `p`, up to the first malformed line, _BLOCK_ROWS rows per parse.
 
-    Of its first `count` rows, those `_taken` for `wanted` are written to `buf`,
+    Of its first `count` rows, those it `_holds` for `wanted` are written to `buf`,
     which grows as needed; every parsed row goes to `writer`. Returns what was
     found, and the buffer.
     """
@@ -239,7 +241,7 @@ def _parse_rows(p: Path, lines: Iterator[tuple[int, str]], dim: int, count: int,
         at = len(tokens) - len(rests)  # the block's first row
         matrix = _parse_block(rests, linenos[at:], dim)
         writer.write(matrix)
-        taken = _taken(tokens[at:count], wanted)
+        taken = [j for j, token in enumerate(tokens[at:count]) if _holds(token, wanted)]
         if taken:
             k = len(held)
             if k + len(taken) > len(buf):
@@ -276,22 +278,35 @@ def _parse_rows(p: Path, lines: Iterator[tuple[int, str]], dim: int, count: int,
 
 def _load_entry(p: Path, wanted: set[str] | None, e: BinaryIO, fields: list[int]):
     """The table of file `p` that entry file `e` holds, `e` read up to the end of its
-    head, whose fields are `fields`: (dim, buffer, held rows, tokens), with the rows a
-    parse would hold, once it has warned of duplicates as the parse did. None where
-    the entry is damaged or a held row is not finite. Only the held rows are read."""
+    head, whose fields are `fields`: (dim, buffer, held tokens), with the rows a parse
+    would hold, once it has warned of duplicates as the parse did. None where the
+    entry is damaged or a held row is not finite. Only the held rows are read, and
+    only the tokens of held rows and of duplicate warnings are kept."""
     count, dim, nbytes, ndup = fields
     rows_at = e.tell()
     tokens_at = rows_at + count * dim * 8
     if (min(count, nbytes, ndup) < 0 or dim <= 0
             or os.fstat(e.fileno()).st_size != tokens_at + nbytes + 16 * ndup):
         return None
-    e.seek(tokens_at)
-    tokens = e.read(nbytes).decode("utf-8").split("\n")
+    e.seek(tokens_at + nbytes)
     duplicates = np.frombuffer(e.read(16 * ndup), "<i8").reshape(-1, 2).tolist()
-    if tokens.pop() or len(tokens) != count or any(
-            not 0 <= row < count for _, row in duplicates):
+    if any(not 0 <= row < count for _, row in duplicates):
         return None
-    held = _taken(tokens, wanted)
+    named = dict.fromkeys(row for _, row in duplicates)  # row -> the token a warning names
+    e.seek(tokens_at)
+    section = e.read(nbytes)
+    if nbytes and not section.endswith(b"\n"):  # each token ends in one; no rows, no tokens
+        return None
+    held, tokens, lineno = array("q"), [], 0
+    # Decoded a read at a time: a token holds no "\r" or "\n", and a decode error is a miss.
+    for lineno, token in text_lines(io.BytesIO(section), p, ValueError):
+        if _holds(token, wanted):
+            held.append(lineno - 1)
+            tokens.append(token)
+        if lineno - 1 in named:
+            named[lineno - 1] = token
+    if lineno != count:
+        return None
     # A row at least where the table has one, so that a table holding none is 0 x dim
     # as parsed.
     buf = _row_buffer(max(len(held), min(count, 1)), dim)
@@ -303,29 +318,30 @@ def _load_entry(p: Path, wanted: set[str] | None, e: BinaryIO, fields: list[int]
     # Finite iff the least and greatest are: no rows x dim mask is made.
     if held and not np.isfinite([buf[:len(held)].min(), buf[:len(held)].max()]).all():
         return None
-    _warn_duplicates(p, duplicates, tokens)
-    return dim, buf, held, tokens
+    _warn_duplicates(p, duplicates, named)
+    return dim, buf, tokens
 
 
-def _warn_duplicates(p: Path, duplicates: list[tuple[int, int]], tokens: list[str]) -> None:
+def _warn_duplicates(p: Path, duplicates: list[tuple[int, int]],
+                     tokens: list[str] | dict[int, str]) -> None:
     for lineno, row in duplicates:
         logger.warning("%s line %d: duplicate token %r overwritten", p, lineno, tokens[row])
 
 
-def _table(dim: int, buf: np.ndarray, held, tokens: list[str], wanted: set[str] | None,
+def _table(dim: int, buf: np.ndarray, tokens: list[str], wanted: set[str] | None,
            name: str) -> EmbeddingTable:
-    """The table of the `held` rows of `tokens`, which are the first rows of `buf`;
-    a later duplicate wins."""
+    """The table of the held rows, whose `tokens` are those of the first rows of
+    `buf`; a later duplicate wins."""
     # Held for `keep`, a row is keyed by the corpus's own string. A table loaded whole
     # interns nothing: it may be far larger than a corpus vocabulary, and CPython 3.12
     # never frees an interned string.
-    row_of = {tokens[i] if wanted is None else sys.intern(tokens[i]): j
-              for j, i in enumerate(held)}
-    return EmbeddingTable.from_matrix(dim, buf[:len(held)], row_of, name)
+    row_of = {token if wanted is None else sys.intern(token): j
+              for j, token in enumerate(tokens)}
+    return EmbeddingTable.from_matrix(dim, buf[:len(tokens)], row_of, name)
 
 
 def _parse_table(p: Path, wanted: set[str] | None, f: BinaryIO, writer: cache.Writer):
-    """(dim, buffer, held rows, tokens) of table file `p`, parsed from its open file
+    """(dim, buffer, held tokens) of table file `p`, parsed from its open file
     `f`, and the head fields of the entry written through `writer` (None for none)."""
     lines = text_lines(f, p, EmbeddingError, writer)
     count, dim = _header(p, next(lines, (1, ""))[1])
@@ -353,7 +369,7 @@ def _parse_table(p: Path, wanted: set[str] | None, f: BinaryIO, writer: cache.Wr
         writer.write(names)
         writer.write(np.array(duplicates, dtype="<i8"))
         fields = [len(parsed.tokens), dim, len(names), len(duplicates)]
-    return (dim, buf, parsed.held, parsed.tokens), fields
+    return (dim, buf, [parsed.tokens[i] for i in parsed.held]), fields
 
 
 def load_vectors_text(path: str | Path, name: str = "",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -136,18 +137,18 @@ def _mentions(text: str, sentences: Sentences, surfaces: dict, longest: np.ndarr
     for i, s, most in zip(at.tolist(), of.tolist(), longest[ids[at]].tolist()):
         if i < resume:
             continue
-        if s != sentence:  # token offsets in `text` are found at the sentence's first match
-            sentence, spans = s, None
+        if s != sentence:  # token offsets in `text`, found up to the last token matched
+            sentence, spans = s, []
             a, b = starts[s:s + 2].tolist()
             start, end = sentences.spans[s].tolist()
+            found = token_spans(text, start, end)
         if start < 0:
             continue
         for length in range(min(most, b - i), 0, -1):
             entity_id = surfaces.get(tuple(ids[i:i + length].tolist()))
             if entity_id is None:
                 continue
-            if spans is None:
-                spans = token_spans(text, start, end)
+            spans.extend(islice(found, max(i - a + length - len(spans), 0)))
             first, last = spans[i - a][0], spans[i - a + length - 1][1]
             if require_uppercase and not (text[first].isupper() or text[first].isdigit()):
                 break  # every shorter surface here starts with the same character

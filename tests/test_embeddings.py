@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import threading
+import tracemalloc
 import warnings
 import zlib
 
@@ -499,6 +500,13 @@ class TestCache:
             assert len(table) == len(want) and table.dim == want.dim
             for token in ("APPLE", "pear", "PEAR", "uK", "fig"):
                 assert table.row(token) == want.row(token)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(vector_cache.parent))
+        empty = tmp_path / "empty.txt"
+        empty.write_text("0 3\n")  # a header alone: an entry with no tokens
+        miss, hit = (load_vectors_text(empty, keep=keep) for _ in range(2))
+        assert len(parses) == 3 and len(_entries(vector_cache)) == 2
+        assert len(hit) == len(miss) == 0 and hit.dim == miss.dim == 3
+        assert hit.matrix.shape == miss.matrix.shape
 
     @pytest.mark.parametrize("source", ["file", "built"])
     def test_hit_is_the_parsed_index(self, tmp_path, vector_cache, monkeypatch, source):
@@ -545,11 +553,33 @@ class TestCache:
             assert data[:at] == version + len(source).to_bytes(8, "little") + source
             assert hashlib.sha256(data[at:]).hexdigest() == digest
 
-    def test_hit_warns_as_the_parse(self, tmp_path, vector_cache):
+    def test_hit_warns_as_the_parse(self, tmp_path, vector_cache, monkeypatch):
         p = self._table(tmp_path)
         miss, hit = (_loaded(load_vectors_text, p) for _ in range(2))
         assert hit == miss
         assert hit[1] == [f"{p} line 6: duplicate token 'Apple' overwritten"]
+        # A hit that holds no "Apple" row still names it.
+        parses = _parses(monkeypatch)
+        hit = _loaded(functools.partial(load_vectors_text, keep=["kiwi"]), p)
+        assert not parses and hit[0][0] == [("kiwi", 0)] and hit[1] == miss[1]
+
+    def test_warm_hit_holds_no_unkept_token(self, tmp_path, vector_cache, monkeypatch):
+        """A hit makes no lasting object for a token whose row it does not hold: a
+        200 000-token table loaded for three of them peaks far below a string each."""
+        p = tmp_path / "v.txt"
+        p.write_text("200000 1\n" + "".join(f"w{i} {i}\n" for i in range(200_000)))
+        keep = ["w1", "w2", "W3"]
+        load_vectors_text(p, keep=keep)
+        parses = _parses(monkeypatch)
+        tracemalloc.start()
+        try:
+            table = load_vectors_text(p, keep=keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not parses and list(table.rows) == ["w1", "w2", "w3"]
+        assert table.matrix.tolist() == [[1.0], [2.0], [3.0]]
+        assert peak < 4_000_000, peak
 
     @seed(20191113)
     @given(text=_vector_files(), keep=st.none() | st.lists(_TOKEN, max_size=6))
@@ -591,6 +621,7 @@ class TestCache:
         assert len(_entries(vector_cache)) == 2
 
     @pytest.mark.parametrize("damage", ["truncated", "other version", "inf in a row",
+                                        "token not UTF-8", "tokens not ending in a line end",
                                         *_INDEX_DAMAGES])
     def test_damaged_entry_is_parsed_again(self, tmp_path, vector_cache, monkeypatch, damage):
         kind = "index" if damage in _INDEX_DAMAGES else "table"
@@ -610,6 +641,10 @@ class TestCache:
         elif damage == "inf in a row":  # the first row's first component
             head = cache.entry(p, version, 4).head_size
             data[head:head + 8] = np.float64(np.inf).tobytes()
+        elif damage == "token not UTF-8":  # the first token's first byte
+            data[cache.entry(p, version, 4).head_size + 7 * 2 * 8] = 0xFF
+        elif damage == "tokens not ending in a line end":  # before the one duplicate pair
+            data[-17] = ord("x")
         elif isinstance(change, bytes):
             data[:len(version)] = change
         entry.write_bytes(bytes(data))
@@ -738,6 +773,20 @@ class TestLookup:
         assert lookup(table, "Kiwi").tolist() == [2.0, 0.0]  # "kiwi" came first
         assert lookup(table, "apple").tolist() == [0.0, 1.0]  # an exact match
         assert lookup(table, "pear") is None
+
+    def test_first_casing_under_duplicates(self, tmp_path, vector_cache, monkeypatch):
+        """A cased token between two copies of its lower case: the lower case comes
+        first, so it is its own fallback, and the later copy's row wins."""
+        p = tmp_path / "v.txt"
+        p.write_text("3 2\napple 1 0\nApple 0 1\napple 2 2\n")
+        want = load_vectors_text_ref(p)
+        parses = _parses(monkeypatch)  # the first load parses; each later one hits
+        for keep in (None, ["aPPle"]):
+            for table in (load_vectors_text(p, keep=keep) for _ in range(2)):
+                for token, row in [("apple", [2, 2]), ("Apple", [0, 1]), ("APPLE", [2, 2]),
+                                   ("aPPle", [2, 2])]:
+                    assert lookup(table, token).tolist() == lookup(want, token).tolist() == row
+        assert len(parses) == 1
 
 
 class TestMeanVector:
