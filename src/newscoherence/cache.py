@@ -28,8 +28,6 @@ import numpy as np
 # 128 KiB from which glibc maps a buffer, since freeing one raises that threshold and
 # later arrays of that size stay on the heap (seen as +0.1 MB peak RSS at 256 KiB).
 COPY_BYTES = 1 << 16
-# The version line of vector-table entries from before the path was recorded.
-_UNSOURCED = b"newscoherence 1\n"
 _PREFIX = b"newscoherence "
 _ENTRY = re.compile(r"[0-9a-f]{16}")
 _TEMP = re.compile(r"[0-9a-f]{16}\.(\d+)-\d+")  # see `Writer.temp`
@@ -216,8 +214,6 @@ def _stale(path: Path) -> bool:
     records no file at all. An entry of an unknown layout is never stale."""
     with open(path, "rb") as e:
         version = e.readline(64)
-        if version == _UNSOURCED:
-            return True
         if not version.startswith(_PREFIX) or not version.endswith(b"\n"):
             return False
         length = int.from_bytes(e.read(8), "little")
@@ -226,7 +222,7 @@ def _stale(path: Path) -> bool:
         source = e.read(length)
     try:
         return not stat.S_ISREG(os.stat(source).st_mode)
-    except (FileNotFoundError, NotADirectoryError):
+    except (FileNotFoundError, NotADirectoryError, ValueError):  # ValueError: a NUL byte
         return True
 
 

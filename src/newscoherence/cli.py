@@ -400,7 +400,7 @@ def _command(config: RunConfig, args: argparse.Namespace) -> str:
             raise ConfigError("field 'esa_kb_path': required for build-esa-index")
         index = _esa_index(replace(config, esa_index_path=""))
         esa.save_index(index, args.out)
-        return (f"ESA index: {index.doc_count} concepts, {len(index.inverted)} tokens "
+        return (f"ESA index: {index.doc_count} concepts, {len(index.tokens)} tokens "
                 f"-> {args.out}\n")
     corpora, per_method, sources = {}, {}, {}
     for sf in getattr(args, "score_files", None) or []:

@@ -99,7 +99,7 @@ def _id_maps(vocab: Vocabulary, row: Callable[[str], int | None],
     return rows[order], rank
 
 
-def _score(doc_id: str, method: str, rows, in_place: bool = False) -> CoherenceScore:
+def _score(doc_id: str, method: str, rows) -> CoherenceScore:
     """Mean pairwise cosine of the nonzero rows of a dense matrix or of CSR arrays.
 
     With u_i the K unit rows and S their sum, |S|^2 = sum_i |u_i|^2 + sum_{i != j} u_i.u_j,
@@ -107,9 +107,8 @@ def _score(doc_id: str, method: str, rows, in_place: bool = False) -> CoherenceS
     in O(K d). Undefined when fewer than two rows are nonzero. Each row is first
     scaled by the power of two that brings its largest component into [0.5, 1),
     so no square overflows or underflows whatever the row's magnitude; that scaling
-    is exact, and the unit rows are the ones the unscaled rows give. The scaled
-    rows are the one copy made of `rows`, which is left as it was; `in_place`
-    scales a caller's rows that it has no more use for, and makes no copy.
+    is exact, and the unit rows are the ones the unscaled rows give. The rows are
+    scaled in place, with no copy made: a caller hands over rows it has no more use for.
     """
     if isinstance(rows, tuple):
         indptr, cols, values = rows
@@ -121,11 +120,11 @@ def _score(doc_id: str, method: str, rows, in_place: bool = False) -> CoherenceS
             starts = indptr[:-1][filled]
             peaks[filled] = np.maximum(np.maximum.reduceat(values, starts),
                                        -np.minimum.reduceat(values, starts))
-        unit = np.ldexp(values, -np.frexp(peaks)[1][row], out=values if in_place else None)
+        unit = np.ldexp(values, -np.frexp(peaks)[1][row], out=values)
         sq = np.bincount(row, weights=np.square(unit), minlength=len(lengths))
     else:
         peaks = np.maximum(rows.max(axis=1, initial=0.0), -rows.min(axis=1, initial=0.0))
-        unit = np.ldexp(rows, -np.frexp(peaks)[1][:, None], out=rows if in_place else None)
+        unit = np.ldexp(rows, -np.frexp(peaks)[1][:, None], out=rows)
         sq = np.einsum("ij,ij->i", unit, unit)
     keep = sq > 0.0
     k = int(np.count_nonzero(keep))
@@ -306,7 +305,7 @@ def coherence_sentences(doc: Document, rep) -> CoherenceScore:
     """
     reps = [r for r in (rep(s) for s in _sentences(doc)) if r is not None]
     rows = np.array(reps, dtype=np.float64) if reps else np.zeros((0, 0))
-    return _score(doc.id, "embedding", rows, in_place=True)
+    return _score(doc.id, "embedding", rows)
 
 
 def coherence_entities(
@@ -316,7 +315,7 @@ def coherence_entities(
 
     `multiset` scores over the mention multiset instead of distinct entities.
     """
-    return _score(doc.id, "entity", _entity_rows(doc, entity_table, multiset), in_place=True)
+    return _score(doc.id, "entity", _entity_rows(doc, entity_table, multiset))
 
 
 def _entity_rows(doc: Document, entity_table: EmbeddingTable, multiset: bool) -> np.ndarray:
@@ -369,7 +368,7 @@ def score_corpus(
             return _sentence_sums(esa_index, *occurrences)[0]  # sums point the way of the means
 
     # No name holds a document's rows, so `_score` scales them in place and frees them.
-    return sorted((_score(doc.id, method, rows(i), in_place=True) for i, doc in enumerate(docs)),
+    return sorted((_score(doc.id, method, rows(i)) for i, doc in enumerate(docs)),
                   key=lambda s: s.doc_id)
 
 

@@ -8,7 +8,6 @@ import logging
 import math
 import os
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -50,44 +49,18 @@ class EsaError(Exception):
     """Raised for empty knowledge bases or invalid sparse-vector arithmetic."""
 
 
-class _Rows(Mapping):
-    """Read-only token -> {concept id: weight} view of an index. Each row is
-    built from the CSR arrays when it is read and not kept."""
-
-    def __init__(self, index: EsaIndex):
-        self._index = index
-
-    def __getitem__(self, token: str) -> SparseVector:
-        ix = self._index
-        i = ix.rows[token]
-        a, b = ix.indptr[i:i + 2]
-        return dict(zip(ix.indices[a:b].tolist(), ix.data[a:b].tolist()))
-
-    def __contains__(self, token) -> bool:
-        return token in self._index.rows
-
-    def __iter__(self):
-        return iter(self._index.tokens)
-
-    def __len__(self) -> int:
-        return len(self._index.tokens)
-
-    @property
-    def nnz(self) -> int:
-        return len(self._index.indices)
-
-
 @dataclass(eq=False)
 class EsaIndex:
     """A knowledge base's concept titles and its tokens x concepts weight matrix,
-    held only as CSR arrays: row i, for tokens[i], is indices/data[indptr[i]:indptr[i+1]]."""
+    held as arrays: row i, for tokens[i], is indices/data[indptr[i]:indptr[i+1]] (CSR),
+    and df[i] counts the articles that hold tokens[i]. `rows` maps a token to its i."""
 
     concepts: list[str]  # concept id -> title
     tokens: list[str]
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    df: dict[str, int]
+    df: np.ndarray  # int64
     weighting: str = "tfidf"
 
     def __post_init__(self):
@@ -97,17 +70,23 @@ class EsaIndex:
     def doc_count(self) -> int:
         return len(self.concepts)
 
+    def row(self, i: int) -> SparseVector:
+        """Row i, for tokens[i], as {concept id: weight}."""
+        a, b = self.indptr[i:i + 2]
+        return dict(zip(self.indices[a:b].tolist(), self.data[a:b].tolist()))
+
     @property
-    def inverted(self) -> _Rows:
-        return _Rows(self)
+    def inverted(self) -> dict[str, SparseVector]:
+        """Every row by its token, built on each read; no scoring path reads it."""
+        return {token: self.row(i) for token, i in self.rows.items()}
 
     def __eq__(self, other):
         if not isinstance(other, EsaIndex):
             return NotImplemented
-        return ((self.concepts, self.tokens, self.df, self.weighting)
-                == (other.concepts, other.tokens, other.df, other.weighting)
-                and all(map(np.array_equal, (self.indptr, self.indices, self.data),
-                            (other.indptr, other.indices, other.data))))
+        return ((self.concepts, self.tokens, self.weighting)
+                == (other.concepts, other.tokens, other.weighting)
+                and all(map(np.array_equal, (self.indptr, self.indices, self.data, self.df),
+                            (other.indptr, other.indices, other.data, other.df))))
 
 
 def build_esa_index(
@@ -161,13 +140,14 @@ def build_esa_index(
         concepts=concepts, tokens=tokens,
         indptr=np.concatenate(([0], np.cumsum(np.bincount(row[keep], minlength=len(tokens))))),
         indices=cid[keep][order], data=weight[keep][order],
-        df=dict(zip(tokens, df.tolist())), weighting=weighting,
+        df=df, weighting=weighting,
     )
 
 
 def esa_word_vector(index: EsaIndex, token: str) -> SparseVector | None:
     """Stored concept vector for a token, or None for out-of-vocabulary tokens."""
-    return index.inverted.get(token)
+    i = index.rows.get(token)
+    return None if i is None else index.row(i)
 
 
 def cosine_sparse(u: SparseVector, v: SparseVector) -> float:
@@ -191,14 +171,14 @@ def save_index(index: EsaIndex, path: str | Path) -> None:
         if any(c in title for c in "\t\r\n"):
             raise EsaError(f"concept title {title!r} holds a tab or line break; "
                            f"an ESA index file cannot store it")
-    rows = index.inverted
+    df = index.df.tolist()
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"ESA1\t{index.doc_count}\t{index.weighting}\n")
         for title in index.concepts:
             f.write(f"C\t{title}\n")
-        for token in sorted(rows):
-            cells = " ".join(f"{cid}:{w!r}" for cid, w in sorted(rows[token].items()))
-            f.write(f"T\t{token}\t{index.df[token]}\t{cells}\n")
+        for token, i in sorted(index.rows.items()):
+            cells = " ".join(f"{cid}:{w!r}" for cid, w in sorted(index.row(i).items()))
+            f.write(f"T\t{token}\t{df[i]}\t{cells}\n")
 
 
 _CELL = np.dtype([("id", np.int64), ("weight", np.float64)])
@@ -240,15 +220,11 @@ def _cells(rows: bytes, widths: list[int], doc_count: int) -> tuple[np.ndarray, 
     return ids, weights
 
 
-def _entry_body(index: EsaIndex, writer: cache.Writer) -> list[int] | None:
-    """Write through `writer` what the cache entry of `index` holds after its head.
-    Returns the fields of its head, or None where a df is past int64: no entry."""
-    try:
-        df = np.array([index.df[token] for token in index.tokens], dtype=np.int64)
-    except OverflowError:
-        return None
+def _entry_body(index: EsaIndex, writer: cache.Writer) -> list[int]:
+    """Write through `writer` what the cache entry of `index` holds after its head,
+    and return the fields of its head."""
     tokens, titles = cache.lines(index.tokens), cache.lines(index.concepts)
-    for part in (index.indptr, index.indices, index.data, df, tokens, titles):
+    for part in (index.indptr, index.indices, index.data, index.df, tokens, titles):
         writer.write(part)
     return [index.doc_count, len(index.tokens), len(index.indices),
             WEIGHTINGS.index(index.weighting), len(tokens), len(titles)]
@@ -277,8 +253,7 @@ def _load_entry(e, fields: list[int]) -> EsaIndex | None:
         return None
     _check_cells(indices, data, widths, doc_count)
     index = EsaIndex(concepts=concepts, tokens=tokens, indptr=indptr, indices=indices,
-                     data=data, df=dict(zip(tokens, df.tolist())),
-                     weighting=WEIGHTINGS[weighting])
+                     data=data, df=df, weighting=WEIGHTINGS[weighting])
     return index if len(index.rows) == n else None  # else a token is there twice
 
 
@@ -298,12 +273,11 @@ def _parse(p: Path, f, writer: cache.Writer) -> tuple[EsaIndex, list[int] | None
     """The index of file `p`, parsed from its open file `f`, and the head fields of
     the entry written through `writer` (None for none)."""
     concepts: list[str] = []
-    tokens: list[str] = []
-    linenos: list[int] = []
+    linenos: dict[str, int] = {}  # token -> the line of its row
+    df: list[int] = []
     widths: list[int] = []
     # Every row's cell text, one row per line: one large buffer, not a string per row.
     rows = bytearray()
-    df: dict[str, int] = {}
     lines = text_lines(f, p, EsaError, writer)
     header = next(lines, (1, ""))[1].split("\t")
     if len(header) != 3 or header[0] != "ESA1":
@@ -327,15 +301,14 @@ def _parse(p: Path, f, writer: cache.Writer) -> tuple[EsaIndex, list[int] | None
                 concepts.append(parts[1])
                 continue
             token, token_df = parts[1], int(parts[2])
-            if token_df < 0:
-                raise ValueError(f"negative df {token_df}")
+            if not 0 <= token_df < 1 << 63:  # the int64 of a cache entry
+                raise ValueError(f"df {token_df} outside 0..{(1 << 63) - 1}")
         except ValueError as e:
             raise EsaError(f"{p} line {lineno}: malformed {parts[0]!r} record: {e}") from e
-        if token in df:
+        if token in linenos:
             raise EsaError(f"{p} line {lineno}: duplicate token {token!r}")
-        df[token] = token_df
-        tokens.append(token)
-        linenos.append(lineno)
+        linenos[token] = lineno
+        df.append(token_df)
         widths.append(parts[3].count(" ") + 1 if parts[3] else 0)
         rows += parts[3].encode() + b"\n"
     if doc_count != len(concepts):
@@ -344,13 +317,14 @@ def _parse(p: Path, f, writer: cache.Writer) -> tuple[EsaIndex, list[int] | None
     try:
         indices, data = _cells(rows, widths, doc_count)
     except ValueError:
-        for lineno, width, row in zip(linenos, widths, rows.split(b"\n")):
+        for lineno, width, row in zip(linenos.values(), widths, rows.split(b"\n")):
             try:
                 _cells(row, [width], doc_count)
             except ValueError as e:
                 raise EsaError(f"{p} line {lineno}: malformed 'T' record: {e}") from e
         raise  # no row is malformed alone: the fault is in this loader
-    index = EsaIndex(concepts=concepts, tokens=tokens,
+    index = EsaIndex(concepts=concepts, tokens=list(linenos),
                      indptr=np.concatenate(([0], np.cumsum(widths, dtype=np.int64))),
-                     indices=indices, data=data, df=df, weighting=weighting)
+                     indices=indices, data=data, df=np.array(df, dtype=np.int64),
+                     weighting=weighting)
     return index, _entry_body(index, writer) if writer.ok else None

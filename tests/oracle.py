@@ -175,8 +175,8 @@ def load_index_ref(path) -> EsaIndexRef:
                 df[token] = int(parts[2])
             except ValueError as e:
                 raise EsaError(f"{p} line {lineno}: malformed df: {e}") from e
-            if df[token] < 0 or token in inverted:
-                raise EsaError(f"{p} line {lineno}: negative df or duplicate token")
+            if not 0 <= df[token] < 2 ** 63 or token in inverted:
+                raise EsaError(f"{p} line {lineno}: df out of range or duplicate token")
             inverted[token], cells_at[token] = {}, (lineno, parts[3])
     if doc_count != len(concepts):
         raise EsaError(f"{p} line 1: concept count")

@@ -513,6 +513,17 @@ class TestBadBytesExitTwo:
             assert "bad.esa line 4" in err
         assert list(vector_cache.iterdir()) == []
 
+    def test_index_df_past_int64(self, workspace, capsys, vector_cache):
+        """A df no int64 holds is malformed, as a negative one is: an index that has
+        one could never be cached."""
+        (workspace / "big.esa").write_bytes(
+            b"ESA1\t1\ttf\nC\tA\nT\tb\t1\t0:1\nT\tc\t9223372036854775808\t0:1\n")
+        rc, err = self._run(workspace, capsys, "--methods", "esa",
+                            "--esa-index-path", str(workspace / "big.esa"))
+        assert rc == EXIT_DATA
+        assert "big.esa line 4: malformed 'T' record" in err
+        assert list(vector_cache.iterdir()) == []
+
     def test_jsonl_id_with_lone_surrogate(self, workspace, capsys):
         bad = {"id": "x\ud800", "label": "fake", "text": "Treasury budget. Parliament vote."}
         _write_jsonl(workspace / "fake.jsonl", FAKE_DOCS + [bad])

@@ -459,7 +459,7 @@ _INDEX_DAMAGES = {
     "index nan weight": _set("data", 0, np.nan),
     "index indptr not ending at nnz": _set("indptr", -1, 2),
     "index id twice in a row": _set("indices", 1, 2),
-    "index negative df": lambda index: index.df.__setitem__("x", -1),
+    "index negative df": _set("df", 0, -1),
     "index token twice": _set("tokens", 1, "x"),
 }
 
@@ -736,10 +736,18 @@ class TestCache:
         ended.wait()
         unsourced = vector_cache / "0123456789abcdef"  # recorded no path
         unsourced.write_bytes(b"newscoherence 1\n" + bytes(48))
-        stale = [gone_entry, unsourced, vector_cache / f"{gone_entry.name}.{ended.pid}-1"]
+        # A table entry in the first layout, which recorded no path: its version line,
+        # the int64s size (40), CRC-32, rows, dim, token bytes and duplicates, then the
+        # rows and tokens. Read as a path's length and bytes, its head names no file.
+        pathless = vector_cache / "0123456789abcdee"
+        pathless.write_bytes(b"newscoherence 1\n"
+                             + np.array([40, zlib.crc32(b"table"), 2, 2, 6, 0], "<i8").tobytes()
+                             + np.arange(4.0).tobytes() + b"ab\ncd\n")
+        stale = [gone_entry, unsourced, pathless,
+                 vector_cache / f"{gone_entry.name}.{ended.pid}-1"]
         other = [vector_cache / f"{gone_entry.name}.{os.getpid()}-1",
                  vector_cache / "fedcba9876543210", vector_cache / "notes"]
-        for path in stale[2:] + other:
+        for path in stale[3:] + other:
             path.write_bytes(b"of another program")
         gone.unlink()
         load_vectors_text(live)  # a hit

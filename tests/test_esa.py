@@ -1,9 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 import tracemalloc
-from collections.abc import Mapping
 
 import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
@@ -62,8 +62,9 @@ class TestBuildIndex:
 
     def test_df_matches_nonzero_rows_under_tf(self):
         index = build_esa_index([("A", "x y"), ("B", "y z"), ("C", "z z")], weighting="tf")
+        df = dict(zip(index.tokens, index.df.tolist()))
         for token, row in index.inverted.items():
-            assert index.df[token] == len(row)
+            assert df[token] == len(row)
 
     def test_min_weight_pruning(self):
         index = build_esa_index(KB, weighting="tf", min_weight=2.0)
@@ -159,9 +160,27 @@ class TestInvariants:
         assert loaded.doc_count == index.doc_count
         assert loaded.weighting == index.weighting
         assert loaded.concepts == index.concepts
-        assert loaded.df == index.df
+        assert dict(zip(loaded.tokens, loaded.df.tolist())) == \
+            dict(zip(index.tokens, index.df.tolist()))
         for token, row in index.inverted.items():
             assert loaded.inverted[token] == pytest.approx(row)
+
+    # The second file holds its tokens out of order and each row's ids descending:
+    # the writer sorts both, so its bytes pin each sort.
+    @pytest.mark.parametrize("source, digest", [
+        (None, "e82f0b0f42c1e01b033bbc7ac167151e63d33c259347bd0172389987dadacaf6"),
+        ("ESA1\t3\ttf\nC\tA\nC\tB\nC\tC\nT\tz\t2\t2:1.5 0:0.25\nT\tb\t0\t\n"
+         "T\ta\t3\t2:3.0 1:2.0 0:1e-05\n",
+         "900e590dda0cccd654154440fc0587cce9f41c982af9dc5bb38804de0bd3b864"),
+    ], ids=["built", "loaded-unsorted"])
+    def test_saved_bytes_are_pinned(self, tmp_path, source, digest):
+        if source is None:
+            index = build_esa_index(KB)
+        else:
+            (tmp_path / "in.esa").write_text(source)
+            index = load_index(tmp_path / "in.esa")
+        save_index(index, tmp_path / "out.esa")
+        assert hashlib.sha256((tmp_path / "out.esa").read_bytes()).hexdigest() == digest
 
 
 class TestLoadIndexErrors:
@@ -176,6 +195,7 @@ class TestLoadIndexErrors:
         ("ESA1\t2\ttf\nC\tA\nC\tB\nT\tx\t1\t0:1.0 1:1.0\nT\ty\t1\t1:1.0 1:2.0\n", "line 5"),
         ("ESA1\t1\ttf\nC\tA\nT\tx\t1\t0:-1.0\n", "line 3"),
         ("ESA1\t1\ttf\nC\tA\nT\tx\t-1\t0:1.0\n", "line 3"),
+        ("ESA1\t1\ttf\nC\tA\nT\tx\t1\t0:1.0\nT\ty\t9223372036854775808\t\n", "line 4"),
         ("ESA1\t1\tbogus\nC\tA\n", "line 1"),
         ("ESA1\t2\ttf\nC\tA\n", "line 1"),
         ("ESA1\t1\ttf\nC\tA\nT\tx\t1\t0:1_0\n", "line 3"),
@@ -187,9 +207,9 @@ class TestLoadIndexErrors:
         ("", "line 1"),
     ], ids=["count-not-integer", "t-row-missing-fields", "bad-cell", "t-row-extra-field",
             "c-row-extra-field", "c-row-no-title", "duplicate-token", "duplicate-concept-id",
-            "negative-weight", "negative-df", "unknown-weighting", "concept-count-mismatch",
-            "underscore-in-number", "non-ascii-digit", "trailing-space", "space-only-cells",
-            "first-of-two-bad-rows", "empty-file"])
+            "negative-weight", "negative-df", "df-past-int64", "unknown-weighting",
+            "concept-count-mismatch", "underscore-in-number", "non-ascii-digit",
+            "trailing-space", "space-only-cells", "first-of-two-bad-rows", "empty-file"])
     def test_malformed_index_names_line(self, tmp_path, text, line):
         p = tmp_path / "bad.esa"
         p.write_text(text, encoding="utf-8")
@@ -254,17 +274,21 @@ class TestTitleRoundTrip:
 
 
 class TestInvertedView:
-    """`inverted` is a read-only token -> {concept id: weight} view of the CSR arrays."""
+    """`inverted` is a token -> {concept id: weight} dict of the CSR rows, built on
+    each read: writing to it changes nothing in the index."""
 
     def test_view_over_csr_arrays(self):
         index = build_esa_index(KB, weighting="tf")
-        assert isinstance(index.inverted, Mapping) and not isinstance(index.inverted, dict)
-        assert index.inverted == {"x": {0: 2.0}, "y": {0: 1.0, 1: 1.0}, "z": {1: 1.0}}
-        assert index.inverted.nnz == len(index.indices) == len(index.data) == 4
+        rows = {"x": {0: 2.0}, "y": {0: 1.0, 1: 1.0}, "z": {1: 1.0}}
+        assert index.inverted == rows
+        assert [index.row(i) for i in range(len(index.tokens))] == list(rows.values())
+        assert len(index.indices) == len(index.data) == 4
         assert index.indptr.tolist() == [0, 1, 3, 4]
         assert "x" in index.inverted and "qqq" not in index.inverted
-        with pytest.raises(TypeError):
-            index.inverted["x"] = {}  # type: ignore[index]
+        written = index.inverted
+        written["x"] = {}
+        written["qqq"] = {0: 1.0}
+        assert index.inverted == rows
 
     def test_rows_are_built_on_each_read(self):
         index = build_esa_index(KB, weighting="tf")
@@ -277,8 +301,9 @@ class TestInvertedView:
         index = build_esa_index(KB, weighting="tf")
         assert {name: type(v).__name__ for name, v in vars(index).items()} == {
             "concepts": "list", "tokens": "list", "indptr": "ndarray", "indices": "ndarray",
-            "data": "ndarray", "df": "dict", "weighting": "str", "rows": "dict"}
+            "data": "ndarray", "df": "ndarray", "weighting": "str", "rows": "dict"}
         assert index.indices.dtype == np.int64 and index.data.dtype == np.float64
+        assert index.df.dtype == np.int64 and index.df.tolist() == [1, 2, 1]
 
     def test_equality(self, tmp_path):
         save_index(build_esa_index(KB), tmp_path / "kb.esa")
@@ -291,7 +316,7 @@ def _index(rows: dict[str, dict[int, float]], n_concepts: int) -> EsaIndex:
     indptr, indices, data = sparse_rows(list(rows.values()))
     return EsaIndex(concepts=[f"C{i}" for i in range(n_concepts)], tokens=list(rows),
                     indptr=indptr, indices=indices, data=data,
-                    df={t: len(r) for t, r in rows.items()})
+                    df=np.array([len(r) for r in rows.values()], dtype=np.int64))
 
 
 def _full(matrix, columns, k: int, width: int) -> np.ndarray:
@@ -410,6 +435,7 @@ class TestLoadIndexMatchesOracle:
             assert re.match(rf"{re.escape(str(path))} line [0-9]+: ", str(e))
             return
         assert want is not None
-        assert (got.concepts, got.doc_count, got.weighting, got.tokens, got.df) == \
-            (want.concepts, want.doc_count, want.weighting, list(want.inverted), want.df)
+        assert (got.concepts, got.doc_count, got.weighting, got.tokens) == \
+            (want.concepts, want.doc_count, want.weighting, list(want.inverted))
+        assert dict(zip(got.tokens, got.df.tolist())) == want.df
         assert got.inverted == want.inverted
