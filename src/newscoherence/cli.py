@@ -142,6 +142,8 @@ def validate(config: RunConfig, need_corpora: bool, need_methods: bool) -> None:
         raise ConfigError("field 'esa_min_weight': must be finite")
     if not 1 <= config.hist_buckets <= MAX_HIST_BUCKETS:
         raise ConfigError(f"field 'hist_buckets': must be in 1..{MAX_HIST_BUCKETS}")
+    if (config.hist_upper - config.hist_lower) / config.hist_buckets == 0.0:
+        raise ConfigError("field 'hist_buckets': the bucket width underflows to 0")
     if config.workers < 1:
         raise ConfigError("field 'workers': must be >= 1")
     used = methods if need_methods else []

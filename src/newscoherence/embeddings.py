@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-import bisect
 import functools
 import io
 import logging
 import mmap
 import os
 import sys
-from array import array
 from collections.abc import Iterable, Iterator
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, NamedTuple
+from typing import BinaryIO
 
 import numpy as np
 
@@ -174,27 +172,27 @@ def _parse(rests: list[str], dim: int) -> np.ndarray:
 
 
 class _BadRow(Exception):
-    """A malformed row: its line and what is wrong."""
+    """A malformed row: its position in its block and what is wrong."""
 
 
-def _parse_block(rests: list[str], linenos, dim: int) -> np.ndarray:
-    """The rows of `rests`, the components texts of lines `linenos`, in one parse.
-    If it fails, each row is parsed alone, and the first malformed one raises _BadRow."""
+def _parse_block(rests: list[str], dim: int) -> np.ndarray:
+    """The rows of `rests`, components texts, in one parse. If it fails, each row is
+    parsed alone, and the first malformed one raises _BadRow."""
     if all(map(str.strip, rests)):  # else loadtxt would skip a row
         try:
             return _parse(rests, dim)
         except (ValueError, EmbeddingError):
             pass
-    for lineno, rest in zip(linenos, rests):
+    for j, rest in enumerate(rests):
         found = len(rest.split())  # str.split and loadtxt split at the same whitespace
         if found != dim:
-            raise _BadRow(lineno, f"expected {dim} components, got {found}")
+            raise _BadRow(j, f"expected {dim} components, got {found}")
         try:
             _parse([rest], dim)
         except ValueError as e:
-            raise _BadRow(lineno, f"non-numeric component: {e}") from e
+            raise _BadRow(j, f"non-numeric component: {e}") from e
         except EmbeddingError as e:
-            raise _BadRow(lineno, str(e)) from e
+            raise _BadRow(j, str(e)) from e
     raise RuntimeError("a block of vector rows failed to parse, but none of its rows does")
 
 
@@ -207,73 +205,39 @@ def _row_buffer(rows: int, dim: int) -> np.ndarray:
     return np.ndarray((rows, dim), buffer=mmap.mmap(-1, rows * dim * 8, access=mmap.ACCESS_COPY))
 
 
-class _Parsed(NamedTuple):
-    """What parsing the rows of a table found."""
-
-    tokens: list[str]              # the token of each row above the first malformed line
-    linenos: array                 # the line of each of those rows
-    held: array                    # positions in `tokens` of the rows written to the buffer
-    fault: EmbeddingError | None   # names the first malformed line
-
-
-def _holds(token: str, wanted: set[str] | None) -> bool:
-    """Whether a table holds the rows of `token`: those with the lower case of a
-    `wanted` token, every one where `wanted` is None."""
-    return wanted is None or token.lower() in wanted
+def _held(tokens: list[str], wanted: set[str] | None) -> list[int] | range:
+    """Positions in `tokens` of the rows a table holds: those whose token has the
+    lower case of a `wanted` token, every one where `wanted` is None."""
+    if wanted is None:
+        return range(len(tokens))
+    return [j for j, low in enumerate(map(str.lower, tokens)) if low in wanted]
 
 
-def _parse_rows(p: Path, lines: Iterator[tuple[int, str]], dim: int, count: int,
-                wanted: set[str] | None, buf: np.ndarray,
-                writer: cache.Writer) -> tuple[_Parsed, np.ndarray]:
-    """Parse and check the rows of `lines`, those of `text_lines` below the header of
-    table file `p`, up to the first malformed line, _BLOCK_ROWS rows per parse.
+def _warn_duplicate(p: Path, lineno: int, token: str) -> None:
+    logger.warning("%s line %d: duplicate token %r overwritten", p, lineno, token)
 
-    Of its first `count` rows, those it `_holds` for `wanted` are written to `buf`,
-    which grows as needed; every parsed row goes to `writer`. Returns what was
-    found, and the buffer.
-    """
-    tokens: list[str] = []
-    linenos, held = array("q"), array("q")
-    rests: list[str] = []  # the components texts of the last rows read, not yet parsed
 
-    def parse() -> None:
-        nonlocal buf, rests
-        at = len(tokens) - len(rests)  # the block's first row
-        matrix = _parse_block(rests, linenos[at:], dim)
-        writer.write(matrix)
-        taken = [j for j, token in enumerate(tokens[at:count]) if _holds(token, wanted)]
-        if taken:
-            k = len(held)
-            if k + len(taken) > len(buf):
-                grown = _row_buffer(min(count, max(2 * len(buf), k + len(taken))), dim)
-                if k:  # else `buf` may be 0 x 0
-                    grown[:k] = buf[:k]
-                buf = grown
-            buf[k:k + len(taken)] = matrix if len(taken) == len(rests) else matrix[taken]
-            held.extend(at + j for j in taken)
-        rests = []
-
-    fault = None
+def _blocks(lines: Iterator[tuple[int, str]]) -> Iterator[tuple[list[int], list[str], list[str]]]:
+    """The rows of `lines`, its lines that are not blank, _BLOCK_ROWS at a time: their
+    line numbers, tokens (up to the first space) and components texts. Where a line
+    is not UTF-8, the rows above it come before its error."""
+    linenos, tokens, rests = block = [], [], []
     try:
-        try:
-            for lineno, line in lines:
-                if line.strip():
-                    token, _, rest = line.partition(" ")
-                    tokens.append(token)
-                    linenos.append(lineno)
-                    rests.append(rest)
-                    if len(rests) == _BLOCK_ROWS:
-                        parse()
-        except EmbeddingError as e:  # a line that is not UTF-8, below every row read
-            fault = e
+        for lineno, line in lines:
+            if line.strip():
+                token, _, rest = line.partition(" ")
+                linenos.append(lineno)
+                tokens.append(token)
+                rests.append(rest)
+                if len(rests) == _BLOCK_ROWS:
+                    yield block
+                    linenos, tokens, rests = block = [], [], []
+    except EmbeddingError:
         if rests:
-            parse()
-    except _BadRow as e:  # above any line that is not UTF-8: keep only the rows above it
-        lineno, what = e.args
-        del tokens[bisect.bisect_left(linenos, lineno):]
-        del linenos[len(tokens):]
-        fault = EmbeddingError(f"{p} line {lineno}: {what}")
-    return _Parsed(tokens, linenos, held, fault), buf
+            yield block
+        raise
+    if rests:
+        yield block
 
 
 def _load_entry(p: Path, wanted: set[str] | None, e: BinaryIO, fields: list[int]):
@@ -290,42 +254,45 @@ def _load_entry(p: Path, wanted: set[str] | None, e: BinaryIO, fields: list[int]
         return None
     e.seek(tokens_at + nbytes)
     duplicates = np.frombuffer(e.read(16 * ndup), "<i8").reshape(-1, 2).tolist()
-    if any(not 0 <= row < count for _, row in duplicates):
+    named = [row for _, row in duplicates]  # the row each warning names
+    if not all(a < b for a, b in zip([-1, *named], [*named, count])):  # as a parse writes them
         return None
-    named = dict.fromkeys(row for _, row in duplicates)  # row -> the token a warning names
     e.seek(tokens_at)
     section = e.read(nbytes)
-    if nbytes and not section.endswith(b"\n"):  # each token ends in one; no rows, no tokens
+    # Each token ends in a "\n", and holds no "\r" as written: no rows, no tokens.
+    if section.count(b"\n") != count or nbytes and not section.endswith(b"\n"):
         return None
-    held, tokens, lineno = array("q"), [], 0
-    # Decoded a read at a time: a token holds no "\r" or "\n", and a decode error is a miss.
-    for lineno, token in text_lines(io.BytesIO(section), p, ValueError):
-        if _holds(token, wanted):
-            held.append(lineno - 1)
-            tokens.append(token)
-        if lineno - 1 in named:
-            named[lineno - 1] = token
-    if lineno != count:
-        return None
+    runs: list[int] = []  # the first and end row of each run of consecutive held rows
+    tokens, names, at, start = [], [], 0, 0  # names: the token of each warning
+    while start < nbytes:  # a slice of up to _READ_BYTES, cut at a "\n"; a decode error is a miss
+        stop = (section.rfind(b"\n", start, start + _READ_BYTES) + 1
+                or section.index(b"\n", start) + 1)
+        part = section[start:stop - 1].decode("utf-8").split("\n")
+        taken = _held(part, wanted)
+        for row in (at + j for j in taken):
+            if runs and runs[-1] == row:  # the last run's end
+                runs[-1] += 1
+            else:
+                runs += (row, row + 1)
+        tokens += [part[j] for j in taken]
+        while len(names) < ndup and named[len(names)] < at + len(part):
+            names.append(part[named[len(names)] - at])
+        at, start = at + len(part), stop
     # A row at least where the table has one, so that a table holding none is 0 x dim
     # as parsed.
-    buf = _row_buffer(max(len(held), min(count, 1)), dim)
-    starts = [j for j in range(len(held)) if not j or held[j] != held[j - 1] + 1]
-    for j, k in zip(starts, starts[1:] + [len(held)]):  # a run of consecutive rows
-        e.seek(rows_at + held[j] * dim * 8)
-        if not cache.read_into(e, buf[j:k]):
+    buf = _row_buffer(max(len(tokens), min(count, 1)), dim)
+    j = 0
+    for first, end in zip(runs[::2], runs[1::2]):
+        e.seek(rows_at + first * dim * 8)
+        if not cache.read_into(e, buf[j:j + end - first]):
             return None
+        j += end - first
     # Finite iff the least and greatest are: no rows x dim mask is made.
-    if held and not np.isfinite([buf[:len(held)].min(), buf[:len(held)].max()]).all():
+    if tokens and not np.isfinite([buf[:j].min(), buf[:j].max()]).all():
         return None
-    _warn_duplicates(p, duplicates, named)
+    for (lineno, _), token in zip(duplicates, names):
+        _warn_duplicate(p, lineno, token)
     return dim, buf, tokens
-
-
-def _warn_duplicates(p: Path, duplicates: list[tuple[int, int]],
-                     tokens: list[str] | dict[int, str]) -> None:
-    for lineno, row in duplicates:
-        logger.warning("%s line %d: duplicate token %r overwritten", p, lineno, tokens[row])
 
 
 def _table(dim: int, buf: np.ndarray, tokens: list[str], wanted: set[str] | None,
@@ -342,7 +309,12 @@ def _table(dim: int, buf: np.ndarray, tokens: list[str], wanted: set[str] | None
 
 def _parse_table(p: Path, wanted: set[str] | None, f: BinaryIO, writer: cache.Writer):
     """(dim, buffer, held tokens) of table file `p`, parsed from its open file
-    `f`, and the head fields of the entry written through `writer` (None for none)."""
+    `f`, and the head fields of the entry written through `writer` (None for none).
+
+    Each block of rows is checked, warns of its duplicates, writes the rows it holds
+    to the buffer, which grows as needed, and goes to `writer`. A malformed row, or a
+    line that is not UTF-8, raises once the rows above it have warned.
+    """
     lines = text_lines(f, p, EmbeddingError, writer)
     count, dim = _header(p, next(lines, (1, ""))[1])
     limit = max(count, 0)  # rows held
@@ -350,26 +322,42 @@ def _parse_table(p: Path, wanted: set[str] | None, f: BinaryIO, writer: cache.Wr
     # header can reserve. A file whose size does not show its rows (a pipe, or a
     # file still being written) grows the buffer as its rows arrive.
     buf = _row_buffer(min(limit, os.fstat(f.fileno()).st_size // (2 * dim)), dim)
-    parsed, buf = _parse_rows(p, lines, dim, limit, wanted, buf, writer)
+    tokens, held = [], []  # the tokens of every row, and of the rows in `buf`
     seen: set[str] = set()
     duplicates: list[tuple[int, int]] = []  # (line, row)
-    for row, (lineno, token) in enumerate(zip(parsed.linenos, parsed.tokens)):
-        if token in seen:
-            duplicates.append((lineno, row))
-        seen.add(token)
-    _warn_duplicates(p, duplicates, parsed.tokens)
-    if parsed.fault:
-        raise parsed.fault
-    if len(parsed.tokens) != count:
-        raise EmbeddingError(f"{p}: header declares {count} vectors, "
-                             f"file has {len(parsed.tokens)}")
+    for linenos, names, rests in _blocks(lines):
+        try:
+            matrix, bad = _parse_block(rests, dim), len(rests)
+        except _BadRow as e:
+            matrix, (bad, what) = None, e.args
+        at = len(tokens)
+        for lineno, token in zip(linenos[:bad], names):
+            if token in seen:
+                duplicates.append((lineno, len(tokens)))
+                _warn_duplicate(p, lineno, token)
+            seen.add(token)
+            tokens.append(token)
+        if matrix is None:
+            raise EmbeddingError(f"{p} line {linenos[bad]}: {what}")
+        writer.write(matrix)
+        if taken := _held(tokens[at:limit], wanted):
+            k = len(held)
+            if k + len(taken) > len(buf):
+                grown = _row_buffer(min(limit, max(2 * len(buf), k + len(taken))), dim)
+                if k:  # else `buf` may be 0 x 0
+                    grown[:k] = buf[:k]
+                buf = grown
+            buf[k:k + len(taken)] = matrix if len(taken) == len(rests) else matrix[taken]
+            held += [names[j] for j in taken]
+    if len(tokens) != count:
+        raise EmbeddingError(f"{p}: header declares {count} vectors, file has {len(tokens)}")
     fields = None
     if writer.ok:  # after the rows, the tokens and the duplicates
-        names = cache.lines(parsed.tokens)
-        writer.write(names)
+        section = cache.lines(tokens)
+        writer.write(section)
         writer.write(np.array(duplicates, dtype="<i8"))
-        fields = [len(parsed.tokens), dim, len(names), len(duplicates)]
-    return (dim, buf, [parsed.tokens[i] for i in parsed.held]), fields
+        fields = [len(tokens), dim, len(section), len(duplicates)]
+    return (dim, buf, held), fields
 
 
 def load_vectors_text(path: str | Path, name: str = "",

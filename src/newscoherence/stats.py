@@ -99,20 +99,20 @@ def welch_t_test(a: list[float], b: list[float], pooled: bool = False) -> TTestR
         raise StatsError("each sample needs at least 2 values")
     m1, v1 = _mean_variance(a, 1)
     m2, v2 = _mean_variance(b, 1)
-    degenerate = v1 == 0.0 and v2 == 0.0
+    q1, q2 = v1 / n1, v2 / n2
+    sp2 = ((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2)  # the pooled variance
+    se2 = sp2 * (1.0 / n1 + 1.0 / n2) if pooled else q1 + q2  # the squared standard error
+    # Both variances 0, or so small that the squared standard error underflows.
+    degenerate = se2 == 0.0
+    dof = float(n1 + n2 - 2)
     if degenerate:  # t is 0 or infinite, and p 1 or 0
         t = 0.0 if m1 == m2 else math.copysign(math.inf, m1 - m2)
-        dof = float(n1 + n2 - 2)
-    elif pooled:
-        sp2 = ((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2)
-        t = (m1 - m2) / math.sqrt(sp2 * (1.0 / n1 + 1.0 / n2))
-        dof = float(n1 + n2 - 2)
     else:
-        q1, q2 = v1 / n1, v2 / n2
-        t = (m1 - m2) / math.sqrt(q1 + q2)
+        t = (m1 - m2) / math.sqrt(se2)
+    if not (pooled or degenerate):
         # Welch-Satterthwaite, computed on the ratios q_i/(q1+q2) so tiny
         # variances cannot underflow the denominator.
-        r1, r2 = q1 / (q1 + q2), q2 / (q1 + q2)
+        r1, r2 = q1 / se2, q2 / se2
         dof = 1.0 / (r1**2 / (n1 - 1) + r2**2 / (n2 - 1))
     log_p = _log_p_two_tailed(t, dof)
     p = min(1.0, math.exp(log_p))
@@ -193,6 +193,8 @@ def build_histogram(
     if bucket_count < 1:
         raise StatsError("histogram requires at least one bucket")
     width = (upper - lower) / bucket_count
+    if width == 0.0:
+        raise StatsError("histogram bucket width underflows to 0")
     edges = [lower + i * width for i in range(bucket_count)] + [upper]
 
     percentages: dict[str, list[float]] = {}

@@ -145,6 +145,9 @@ class TestConfig:
         with pytest.raises(ConfigError, match="hist_buckets"):
             validate(RunConfig(hist_buckets=MAX_HIST_BUCKETS + 1), need_corpora=False,
                      need_methods=False)
+        with pytest.raises(ConfigError, match="hist_buckets"):  # the width underflows
+            validate(RunConfig(hist_lower=0.0, hist_upper=1e-323, hist_buckets=100_000),
+                     need_corpora=False, need_methods=False)
 
     def test_env_overrides_resource_paths(self, workspace, monkeypatch):
         monkeypatch.setenv("NEWSCOHERENCE_EMBEDDINGS", "/env/words.txt")
@@ -1077,11 +1080,11 @@ class TestGoldenOutput:
     def test_report_from_the_cache(self, workspace, capsys, vector_cache, monkeypatch):
         """A second `report` reads both tables from the cache, parsing no table rows,
         and writes the same bytes. So does one shaped as the benchmark's
-        long-parallel report, which reads an ESA1 index with two workers: its second
-        run parses no index, and both write what a run with no cache writes."""
-        parse_rows, rows = embeddings._parse_rows, []
-        monkeypatch.setattr(embeddings, "_parse_rows",
-                            lambda *args: rows.append(None) or parse_rows(*args))
+        long-parallel report, which reads an ESA1 index: its second run parses no
+        index, and both write what a run with no cache writes."""
+        parse_table, rows = embeddings._parse_table, []
+        monkeypatch.setattr(embeddings, "_parse_table",
+                            lambda *args: rows.append(None) or parse_table(*args))
         for parsed in (True, False):
             before = len(rows)
             shutil.rmtree(workspace / "out", ignore_errors=True)

@@ -250,16 +250,17 @@ def _loaded(load, path):
     return result, [r.getMessage() for r in records]
 
 
-class TestShards:
-    """A process that sees any number of CPUs parses a table to the same rows,
-    warnings and errors."""
+class TestBlockSize:
+    """A table parses to the same rows, warnings and errors at any block size: its
+    faults and duplicates land on every block boundary."""
 
     @seed(20191111)
     @given(text=_vector_files(), keep=st.none() | st.lists(_TOKEN, max_size=6),
            bad=st.none() | st.integers(0, 10**6))
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_any_cpus_give_the_same_outcome(self, tmp_path, monkeypatch, text, keep, bad):
+    def test_any_block_size_gives_the_same_outcome(self, tmp_path, monkeypatch, text, keep,
+                                                   bad):
         data = text.encode("utf-8")
         if bad is not None:  # a byte that is not UTF-8, anywhere
             bad %= len(data) + 1
@@ -268,13 +269,10 @@ class TestShards:
         p.write_bytes(data)
         load = functools.partial(load_vectors_text, keep=keep)
         outcomes = []
-        for n in (1, 2, 3):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n: set(range(n)),
-                                raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda n=n: n)
+        for rows in (64, 1, 2, 3):
+            monkeypatch.setattr(embeddings, "_BLOCK_ROWS", rows)
             outcomes.append(_loaded(load, p))
-        one, two, three = outcomes
-        assert two == one and three == one
+        assert all(outcome == outcomes[0] for outcome in outcomes)
 
 
 class TestTextLines:
@@ -407,10 +405,10 @@ class TestHeldRows:
 
 
 def _parses(monkeypatch, kind: str = "table") -> list:
-    """A list that gets an item for each run of table lines, or each parse of index
+    """A list that gets an item for each parse of a table, or each parse of index
     cells, that this process makes."""
     calls = []
-    module, name = (embeddings, "_parse_rows") if kind == "table" else (esa, "_cells")
+    module, name = (embeddings, "_parse_table") if kind == "table" else (esa, "_cells")
     parse = getattr(module, name)
 
     def counted(*args, **kwargs):
@@ -582,18 +580,26 @@ class TestCache:
         assert peak < 4_000_000, peak
 
     @seed(20191113)
-    @given(text=_vector_files(), keep=st.none() | st.lists(_TOKEN, max_size=6))
+    @given(text=_vector_files(), keep=st.none() | st.lists(_TOKEN, max_size=6),
+           hit_keep=st.none() | st.lists(_TOKEN, max_size=6), read=st.integers(1, 9))
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_table_loads_from_its_entry_as_it_parses(self, tmp_path, vector_cache,
-                                                         monkeypatch, text, keep):
-        """Parsed and written, read back, against a parse with no cache."""
+                                                         monkeypatch, text, keep, hit_keep,
+                                                         read):
+        """Parsed and written for one `keep`, read back for another, its tokens
+        decoded `read` bytes at a time, against parses with no cache."""
         p = tmp_path / "v.txt"
         p.write_bytes(text.encode("utf-8"))
-        load = functools.partial(load_vectors_text, keep=keep)
-        first, second = _loaded(load, p), _loaded(load, p)
+        load, hit_load = (functools.partial(load_vectors_text, keep=k) for k in (keep, hit_keep))
+        first = _loaded(load, p)
+        with monkeypatch.context() as m:
+            parses = _parses(m)
+            m.setattr(embeddings, "_READ_BYTES", read)
+            hit = _loaded(hit_load, p)
+        assert not parses or isinstance(first[0], str)  # a table that parses is a hit
         monkeypatch.setenv("XDG_CACHE_HOME", str(p))
-        assert first == second == _loaded(load, p)
+        assert first == _loaded(load, p) and hit == _loaded(hit_load, p)
         monkeypatch.setenv("XDG_CACHE_HOME", str(vector_cache.parent))
 
     def test_same_size_edit_is_parsed_again(self, tmp_path, vector_cache, monkeypatch):
@@ -622,7 +628,7 @@ class TestCache:
 
     @pytest.mark.parametrize("damage", ["truncated", "other version", "inf in a row",
                                         "token not UTF-8", "tokens not ending in a line end",
-                                        *_INDEX_DAMAGES])
+                                        "duplicate past the last row", *_INDEX_DAMAGES])
     def test_damaged_entry_is_parsed_again(self, tmp_path, vector_cache, monkeypatch, damage):
         kind = "index" if damage in _INDEX_DAMAGES else "table"
         p, load, version = ((self._index(tmp_path), load_index, esa._VERSION) if kind == "index"
@@ -645,6 +651,8 @@ class TestCache:
             data[cache.entry(p, version, 4).head_size + 7 * 2 * 8] = 0xFF
         elif damage == "tokens not ending in a line end":  # before the one duplicate pair
             data[-17] = ord("x")
+        elif damage == "duplicate past the last row":  # the one duplicate pair's row
+            data[-8:] = np.int64(7).tobytes()
         elif isinstance(change, bytes):
             data[:len(version)] = change
         entry.write_bytes(bytes(data))

@@ -116,6 +116,15 @@ class TestWelch:
             assert got.p_two_tailed == 0.0 and got.log10_p == -math.inf
             assert got.t == -math.inf
 
+    def test_underflowing_standard_error_is_degenerate(self):
+        """The fake variance is 5e-324, but its share of the squared standard error,
+        Welch or pooled, rounds to 0: t is infinite, not a division by zero."""
+        a, b = [0.0, 0.0, 0.0, 4e-162], [0.5] * 6
+        for pooled in (False, True):
+            got = welch_t_test(a, b, pooled=pooled)
+            assert got.degenerate and got.dof == len(a) + len(b) - 2
+            assert got.t == -math.inf and got.p_two_tailed == 0.0
+
     def test_log_p_past_float_underflow(self):
         # mpmath, 50 digits: log10 I_x(256, 1/2) at x = 512 / (512 + 220^2).
         assert _log_p_two_tailed(220.0, 512.0) / math.log(10) == pytest.approx(
@@ -247,6 +256,8 @@ class TestBuildHistogram:
             build_histogram({"fake": [0.5]}, 1.0, 0.0, 2)
         with pytest.raises(StatsError):
             build_histogram({"fake": [0.5]}, 0.0, 1.0, 0)
+        with pytest.raises(StatsError, match="width"):
+            build_histogram({"fake": [0.0]}, 0.0, 1e-323, 100_000)
 
     def test_empty_label_omitted(self):
         hist = build_histogram({"fake": [0.5], "legitimate": []}, 0.0, 1.0, 2)
