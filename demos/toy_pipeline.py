@@ -55,10 +55,10 @@ KB = [
 ]
 
 
-def table(vectors, name):
+def table(vectors):
     dim = len(next(iter(vectors.values())))
     entries = {t: np.array(v, dtype=np.float64) for t, v in vectors.items()}
-    return EmbeddingTable(dim=dim, entries=entries, name=name)
+    return EmbeddingTable(dim=dim, entries=entries)
 
 
 def main():
@@ -67,8 +67,8 @@ def main():
     )
     segment_corpus(corpus)
 
-    word_table = table(WORDS, "toy-words")
-    entity_table = table(ENTITIES, "toy-entities")
+    word_table = table(WORDS)
+    entity_table = table(ENTITIES)
     link_corpus(corpus, build_gazetteer(entity_table))  # the entity method scores linked documents
     esa_index = build_esa_index(KB, weighting="tfidf")
 

@@ -328,16 +328,18 @@ def _summary(config: RunConfig, corpora: Corpora,
             raise stats.StatsError("comparison requires scores for both labels")
         s = stats.compare(fake, legit, sample_sd=config.sd_convention == "sample",
                           pooled=config.t_test == "pooled")
+        d = s.percent_difference  # past 1e15 two decimals are below a float's resolution
+        pct = f"{d:.6E}" if 1e15 <= abs(d) < math.inf else f"{d:.2f}"
         csv_lines.append(
             f"{method},{s.fake.n},{s.fake.mean:.6f},{s.fake.sd:.6f},"
             f"{s.legitimate.n},{s.legitimate.mean:.6f},{s.legitimate.sd:.6f},"
-            f"{s.percent_difference:.2f},{s.t_statistic:.6f},{s.degrees_of_freedom:.2f},"
+            f"{pct},{s.t_statistic:.6f},{s.degrees_of_freedom:.2f},"
             f"{s.p_value:.6E},{s.log10_p:.4f},{s.excluded_fake},{s.excluded_legitimate}"
         )
         md_lines.append(
             f"| {method} | {s.fake.mean:.6f} ({s.fake.sd:.6f}) "
             f"| {s.legitimate.mean:.6f} ({s.legitimate.sd:.6f}) "
-            f"| {s.percent_difference:.2f}% | {s.p_value:.6E} |"
+            f"| {pct}% | {s.p_value:.6E} |"
         )
     md_text = "\n".join(md_lines) + "\n"
     return md_text, {"summary.csv": "\n".join(csv_lines) + "\n", "summary.md": md_text}

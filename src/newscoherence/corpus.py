@@ -48,9 +48,8 @@ class CorpusError(Exception):
 class Label:
     FAKE = "fake"
     LEGITIMATE = "legitimate"
-    UNLABELED = "unlabeled"
 
-    ALL = (FAKE, LEGITIMATE, UNLABELED)
+    ALL = (FAKE, LEGITIMATE)
 
 
 @dataclass
@@ -177,60 +176,43 @@ def token_spans(text: str, start: int = 0, end: int | None = None) -> Iterator[t
     return (m.span() for m in _TOKEN_RE.finditer(text, start, len(text) if end is None else end))
 
 
-def _abbreviation_test(abbreviations: tuple[str, ...]):
-    """A test of whether `text[:end]` ends, in any case, in one of `abbreviations`
-    that is not the tail of a longer word.
+# The lower-cased default abbreviations, by length.
+_ABBREVIATIONS = {n: {a.lower() for a in DEFAULT_ABBREVIATIONS if len(a) == n}
+                  for n in {len(a) for a in DEFAULT_ABBREVIATIONS}}
 
-    It lower-cases only a tail as long as the longest lower-cased abbreviation: no
-    character lower-cases to nothing, so a match never needs more. A capital
-    sigma lower-cases by the letters before it, so a tail holding one reaches
-    back to a space, where that look-back stops.
+
+def _ends_with_abbreviation(text: str, end: int) -> bool:
+    """Whether `text[:end]` ends, in any case, in a default abbreviation that does
+    not follow a letter or digit.
+
+    The abbreviations are ASCII. Only "İ" and the Kelvin sign lower-case to a string
+    that holds ASCII, and only "İ" changes length, to two characters, the second not
+    ASCII. So `text[:end]` lower-cases to a string ending in an abbreviation of n
+    characters exactly when its last n characters lower-case to it.
     """
-    lows = tuple(abbr.lower() for abbr in abbreviations)
-    reach = max(map(len, lows), default=0)
-
-    def ends_with_abbreviation(text: str, end: int) -> bool:
-        begin = max(end - reach, 0)
-        if "Σ" in text[begin:end]:
-            begin = max(text.rfind(" ", 0, begin), 0)
-        tail = text[begin:end].lower()
-        if not tail.endswith(lows):
-            return False
-        for abbr, low in zip(abbreviations, lows):
-            if not tail.endswith(low):
-                continue
-            # The text before the abbreviation is text[:end][:cut]. A lower-cased
-            # "İ" is two characters, so the abbreviation can be longer than the
-            # text it matched; then the cut counts from the end, and is at least 1.
-            cut = end - len(abbr)
-            if cut < 0:
-                cut += end
-            if cut == 0 or not text[cut - 1].isalnum():
-                return True
-        return False
-
-    return ends_with_abbreviation
+    return any(n <= end and text[end - n:end].lower() in lows
+               and (n == end or not text[end - n - 1].isalnum())
+               for n, lows in _ABBREVIATIONS.items())
 
 
-def split_sentences(
-    text: str, abbreviations: tuple[str, ...] = DEFAULT_ABBREVIATIONS
-) -> list[Sentence]:
+def split_sentences(text: str) -> list[Sentence]:
     """Rule-based sentence segmentation with an abbreviation guard.
 
     A split happens after `.`, `!` or `?` (optionally followed by closing
     quotes) when whitespace and an uppercase letter, digit or quote follow,
-    unless the text up to the punctuation ends in a known abbreviation. Each
-    sentence is stripped of surrounding whitespace and records its offset.
+    unless the text up to the punctuation ends in a default abbreviation, in
+    any case, that does not follow a letter or digit. Each sentence is
+    stripped of surrounding whitespace and records its offset.
     """
-    return list(_segment(text, None, Vocabulary(), _abbreviation_test(abbreviations)))
+    return list(_segment(text, None, Vocabulary()))
 
 
-def _segment(text: str, title: str | None, vocab: Vocabulary, is_abbreviation) -> Sentences:
+def _segment(text: str, title: str | None, vocab: Vocabulary) -> Sentences:
     """The sentences of `text`, as `split_sentences` splits them, encoded through
     `vocab`; a `title` comes first. A token is lower-cased on its own, as
     `tokenize` does: a lower-cased "İ" or final "Σ" depends on its neighbours."""
     ends = [m.end() for m in _BOUNDARY_RE.finditer(text)
-            if not is_abbreviation(text, m.start() + 1)]
+            if not _ends_with_abbreviation(text, m.start() + 1)]
     ids: list[int] = []
     starts, spans = [0], []
     if title is not None:
@@ -250,12 +232,8 @@ def _segment(text: str, title: str | None, vocab: Vocabulary, is_abbreviation) -
     return Sentences(vocab, ids, starts, spans, text, title or "")
 
 
-def segment_corpus(
-    corpus: LabeledCorpus,
-    abbreviations: tuple[str, ...] = DEFAULT_ABBREVIATIONS,
-    include_title: bool = False,
-    vocab: Vocabulary | None = None,
-) -> Vocabulary:
+def segment_corpus(corpus: LabeledCorpus, include_title: bool = False,
+                   vocab: Vocabulary | None = None) -> Vocabulary:
     """Populate `sentences` for every document, in place, as Sentences encoded
     through `vocab` (a new one when None); returns the vocabulary.
 
@@ -263,10 +241,9 @@ def segment_corpus(
     with no body offset.
     """
     vocab = Vocabulary() if vocab is None else vocab
-    is_abbreviation = _abbreviation_test(abbreviations)
     for doc in corpus.documents:
         title = doc.title if include_title and doc.title else None
-        doc.sentences = _segment(doc.text, title, vocab, is_abbreviation)
+        doc.sentences = _segment(doc.text, title, vocab)
     return vocab
 
 

@@ -59,7 +59,7 @@ class EmbeddingTable:
     """Immutable token -> float64 vector map (words or entity ids): the rows of
     one V x dim `matrix` and a token -> row map, `rows`."""
 
-    def __init__(self, dim: int, entries: dict[str, np.ndarray], name: str = ""):
+    def __init__(self, dim: int, entries: dict[str, np.ndarray]):
         if dim <= 0:
             raise EmbeddingError("dimension must be positive")
         for token, vec in entries.items():
@@ -68,7 +68,6 @@ class EmbeddingTable:
                     f"vector for {token!r} has length {vec.shape[0]}, table dim is {dim}"
                 )
         self.dim = dim
-        self.name = name
         # An empty table's matrix is 0 x 0: numpy has no 0 x dim shape for a huge dim.
         self.matrix = (np.array(list(entries.values()), dtype=np.float64) if entries
                        else np.empty((0, 0)))
@@ -76,10 +75,9 @@ class EmbeddingTable:
         self._lower = _case_fallback(self.rows)
 
     @classmethod
-    def from_matrix(cls, dim: int, matrix: np.ndarray, rows: dict[str, int],
-                    name: str = "") -> EmbeddingTable:
+    def from_matrix(cls, dim: int, matrix: np.ndarray, rows: dict[str, int]) -> EmbeddingTable:
         """A table over the rows of `matrix`, which it keeps without copying."""
-        table = cls(dim, {}, name)
+        table = cls(dim, {})
         table.matrix, table.rows, table._lower = matrix, rows, _case_fallback(rows)
         return table
 
@@ -295,8 +293,8 @@ def _load_entry(p: Path, wanted: set[str] | None, e: BinaryIO, fields: list[int]
     return dim, buf, tokens
 
 
-def _table(dim: int, buf: np.ndarray, tokens: list[str], wanted: set[str] | None,
-           name: str) -> EmbeddingTable:
+def _table(dim: int, buf: np.ndarray, tokens: list[str],
+           wanted: set[str] | None) -> EmbeddingTable:
     """The table of the held rows, whose `tokens` are those of the first rows of
     `buf`; a later duplicate wins."""
     # Held for `keep`, a row is keyed by the corpus's own string. A table loaded whole
@@ -304,7 +302,7 @@ def _table(dim: int, buf: np.ndarray, tokens: list[str], wanted: set[str] | None
     # never frees an interned string.
     row_of = {token if wanted is None else sys.intern(token): j
               for j, token in enumerate(tokens)}
-    return EmbeddingTable.from_matrix(dim, buf[:len(tokens)], row_of, name)
+    return EmbeddingTable.from_matrix(dim, buf[:len(tokens)], row_of)
 
 
 def _parse_table(p: Path, wanted: set[str] | None, f: BinaryIO, writer: cache.Writer):
@@ -360,8 +358,7 @@ def _parse_table(p: Path, wanted: set[str] | None, f: BinaryIO, writer: cache.Wr
     return (dim, buf, held), fields
 
 
-def load_vectors_text(path: str | Path, name: str = "",
-                      keep: Iterable[str] | None = None) -> EmbeddingTable:
+def load_vectors_text(path: str | Path, keep: Iterable[str] | None = None) -> EmbeddingTable:
     """Parse the word2vec text format: header `count dim`, then `token v1 .. v_dim` lines.
 
     The token runs up to the first space; the components are separated by any
@@ -381,8 +378,7 @@ def load_vectors_text(path: str | Path, name: str = "",
     p = Path(path)
     wanted = None if keep is None else {sys.intern(t.lower()) for t in keep}
     return _table(*cache.load(p, _VERSION, 4, functools.partial(_load_entry, p, wanted),
-                              functools.partial(_parse_table, p, wanted)),
-                  wanted, name or p.stem)
+                              functools.partial(_parse_table, p, wanted)), wanted)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

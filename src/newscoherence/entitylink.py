@@ -82,16 +82,14 @@ def load_aliases(path: str | Path, entity_table: EmbeddingTable, gaz: Gazetteer)
                 gaz.add(key, entity_id)
 
 
-def extract_entities(
-    doc: Document, gaz: Gazetteer, require_uppercase: bool = True
-) -> list[EntityMention]:
+def extract_entities(doc: Document, gaz: Gazetteer) -> list[EntityMention]:
     """Greedy longest-match left-to-right over each body sentence's tokens.
 
-    Matched spans never overlap. With `require_uppercase`, only spans whose
-    original surface starts with an uppercase letter or digit are candidates.
-    A sentence with no body offset, such as a prepended title, is not linked.
+    Matched spans never overlap. Only spans whose original surface starts with
+    an uppercase letter or digit are candidates. A sentence with no body
+    offset, such as a prepended title, is not linked.
     """
-    [mentions] = _link([doc], gaz, require_uppercase)
+    [mentions] = _link([doc], gaz)
     return mentions
 
 
@@ -109,7 +107,7 @@ def _id_surfaces(gaz: Gazetteer, vocab: Vocabulary) -> tuple[dict, np.ndarray]:
     return surfaces, longest
 
 
-def _link(docs: list[Document], gaz: Gazetteer, require_uppercase: bool):
+def _link(docs: list[Document], gaz: Gazetteer):
     """Each document's mentions, as `extract_entities` finds them. The gazetteer is
     keyed by ids once per vocabulary the documents are encoded in; hand-built
     sentence lists are encoded into one, before any is linked."""
@@ -122,12 +120,10 @@ def _link(docs: list[Document], gaz: Gazetteer, require_uppercase: bool):
     for doc, sentences in zip(docs, encoded):
         if id(sentences.vocab) not in keyed:
             keyed[id(sentences.vocab)] = _id_surfaces(gaz, sentences.vocab)
-        yield list(_mentions(doc.text, sentences, *keyed[id(sentences.vocab)],
-                             require_uppercase))
+        yield list(_mentions(doc.text, sentences, *keyed[id(sentences.vocab)]))
 
 
-def _mentions(text: str, sentences: Sentences, surfaces: dict, longest: np.ndarray,
-              require_uppercase: bool):
+def _mentions(text: str, sentences: Sentences, surfaces: dict, longest: np.ndarray):
     """Mentions in the body sentences of `sentences`, with offsets in the body `text`.
     Only the positions whose id starts some surface are tried."""
     ids, starts = sentences.ids, sentences.starts
@@ -150,7 +146,7 @@ def _mentions(text: str, sentences: Sentences, surfaces: dict, longest: np.ndarr
                 continue
             spans.extend(islice(found, max(i - a + length - len(spans), 0)))
             first, last = spans[i - a][0], spans[i - a + length - 1][1]
-            if require_uppercase and not (text[first].isupper() or text[first].isdigit()):
+            if not (text[first].isupper() or text[first].isdigit()):
                 break  # every shorter surface here starts with the same character
             yield EntityMention(surface=text[first:last], start=first, end=last,
                                 entity_id=entity_id)
@@ -169,7 +165,7 @@ def entity_set(mentions: list[EntityMention]) -> list[str]:
     return out
 
 
-def link_corpus(corpus: LabeledCorpus, gaz: Gazetteer, require_uppercase: bool = True) -> None:
+def link_corpus(corpus: LabeledCorpus, gaz: Gazetteer) -> None:
     """Populate `entity_mentions` for every document, in place."""
-    for doc, mentions in zip(corpus.documents, _link(corpus.documents, gaz, require_uppercase)):
+    for doc, mentions in zip(corpus.documents, _link(corpus.documents, gaz)):
         doc.entity_mentions = mentions

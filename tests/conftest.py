@@ -14,12 +14,11 @@ from newscoherence.embeddings import EmbeddingTable
 from newscoherence.entitylink import build_gazetteer, link_corpus
 
 
-def make_table(vectors: dict[str, list[float]], name: str = "toy") -> EmbeddingTable:
+def make_table(vectors: dict[str, list[float]]) -> EmbeddingTable:
     dim = len(next(iter(vectors.values())))
     return EmbeddingTable(
         dim=dim,
         entries={t: np.array(v, dtype=np.float64) for t, v in vectors.items()},
-        name=name,
     )
 
 
@@ -96,7 +95,7 @@ def synthetic_word_table(rng: np.random.Generator, dim: int = 6) -> EmbeddingTab
         base[topic] = 1.0
         for i in range(WORDS_PER_TOPIC):
             entries[topic_word(topic, i)] = base + 0.25 * rng.normal(size=dim)
-    return make_table({t: list(v) for t, v in entries.items()}, name="synthetic-words")
+    return make_table({t: list(v) for t, v in entries.items()})
 
 
 def synthetic_entity_table(rng: np.random.Generator, dim: int = 6) -> EmbeddingTable:
@@ -106,7 +105,7 @@ def synthetic_entity_table(rng: np.random.Generator, dim: int = 6) -> EmbeddingT
         base[topic + 3] = 1.0
         for i in range(ENTITIES_PER_TOPIC):
             entries[f"{tname}_Item{i}"] = base + 0.2 * rng.normal(size=dim)
-    return make_table({t: list(v) for t, v in entries.items()}, name="synthetic-entities")
+    return make_table({t: list(v) for t, v in entries.items()})
 
 
 def synthetic_kb() -> list[tuple[str, str]]:

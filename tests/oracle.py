@@ -231,7 +231,7 @@ def _utf8_ref(p, lineno, line):
     return line
 
 
-def load_vectors_text_ref(path, name=""):
+def load_vectors_text_ref(path):
     """The word2vec text loader as it was before the numpy parser: text mode, one
     `np.array` per line, components split at single spaces. A line that is not
     UTF-8 is an error naming it, once the lines above it are read."""
@@ -270,7 +270,7 @@ def load_vectors_text_ref(path, name=""):
             entries[token] = vec
     if lines != count:
         raise EmbeddingError(f"{p}: header declares {count} vectors, file has {lines}")
-    return EmbeddingTable(dim=dim, entries=entries, name=name or p.stem)
+    return EmbeddingTable(dim=dim, entries=entries)
 
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)

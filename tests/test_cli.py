@@ -320,6 +320,20 @@ class TestCompareCommand:
         assert float(row[7]) == 0.0
         assert float(row[10]) == 1.0
 
+    def test_huge_difference_in_exponent_form(self, workspace, tmp_path):
+        # A fake mean of 1e-162 puts the difference at 5e163 %: past 1e15 it is
+        # written as p_value is, not with 160 digits before two decimals.
+        scores = tmp_path / "s.csv"
+        rows = ["doc_id,label,method,value,element_count,pair_count,status"]
+        rows += [f"f{i},fake,esa,{v},3,3,ok" for i, v in enumerate(["0", "0", "0", "4e-162"])]
+        rows += [f"l{i},legitimate,esa,0.5,3,3,ok" for i in range(3)]
+        scores.write_text("\n".join(rows) + "\n")
+        rc = main(["compare", "--config", str(workspace / "run.conf"), str(scores)])
+        assert rc == EXIT_OK
+        row = (workspace / "out" / "summary.csv").read_text().splitlines()[1].split(",")
+        assert row[7] == "5.000000E+163"
+        assert "| 5.000000E+163% |" in (workspace / "out" / "summary.md").read_text()
+
     def test_single_label_input_rejected(self, workspace, tmp_path):
         scores = tmp_path / "s.csv"
         scores.write_text(

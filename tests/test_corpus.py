@@ -15,6 +15,7 @@ from newscoherence.corpus import (
     LabeledCorpus,
     Label,
     Sentence,
+    _ends_with_abbreviation,
     corpus_stats,
     load_csv,
     load_jsonl,
@@ -24,7 +25,7 @@ from newscoherence.corpus import (
 )
 
 from conftest import write_jsonl
-from oracle import split_sentences_ref
+from oracle import _ends_with_abbreviation_ref, split_sentences_ref
 
 
 class TestTokenize:
@@ -97,26 +98,24 @@ class TestSplitSentences:
         assert len(split_sentences(text)) == len(sentences)
 
 
-# Abbreviations with capital sigma (lower-cased by the letters before it), dotted
-# capital I (two characters lower-cased), sharp s and accents, some over 15 long.
-_ABBREVIATION = st.one_of(
-    st.sampled_from(DEFAULT_ABBREVIATIONS),
-    st.sampled_from(["Approx.Governmental.", "ΣΤΗΝ.", "İst.", "i\u0307.", "Straße.", "Σ."]),
-    st.text(alphabet="abİıΣσςßé.!?'", min_size=1, max_size=20),
-)
+# Letters with odd cases: "İ" lower-cases to two characters, the first ASCII; the
+# Kelvin sign to "k"; "Σ" by its neighbours; "ı" upper-cases to ASCII "I".
+_ODD_LETTERS = "İıΣ\u212a"
 
 
 @st.composite
 def _abbreviated_text(draw):
-    """Text built of abbreviations in any case, words, quotes and sentence ends."""
-    abbreviations = tuple(draw(st.lists(_ABBREVIATION, max_size=5)))
+    """Text built of default abbreviations in any case, also directly after an odd
+    letter, words, quotes and sentence ends."""
     piece = st.one_of(
-        st.sampled_from(abbreviations or DEFAULT_ABBREVIATIONS).flatmap(
-            lambda a: st.sampled_from([a, a.lower(), a.upper(), a.capitalize()])),
-        st.text(alphabet="aZİıΣσςßé09_'\"”’)“‘.", min_size=1, max_size=6),
+        st.tuples(st.sampled_from(["", "", *_ODD_LETTERS]),
+                  st.sampled_from(DEFAULT_ABBREVIATIONS).flatmap(
+                      lambda a: st.sampled_from([a, a.lower(), a.upper(), a.capitalize()]))
+                  ).map("".join),
+        st.text(alphabet="aZİıΣσςßé09_'\"”’)“‘.\u212a", min_size=1, max_size=6),
         st.sampled_from([". ", "! ", "? ", '." ', " ", "\n", ".\t", ".  ", " A", " Σ"]),
     )
-    return "".join(draw(st.lists(piece, max_size=40))), abbreviations
+    return "".join(draw(st.lists(piece, max_size=40)))
 
 
 class TestSegmenterMatchesReference:
@@ -125,25 +124,41 @@ class TestSegmenterMatchesReference:
     @seed(20191108)
     @given(_abbreviated_text())
     @settings(max_examples=400, deadline=None)
-    def test_same_sentences_and_tokens(self, case):
-        text, abbreviations = case
-        got = split_sentences(text, abbreviations)
-        want = split_sentences_ref(text, abbreviations)
+    def test_same_sentences_and_tokens(self, text):
+        got = split_sentences(text)
+        want = split_sentences_ref(text)
         assert [(s.index, s.text, s.tokens) for s in got] == \
             [(s.index, s.text, s.tokens) for s in want]
         for s in got:
             assert text[s.start:s.start + len(s.text)] == s.text
 
+    @staticmethod
+    def _texts(text):
+        got = [s.text for s in split_sentences(text)]
+        assert got == [s.text for s in split_sentences_ref(text)]
+        return got
+
     def test_sigma_reads_the_letters_before_the_tail(self):
-        # "A.Σ." lower-cases to "a.ς." (a final sigma), "Σ." alone to "σ.".
-        text = "A.Σ. Next one."
-        assert len(split_sentences(text, ("σ.",))) == len(split_sentences_ref(text, ("σ.",))) == 2
-        assert len(split_sentences("B Σ. Next one.", ("σ.",))) == 1
+        # "A.Σ." lower-cases to "a.ς." (a final sigma), no abbreviation. A "Σ" is a
+        # letter, so "Mr." right after it is the tail of a word; after a space it is not.
+        assert self._texts("A.Σ. Next one.") == ["A.Σ.", "Next one."]
+        assert self._texts("ΣMr. Smith left.") == ["ΣMr.", "Smith left."]
+        assert self._texts("Σ Mr. Smith left.") == ["Σ Mr. Smith left."]
 
     def test_abbreviation_longer_than_its_match(self):
-        # "İ." lower-cases to the three characters of "i\u0307.", and the letter
-        # before the match is the "İ" itself, so "İ." is not an abbreviation.
-        assert [s.text for s in split_sentences("İ. A", ("i\u0307.",))] == ["İ.", "A"]
+        # "İ.e." lower-cases to the five characters "i\u0307.e.", which end in ".e."
+        # but not in "i.e.".
+        assert self._texts("İ.e. Next one.") == ["İ.e.", "Next one."]
+
+    def test_guard_on_every_short_string(self):
+        # Every string of up to 5 characters over the letters of "Mr.", "Mrs." and
+        # "i.e.", a space and the odd letters: about 177 000 strings.
+        alphabet = "Mrsie. " + _ODD_LETTERS
+        for size in range(6):
+            for chars in itertools.product(alphabet, repeat=size):
+                s = "".join(chars)
+                assert _ends_with_abbreviation(s, len(s)) == \
+                    _ends_with_abbreviation_ref(s, DEFAULT_ABBREVIATIONS), s
 
 
 class TestEncodedSegmentation:
@@ -158,17 +173,16 @@ class TestEncodedSegmentation:
     @seed(20191108)
     @given(_abbreviated_text(),
            st.one_of(st.none(), st.text(alphabet="aZİıΣσς09_ .", max_size=12)))
-    @example(("İstanbul met ΟΔΟΣ. The x_y 2020 vote, 12ab34 ΣΑΣ!", ()), "ΟΔΟΣ_İ 42 ")
+    @example("İstanbul met ΟΔΟΣ. The x_y 2020 vote, 12ab34 ΣΑΣ!", "ΟΔΟΣ_İ 42 ")
     @settings(max_examples=300, deadline=None)
-    def test_round_trip(self, case, title):
-        text, abbreviations = case
+    def test_round_trip(self, text, title):
         plain = Document(id="p", label=Label.FAKE, text=text, title=title)
         titled = Document(id="t", label=Label.FAKE, text=text, title=title)
-        vocab = segment_corpus(LabeledCorpus(documents=[plain]), abbreviations)
-        assert segment_corpus(LabeledCorpus(documents=[titled]), abbreviations,
+        vocab = segment_corpus(LabeledCorpus(documents=[plain]))
+        assert segment_corpus(LabeledCorpus(documents=[titled]),
                               include_title=True, vocab=vocab) is vocab
-        want = split_sentences(text, abbreviations)
-        ref = split_sentences_ref(text, abbreviations)
+        want = split_sentences(text)
+        ref = split_sentences_ref(text)
         assert self._fields(plain.sentences) == self._fields(want)
         assert [f[:3] for f in self._fields(want)] == [f[:3] for f in self._fields(ref)]
         head = [Sentence(index=0, text=title.strip(), tokens=tokenize(title))] if title else []

@@ -91,8 +91,6 @@ class TestExtractEntities:
         doc = make_doc("d", "They discussed brexit quietly.")
         gaz = build_gazetteer(entity_table)
         assert extract_entities(doc, gaz) == []
-        mentions = extract_entities(doc, gaz, require_uppercase=False)
-        assert [m.entity_id for m in mentions] == ["Brexit"]
 
     def test_digit_initial_allowed(self):
         table = make_table({"2020_Olympics": [1.0, 0.0]})
@@ -177,10 +175,10 @@ class TestLinkerMatchesReference:
     change the body's."""
 
     @seed(20191108)
-    @given(_linking_case(), st.booleans())
+    @given(_linking_case())
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_same_mentions(self, tmp_path, case, require_uppercase):
+    def test_same_mentions(self, tmp_path, case):
         ids, aliases, text, title = case
         table = make_table({e: [1.0] for e in ids})
         gaz = build_gazetteer(table)
@@ -191,12 +189,12 @@ class TestLinkerMatchesReference:
         titled = Document(id="t", label=Label.FAKE, text=text, title=title)
         segment_corpus(LabeledCorpus(documents=[plain]))
         segment_corpus(LabeledCorpus(documents=[titled]), include_title=True)
-        want = extract_entities_ref(plain, gaz, require_uppercase)
-        assert extract_entities(plain, gaz, require_uppercase) == want
-        assert extract_entities(titled, gaz, require_uppercase) == want
+        want = extract_entities_ref(plain, gaz)
+        assert extract_entities(plain, gaz) == want
+        assert extract_entities(titled, gaz) == want
         # The same sentences built by hand link the same.
         hand = Document(id="h", label=Label.FAKE, text=text, sentences=list(titled.sentences))
-        assert extract_entities(hand, gaz, require_uppercase) == want
+        assert extract_entities(hand, gaz) == want
 
 
 class TestEntitySet:
