@@ -1,6 +1,7 @@
-"""The parse cache: one entry per input file (a vector table or an ESA index) that
-holds what parsing it gave, read in place of the parse while the file's size and
-CRC-32 are the ones the entry records.
+"""The parse cache: one entry per input file (a vector table, an ESA index or a
+corpus) that holds what parsing it gave, read in place of the parse while the
+size and CRC-32 of the file, or for a corpus those of the strings segmentation
+reads, are the ones the entry records.
 
 Entries live in $XDG_CACHE_HOME/newscoherence, else ~/.cache/newscoherence, named
 by the input's resolved path. Each starts with a head: a version line that names
@@ -44,6 +45,15 @@ def checksum(f: BinaryIO) -> tuple[int, int]:
     return size, crc
 
 
+def checksum_of(chunks: Iterable[bytes]) -> tuple[int, int]:
+    """The size and CRC-32 of `chunks`, one after another."""
+    size = crc = 0
+    for data in chunks:
+        size += len(data)
+        crc = zlib.crc32(data, crc)
+    return size, crc
+
+
 def read_into(stream: BinaryIO, array: np.ndarray) -> bool:
     """Fill `array` from `stream`, COPY_BYTES at most per read; False if it ends first."""
     view = memoryview(array).cast("B")
@@ -80,15 +90,20 @@ class Entry:
         """The head for an input of `size` bytes and CRC-32 `crc`."""
         return self._prefix + np.array([size, crc, *fields], dtype="<i8").tobytes()
 
-    def fields(self, e: BinaryIO, f: BinaryIO, size: int) -> list[int] | None:
+    def fields(self, e: BinaryIO, f: BinaryIO, size: int,
+               digest: Callable[[], Iterable[bytes]] | None = None) -> list[int] | None:
         """The fields of its kind in the head of entry file `e`, read from its start,
         if `e` is of this version and source and records the size and CRC-32 of file
-        `f`, of `size` bytes: only then is `f` read. None otherwise."""
+        `f`, of `size` bytes, or with `digest`, of the bytes `digest()` gives: only
+        then is `f` read, or `digest` called. None otherwise."""
         head = e.read(self.head_size)
         if len(head) != self.head_size or not head.startswith(self._prefix):
             return None
         recorded, crc, *fields = np.frombuffer(head, "<i8", offset=len(self._prefix)).tolist()
-        if recorded != size or checksum(f) != (size, crc):
+        if digest is not None:
+            if checksum_of(digest()) != (recorded, crc):
+                return None
+        elif recorded != size or checksum(f) != (size, crc):
             return None
         return fields
 
@@ -179,33 +194,40 @@ class Writer:
             self.temp.unlink(missing_ok=True)
 
 
-def load(p: Path, version: bytes, fields: int, hit: Callable, parse: Callable):
+def load(p: Path, version: bytes, fields: int, hit: Callable, parse: Callable,
+         digest: Callable[[], Iterable[bytes]] | None = None):
     """What input file `p` gives, read through its cache entry of kind `version`, whose
     head holds `fields` int64s of that kind.
 
-    If `p` is a regular file whose entry records its size and CRC-32, that is
-    `hit(e, values)`: `e` is the entry file, read up to the end of its head, and
-    `values` are the fields its head holds. A `hit` that returns None or raises
-    OSError or ValueError (a damaged entry) is a miss. On a miss it is what
-    `parse(f, writer)` gives, `f` being `p` open at its start: `parse` returns that
-    and the fields of the entry it wrote through `writer`, or None for no entry. The
-    entry is published only if the parse read the whole file."""
+    The entry records a size and CRC-32: of the bytes of `p`, or with `digest`, of
+    the bytes `digest()` gives, which stand for all that the result follows from;
+    `p` is then opened but never read here. If `p` is a regular file whose entry
+    records them, the result is `hit(e, values)`: `e` is the entry file, read up to
+    the end of its head, and `values` are the fields its head holds. A `hit` that
+    returns None or raises OSError or ValueError (a damaged entry) is a miss. On a
+    miss it is what `parse(f, writer)` gives, `f` being `p` open at its start:
+    `parse` returns that and the fields of the entry it wrote through `writer`, or
+    None for no entry. Without `digest`, the entry is published only if the parse
+    read the whole file."""
     with open(p, "rb") as f:
         st = os.fstat(f.fileno())
         target = entry(p, version, fields) if stat.S_ISREG(st.st_mode) else None
         if target is not None:
             try:
                 with open(target.path, "rb", buffering=0) as e:
-                    head = target.fields(e, f, st.st_size)
+                    head = target.fields(e, f, st.st_size, digest)
                     if head is not None and (found := hit(e, head)) is not None:
                         return found
             except (OSError, ValueError):  # UnicodeDecodeError too
                 pass
             f.seek(0)
         with Writer(target) as writer:
+            if digest is not None and writer.ok:
+                for _ in writer.read(digest()):  # sums their size and CRC-32
+                    pass
             found, head = parse(f, writer)
             if head is not None:
-                writer.publish(st.st_size, head)
+                writer.publish(st.st_size if digest is None else writer.size, head)
         return found
 
 

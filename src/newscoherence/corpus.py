@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
+import os
 import re
 import sys
+import unicodedata
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import cache
 from .embeddings import text_lines
 from .stats import mean_sd
 
@@ -91,12 +95,12 @@ class Sentences(Sequence):
 
     __slots__ = ("vocab", "ids", "starts", "spans", "text", "title")
 
-    def __init__(self, vocab: Vocabulary, ids: list[int], starts: list[int],
-                 spans: list[tuple[int, int]], text: str = "", title: str = ""):
+    def __init__(self, vocab: Vocabulary, ids, starts, spans, text: str = "", title: str = ""):
+        # Lists or arrays: an array of the dtype is kept, not copied.
         self.vocab, self.text, self.title = vocab, text, title
-        self.ids = np.array(ids, dtype=np.int32)
-        self.starts = np.array(starts, dtype=np.int32)
-        self.spans = np.array(spans, dtype=np.int64).reshape(-1, 2)
+        self.ids = np.asarray(ids, dtype=np.int32)
+        self.starts = np.asarray(starts, dtype=np.int32)
+        self.spans = np.asarray(spans, dtype=np.int64).reshape(-1, 2)
 
     @classmethod
     def of(cls, sentences: Sequence[Sentence], vocab: Vocabulary) -> Sentences:
@@ -232,6 +236,16 @@ def _segment(text: str, title: str | None, vocab: Vocabulary) -> Sentences:
     return Sentences(vocab, ids, starts, spans, text, title or "")
 
 
+# A corpus file's cache entry (see `cache.Entry`), of the sentences `segment_corpus`
+# gives its documents. Its head records the size and CRC-32 of `_digest`, and its
+# fields are the int64s documents, sentences, token occurrences, distinct tokens and
+# their bytes. Then come the distinct tokens in first-occurrence order, each with a
+# "\n"; per occurrence, its token's place among them (int32); each document's
+# sentence count and each sentence's token count (int32); each sentence's span
+# (int64 pairs). `str.lower` and `\w` follow the Unicode data of the version line.
+_VERSION = f"newscoherence sentences 1 {unicodedata.unidata_version}\n".encode()
+
+
 def segment_corpus(corpus: LabeledCorpus, include_title: bool = False,
                    vocab: Vocabulary | None = None) -> Vocabulary:
     """Populate `sentences` for every document, in place, as Sentences encoded
@@ -239,12 +253,114 @@ def segment_corpus(corpus: LabeledCorpus, include_title: bool = False,
 
     With `include_title`, the title (when present) is prepended as sentence 0,
     with no body offset.
+
+    Where `corpus.source` names a regular file, the sentences are read through the
+    parse cache (`cache.load`): while each document's text, and its title where
+    one is segmented, are the strings an entry records, a later run reads the
+    sentences from that entry, to the same ids, vocabulary order and spans.
     """
     vocab = Vocabulary() if vocab is None else vocab
-    for doc in corpus.documents:
-        title = doc.title if include_title and doc.title else None
-        doc.sentences = _segment(doc.text, title, vocab)
+    docs = corpus.documents
+    titles = [doc.title if include_title and doc.title else None for doc in docs]
+    # Tested before `cache.load` opens it: a named pipe would wait for a writer.
+    if corpus.source and os.path.isfile(corpus.source):
+        found = cache.load(Path(corpus.source), _VERSION, 5,
+                           functools.partial(_load_entry, docs, titles, vocab),
+                           functools.partial(_parse, docs, titles, vocab),
+                           functools.partial(_digest, docs, titles))
+    else:
+        found = [_segment(doc.text, title, vocab) for doc, title in zip(docs, titles)]
+    for doc, sentences in zip(docs, found):
+        doc.sentences = sentences
     return vocab
+
+
+def _digest(docs: list[Document], titles: list[str | None]) -> Iterator[bytes]:
+    """Exactly the strings `_segment` reads, a document at a time: their count (1, or
+    2 with a title) and byte counts as int64s, then their UTF-8 bytes."""
+    for doc, title in zip(docs, titles):
+        strings = [doc.text] if title is None else [doc.text, title]
+        data = [string.encode("utf-8", "surrogatepass") for string in strings]
+        yield np.array([len(data), *map(len, data)], "<i8").tobytes()
+        yield from data
+
+
+def _parse(docs: list[Document], titles: list[str | None], vocab: Vocabulary, f,
+           writer: cache.Writer) -> tuple[list[Sentences], list[int] | None]:
+    """The sentences of `docs` as `_segment` gives them, and the head fields of the
+    entry written through `writer` (None for none)."""
+    found = [_segment(doc.text, title, vocab) for doc, title in zip(docs, titles)]
+    if not writer.ok:
+        return found, None
+    ids, lengths = (np.concatenate([np.empty(0, np.int32), *parts]) for parts in (
+        [s.ids for s in found], [np.diff(s.starts) for s in found]))
+    at = np.arange(len(ids))
+    first = np.full(len(vocab.tokens), len(ids))
+    np.minimum.at(first, ids, at)  # no sort: its code would stay resident
+    distinct = ids[first[ids] == at]  # in first-occurrence order
+    local = np.empty(len(vocab.tokens), np.int32)
+    local[distinct] = np.arange(len(distinct))
+    section = cache.lines([vocab.tokens[i] for i in distinct.tolist()])
+    counts = np.array([len(s) for s in found], np.int32)
+    spans = np.concatenate([np.empty((0, 2), np.int64), *(s.spans for s in found)])
+    for part in (section, local[ids], counts, lengths, spans.ravel()):
+        writer.write(part)
+    return found, [len(docs), len(spans), len(ids), len(distinct), len(section)]
+
+
+def _load_entry(docs: list[Document], titles: list[str | None], vocab: Vocabulary,
+                e, fields: list[int]) -> list[Sentences] | None:
+    """The sentences of `docs` that entry file `e` holds, `e` read up to the end of
+    its head, whose fields are `fields`; None where it is damaged. Only then are its
+    tokens passed through `vocab`, in order, as segmentation would add them."""
+    n_docs, n_sentences, n_ids, n_tokens, token_bytes = fields
+    if (min(fields) < 0 or n_docs != len(docs) or os.fstat(e.fileno()).st_size
+            != e.tell() + token_bytes + 4 * (n_ids + n_docs + n_sentences) + 16 * n_sentences):
+        return None
+    tokens = e.read(token_bytes).decode("utf-8").split("\n")
+    if tokens.pop() or len(tokens) != n_tokens:
+        return None
+    ids, counts, lengths = (np.empty(n, np.int32) for n in (n_ids, n_docs, n_sentences))
+    spans = np.empty(2 * n_sentences, np.int64)
+    if not all(cache.read_into(e, a) for a in (ids, counts, lengths, spans)):
+        return None
+    spans = spans.reshape(-1, 2)
+    # Each token is used, first in its order: an id is at most 1 past those before it.
+    reach = np.maximum.accumulate(np.concatenate(([-1], ids)))
+    if (reach[-1] + 1 != n_tokens or (ids < 0).any() or (ids > reach[:-1] + 1).any()
+            or (counts < 0).any() or (lengths < 0).any()
+            or counts.sum(dtype=np.int64) != n_sentences
+            or lengths.sum(dtype=np.int64) != n_ids):
+        return None
+    firsts = np.cumsum(counts, dtype=np.int64) - counts
+    titled = np.array([title is not None for title in titles], bool)
+    if (counts[titled] < 1).any():
+        return None
+    is_title = np.zeros(n_sentences, bool)
+    is_title[firsts[titled]] = True
+    start, end = spans.T
+    ends = np.repeat(np.array([len(doc.text) for doc in docs], np.int64), counts)
+    if not np.where(is_title, (start == -1) & (end == -1),
+                    (0 <= start) & (start < end) & (end <= ends)).all():
+        return None
+    known = len(vocab.tokens)
+    to_vocab = np.array(list(map(vocab.__getitem__, tokens)), np.int32)
+    held = np.zeros(len(vocab.tokens), bool)
+    held[to_vocab] = True
+    if held.sum() != n_tokens:  # a token twice: the vocabulary is as it was
+        for token in vocab.tokens[known:]:
+            del vocab[token]
+        del vocab.tokens[known:]
+        return None
+    # In place, with no second array of every id; the ids are checked, so none clips.
+    np.take(to_vocab, ids, out=ids, mode="clip")
+    bounds = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    found = []
+    for doc, title, a, n in zip(docs, titles, firsts.tolist(), counts.tolist()):
+        at = bounds[a:a + n + 1]
+        found.append(Sentences(vocab, ids[at[0]:at[-1]], (at - at[0]).astype(np.int32),
+                               spans[a:a + n], doc.text, title or ""))
+    return found
 
 
 def _read_text_file(path: str | Path) -> Path:

@@ -256,16 +256,21 @@ def _load_entry(p: Path, wanted: set[str] | None, e: BinaryIO, fields: list[int]
     if not all(a < b for a, b in zip([-1, *named], [*named, count])):  # as a parse writes them
         return None
     e.seek(tokens_at)
-    section = e.read(nbytes)
-    # Each token ends in a "\n", and holds no "\r" as written: no rows, no tokens.
-    if section.count(b"\n") != count or nbytes and not section.endswith(b"\n"):
-        return None
     runs: list[int] = []  # the first and end row of each run of consecutive held rows
-    tokens, names, at, start = [], [], 0, 0  # names: the token of each warning
-    while start < nbytes:  # a slice of up to _READ_BYTES, cut at a "\n"; a decode error is a miss
-        stop = (section.rfind(b"\n", start, start + _READ_BYTES) + 1
-                or section.index(b"\n", start) + 1)
-        part = section[start:stop - 1].decode("utf-8").split("\n")
+    tokens, names, at = [], [], 0  # names: the token of each warning
+    rest, left = b"", nbytes  # the bytes after the last "\n" read, and those unread
+    while left:  # up to _READ_BYTES a read, decoded up to its last "\n"; a decode error is a miss
+        data = e.read(min(_READ_BYTES, left))
+        if not data:
+            return None
+        left -= len(data)
+        end = data.rfind(b"\n") + 1
+        if not end:
+            rest += data
+            continue
+        # Each token ends in a "\n", and holds no "\r" as written.
+        part = (rest + data[:end - 1]).decode("utf-8").split("\n")
+        rest = data[end:]
         taken = _held(part, wanted)
         for row in (at + j for j in taken):
             if runs and runs[-1] == row:  # the last run's end
@@ -275,7 +280,9 @@ def _load_entry(p: Path, wanted: set[str] | None, e: BinaryIO, fields: list[int]
         tokens += [part[j] for j in taken]
         while len(names) < ndup and named[len(names)] < at + len(part):
             names.append(part[named[len(names)] - at])
-        at, start = at + len(part), stop
+        at += len(part)
+    if rest or at != count:  # no rows, no tokens
+        return None
     # A row at least where the table has one, so that a table holding none is 0 x dim
     # as parsed.
     buf = _row_buffer(max(len(tokens), min(count, 1)), dim)
@@ -358,7 +365,7 @@ def _parse_table(p: Path, wanted: set[str] | None, f: BinaryIO, writer: cache.Wr
     return (dim, buf, held), fields
 
 
-def load_vectors_text(path: str | Path, keep: Iterable[str] | None = None) -> EmbeddingTable:
+def load_vectors_text(path: str | Path, *, keep: Iterable[str] | None = None) -> EmbeddingTable:
     """Parse the word2vec text format: header `count dim`, then `token v1 .. v_dim` lines.
 
     The token runs up to the first space; the components are separated by any

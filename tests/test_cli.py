@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import newscoherence
-from newscoherence import embeddings, esa
+from newscoherence import cache, corpus, embeddings, esa
 from newscoherence.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -78,6 +78,19 @@ def _write_vectors(path, vectors):
     for token, vec in vectors.items():
         lines.append(token + " " + " ".join(str(x) for x in vec))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _kinds(directory) -> list[bytes]:
+    """The first line of each cache entry in `directory`, which names its kind, sorted."""
+    return sorted(p.read_bytes().partition(b"\n")[0] + b"\n" for p in directory.iterdir())
+
+
+def _only_corpus_entries(workspace, directory) -> bool:
+    """Whether the cache entries in `directory` are those of the sentences of the
+    two corpora of `workspace`, and no others."""
+    corpora = [workspace / "fake.jsonl", workspace / "legit.jsonl"]
+    return (sorted(directory.iterdir()) == sorted(cache.entry(p, b"", 0).path for p in corpora)
+            and _kinds(directory) == [corpus._VERSION] * 2)
 
 
 @pytest.fixture
@@ -528,7 +541,7 @@ class TestBadBytesExitTwo:
                                 "--esa-index-path", str(workspace / "bad.esa"))
             assert rc == EXIT_DATA
             assert "bad.esa line 4" in err
-        assert list(vector_cache.iterdir()) == []
+        assert _only_corpus_entries(workspace, vector_cache)
 
     def test_index_df_past_int64(self, workspace, capsys, vector_cache):
         """A df no int64 holds is malformed, as a negative one is: an index that has
@@ -539,7 +552,7 @@ class TestBadBytesExitTwo:
                             "--esa-index-path", str(workspace / "big.esa"))
         assert rc == EXIT_DATA
         assert "big.esa line 4: malformed 'T' record" in err
-        assert list(vector_cache.iterdir()) == []
+        assert _only_corpus_entries(workspace, vector_cache)
 
     def test_jsonl_id_with_lone_surrogate(self, workspace, capsys):
         bad = {"id": "x\ud800", "label": "fake", "text": "Treasury budget. Parliament vote."}
@@ -621,7 +634,7 @@ class TestVectorCache:
             assert main(["report", "--config", str(workspace / "run.conf")]) == EXIT_DATA
             errors.append(capsys.readouterr().err)
         assert errors[1] == errors[0] and f"words.txt line {lines}: non-numeric" in errors[0]
-        assert list(vector_cache.iterdir()) == []
+        assert _only_corpus_entries(workspace, vector_cache)
 
 
 class TestRowsNoCorpusUses:
@@ -1092,19 +1105,24 @@ class TestGoldenOutput:
         assert self._outputs(workspace, capsys, case) == GOLDEN_SHA256[case]
 
     def test_report_from_the_cache(self, workspace, capsys, vector_cache, monkeypatch):
-        """A second `report` reads both tables from the cache, parsing no table rows,
-        and writes the same bytes. So does one shaped as the benchmark's
-        long-parallel report, which reads an ESA1 index: its second run parses no
-        index, and both write what a run with no cache writes."""
+        """A second `report` reads both tables and both corpora's sentences from the
+        cache, parsing no table rows and segmenting no document, and writes the same
+        bytes. So does one shaped as the benchmark's long-parallel report, which
+        reads an ESA1 index: its second run parses no index, and both write what a
+        run with no cache writes."""
         parse_table, rows = embeddings._parse_table, []
         monkeypatch.setattr(embeddings, "_parse_table",
                             lambda *args: rows.append(None) or parse_table(*args))
+        segment, segmented = corpus._segment, []
+        monkeypatch.setattr(corpus, "_segment",
+                            lambda *args: segmented.append(None) or segment(*args))
         for parsed in (True, False):
-            before = len(rows)
+            before = len(rows), len(segmented)
             shutil.rmtree(workspace / "out", ignore_errors=True)
             assert self._outputs(workspace, capsys, "report") == GOLDEN_SHA256["report"]
-            assert (len(rows) > before) == parsed
-        assert len(list(vector_cache.iterdir())) == 2
+            assert (len(rows) > before[0]) == (len(segmented) > before[1]) == parsed
+        kinds = sorted([embeddings._VERSION] * 2 + [corpus._VERSION] * 2)
+        assert _kinds(vector_cache) == kinds
 
         index = workspace / "kb.esa"
         assert main(["build-esa-index", "--config", str(workspace / "run.conf"),
@@ -1123,7 +1141,7 @@ class TestGoldenOutput:
         monkeypatch.setenv("XDG_CACHE_HOME", str(index))  # under a regular file: no cache
         shutil.rmtree(workspace / "out")
         assert runs[0] == runs[1] == self._outputs(workspace, capsys, "report")
-        assert len(list(vector_cache.iterdir())) == 3
+        assert _kinds(vector_cache) == sorted(kinds + [esa._VERSION])
 
     @staticmethod
     def _outputs(workspace, capsys, case):

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import csv
+import functools
+import hashlib
 import itertools
 import json
 import logging
+import os
 
+import numpy as np
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
+from newscoherence import cache
+from newscoherence import corpus as corpus_mod
 from newscoherence.corpus import (
     DEFAULT_ABBREVIATIONS,
     CorpusError,
@@ -15,6 +22,7 @@ from newscoherence.corpus import (
     LabeledCorpus,
     Label,
     Sentence,
+    Vocabulary,
     _ends_with_abbreviation,
     corpus_stats,
     load_csv,
@@ -468,3 +476,185 @@ class TestSharedTokens:
         found = [t for d in docs for s in d.sentences for t in s.tokens if t == "budget"]
         assert len(found) == 4  # the title, twice in the first body, once in the second
         assert all(t is found[0] for t in found)
+
+
+def _csv(path, rows, header=("title", "text")) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _encoded(corpus) -> list:
+    """Each document's ids, sentence starts and spans."""
+    return [(d.sentences.ids.tolist(), d.sentences.starts.tolist(), d.sentences.spans.tolist())
+            for d in corpus.documents]
+
+
+class TestSentencesCache:
+    """A corpus file's sentences are read from its cache entry while its documents'
+    texts, and the titles segmented, are those the entry records: to the ids,
+    starts, spans and vocabulary order that segmentation gives. Anything else, or a
+    damaged entry, segments again and writes the entry again."""
+
+    TEXT = "Alpha bravo met Mr. Smith. Bravo left!"
+    ROWS = [("First title", TEXT), ("", "Charlie said 42 things. Alpha again.")]
+
+    @staticmethod
+    def _segmented(monkeypatch, load, include_title=False, vocab_words=("bravo", "zulu")):
+        """(encoded documents, vocabulary tokens, documents segmented) of `load()`,
+        segmented through a vocabulary that already holds `vocab_words`."""
+        calls = []
+        segment = corpus_mod._segment
+        with monkeypatch.context() as m:
+            m.setattr(corpus_mod, "_segment", lambda *a: calls.append(None) or segment(*a))
+            vocab = Vocabulary()
+            for word in vocab_words:
+                vocab[word]
+            c = load()
+            segment_corpus(c, include_title=include_title, vocab=vocab)
+        return _encoded(c), vocab.tokens, len(calls)
+
+    @staticmethod
+    def _fresh(monkeypatch, tmp_path, load, include_title=False):
+        with monkeypatch.context() as m:
+            blocker = tmp_path / "blocker"
+            blocker.write_bytes(b"")
+            m.setenv("XDG_CACHE_HOME", str(blocker / "cache"))  # no cache
+            return TestSentencesCache._segmented(m, load, include_title)[:2]
+
+    @seed(20191115)
+    @given(docs=st.lists(st.tuples(_abbreviated_text(), st.none() | _abbreviated_text()),
+                         max_size=5),
+           jsonl=st.booleans(), include_title=st.booleans())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_cached_is_fresh_segmentation(self, tmp_path, vector_cache, monkeypatch,
+                                          docs, jsonl, include_title):
+        if jsonl:
+            p = tmp_path / "c.jsonl"
+            write_jsonl(LabeledCorpus(documents=[
+                Document(id=f"d{i}", label=Label.FAKE, text=text, title=title)
+                for i, (text, title) in enumerate(docs) if text.strip()]), p)
+            load = functools.partial(load_jsonl, p)
+        else:
+            p = tmp_path / "c.csv"
+            _csv(p, [(title or "", text) for text, title in docs])
+            load = functools.partial(load_csv, p, Label.FAKE)
+        first = self._segmented(monkeypatch, load, include_title)
+        warm = self._segmented(monkeypatch, load, include_title)
+        fresh = self._fresh(monkeypatch, tmp_path, load, include_title)
+        assert first[:2] == warm[:2] == fresh and warm[2] == 0
+        assert cache.entry(p, b"", 0).path.read_bytes().startswith(corpus_mod._VERSION)
+
+    def test_entry_layout_is_pinned(self, tmp_path, vector_cache, monkeypatch):
+        """The bytes of the entry after its version line and recorded path."""
+        p = tmp_path / "c.csv"
+        _csv(p, self.ROWS)
+        self._segmented(monkeypatch, functools.partial(load_csv, p, Label.FAKE), True)
+        data = cache.entry(p, b"", 0).path.read_bytes()
+        source = os.fsencode(p.resolve())
+        version = corpus_mod._VERSION
+        at = len(version) + 8 + len(source)
+        assert data[:at] == version + len(source).to_bytes(8, "little") + source
+        assert hashlib.sha256(data[at:]).hexdigest() == \
+            "a70a3584b429fb1df7a7148f0ac2acf6760185c24f86ba5ce4930bb137fb900a", \
+            "a change to what `_segment` gives must change the version line too"
+
+    def _entry(self, tmp_path, monkeypatch, rows=None, header=("title", "text")):
+        """A CSV of `rows`, segmented once with titles, and its entry's path."""
+        p = tmp_path / "c.csv"
+        _csv(p, self.ROWS if rows is None else rows, header)
+        self._segmented(monkeypatch, functools.partial(load_csv, p, Label.FAKE), True)
+        return p, cache.entry(p, b"", 0).path
+
+    @pytest.mark.parametrize("change", ["edited text", "edited in memory", "no title",
+                                        "other text column"])
+    def test_other_strings_segment_again(self, tmp_path, vector_cache, monkeypatch, change):
+        p, entry = self._entry(tmp_path, monkeypatch,
+                               [(t, x, x.upper()) for t, x in self.ROWS], ("title", "text", "b"))
+        before = entry.read_bytes()
+        include_title, column = change != "no title", "b" if change == "other text column" else "text"
+
+        def load():
+            c = load_csv(p, Label.FAKE, column)
+            if change == "edited in memory":
+                c.documents[1].text = c.documents[1].text.replace("42", "43")
+            return c
+
+        if change == "edited text":
+            p.write_text(p.read_text().replace("42", "43"))
+        got = self._segmented(monkeypatch, load, include_title)
+        assert got[2] == 2 and entry.read_bytes() != before  # segmented, and written again
+        again = self._segmented(monkeypatch, load, include_title)
+        assert again[2] == 0
+        assert got[:2] == again[:2] == self._fresh(monkeypatch, tmp_path, load, include_title)
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "other version", "token not UTF-8", "tokens not ending in a line end",
+        "a token twice", "id past the token count", "ids out of first-occurrence order",
+        "sentence counts that disagree", "token counts that disagree",
+        "span outside its text", "body span on the title"])
+    def test_damaged_entry_segments_again(self, tmp_path, vector_cache, monkeypatch, damage):
+        p, entry = self._entry(tmp_path, monkeypatch)
+        load = functools.partial(load_csv, p, Label.FAKE)
+        want, data = entry.read_bytes(), bytearray(entry.read_bytes())
+        head = cache.entry(p, corpus_mod._VERSION, 5).head_size
+        docs, sentences, n_ids, _, token_bytes = np.frombuffer(data[head - 40:head], "<i8")
+        tokens = head  # where each section starts
+        ids = tokens + token_bytes
+        counts = ids + 4 * n_ids
+        lengths = counts + 4 * docs
+        spans = lengths + 4 * sentences
+
+        def put(at, value, dtype="<i4"):
+            value = np.array(value, dtype).tobytes()
+            data[at:at + len(value)] = value
+
+        if damage == "truncated":
+            del data[len(data) // 2:]
+        elif damage == "other version":
+            data[:len(corpus_mod._VERSION)] = corpus_mod._VERSION.replace(b" 1 ", b" 0 ")
+        elif damage == "token not UTF-8":
+            data[tokens] = 0xFF
+        elif damage == "tokens not ending in a line end":
+            data[ids - 1] = ord("x")
+        elif damage == "a token twice":  # "first" and "title" have one length
+            assert data[tokens:tokens + 12] == b"first\ntitle\n"
+            data[tokens + 6:tokens + 11] = b"first"
+        elif damage == "id past the token count":
+            put(counts - 4, 99)
+        elif damage == "ids out of first-occurrence order":
+            put(ids, [1, 0])
+        elif damage == "sentence counts that disagree":  # 4 and 2 of 5 sentences
+            put(counts, 4)
+        elif damage == "token counts that disagree":  # the title's 2 tokens
+            put(lengths, 3)
+        elif damage == "span outside its text":
+            put(spans + 24, len(self.TEXT) + 1, "<i8")  # sentence 1's end
+        elif damage == "body span on the title":
+            put(spans, [0, 5], "<i8")
+        entry.write_bytes(bytes(data))
+        got = self._segmented(monkeypatch, load, True)
+        assert got[2] == 2 and entry.read_bytes() == want  # segmented, and written again
+        assert got[:2] == self._fresh(monkeypatch, tmp_path, load, True)
+
+    @pytest.mark.parametrize("source", ["", "mem", "synthetic", "fifo", "directory"])
+    def test_no_regular_file_opens_nothing(self, tmp_path, vector_cache, monkeypatch, source):
+        """A corpus whose source is unset, or names no regular file, segments as
+        when there is no cache, and never opens its source: a named pipe with no
+        writer would wait."""
+        if source == "fifo":
+            source = tmp_path / "fifo"
+            os.mkfifo(source)
+        elif source == "directory":
+            source = tmp_path
+        monkeypatch.chdir(tmp_path)
+        docs = [Document(id=f"d{i}", label=Label.FAKE, text=text, title=title or None)
+                for i, (title, text) in enumerate(self.ROWS)]
+        c = LabeledCorpus(documents=docs, source=str(source))
+        vocab = segment_corpus(c, include_title=True)
+        want = LabeledCorpus(documents=[Document(d.id, d.label, d.text, d.title) for d in docs])
+        assert vocab.tokens == segment_corpus(want, include_title=True).tokens
+        assert _encoded(c) == _encoded(want)
+        assert not vector_cache.exists()
