@@ -6,8 +6,10 @@ reads, are the ones the entry records.
 Entries live in $XDG_CACHE_HOME/newscoherence, else ~/.cache/newscoherence, named
 by the input's resolved path. Each starts with a head: a version line that names
 its kind, the int64 length of the resolved path and its bytes, then the int64s the
-input's size, its CRC-32 and the fields of its kind. An entry is written to a
-temporary file, flushed to disk and renamed into place.
+input's size, its CRC-32 and the fields of its kind. The last of those is a CRC-32
+(`checksum_of`) of the others and of every byte of the body that a hit reads
+whole: a hit uses none of those bytes unless they give it. An entry is written
+to a temporary file, flushed to disk and renamed into place.
 
 `load` is the one place this policy lives: which inputs are cached, when an entry
 is read in place of a parse, and when a parse publishes one."""
@@ -45,11 +47,12 @@ def checksum(f: BinaryIO) -> tuple[int, int]:
     return size, crc
 
 
-def checksum_of(chunks: Iterable[bytes]) -> tuple[int, int]:
-    """The size and CRC-32 of `chunks`, one after another."""
-    size = crc = 0
+def checksum_of(chunks: Iterable, crc: int = 0) -> tuple[int, int]:
+    """The size and CRC-32 of the bytes of `chunks`, one after another, each bytes or
+    a contiguous array; the CRC-32 goes on from `crc`."""
+    size = 0
     for data in chunks:
-        size += len(data)
+        size += memoryview(data).nbytes  # len() of an array counts its elements
         crc = zlib.crc32(data, crc)
     return size, crc
 

@@ -238,12 +238,13 @@ def _segment(text: str, title: str | None, vocab: Vocabulary) -> Sentences:
 
 # A corpus file's cache entry (see `cache.Entry`), of the sentences `segment_corpus`
 # gives its documents. Its head records the size and CRC-32 of `_digest`, and its
-# fields are the int64s documents, sentences, token occurrences, distinct tokens and
-# their bytes. Then come the distinct tokens in first-occurrence order, each with a
-# "\n"; per occurrence, its token's place among them (int32); each document's
-# sentence count and each sentence's token count (int32); each sentence's span
-# (int64 pairs). `str.lower` and `\w` follow the Unicode data of the version line.
-_VERSION = f"newscoherence sentences 1 {unicodedata.unidata_version}\n".encode()
+# fields are the int64s sentences, token occurrences and distinct tokens' bytes,
+# then the CRC-32 of those three and the body. The body holds the distinct tokens in
+# first-occurrence order, each with a "\n"; per occurrence, its token's place among
+# them (int32); each document's sentence count and each sentence's token count
+# (int32); each sentence's span (int64 pairs). `str.lower` and `\w` follow the
+# Unicode data of the version line.
+_VERSION = f"newscoherence sentences 2 {unicodedata.unidata_version}\n".encode()
 
 
 def segment_corpus(corpus: LabeledCorpus, include_title: bool = False,
@@ -264,7 +265,7 @@ def segment_corpus(corpus: LabeledCorpus, include_title: bool = False,
     titles = [doc.title if include_title and doc.title else None for doc in docs]
     # Tested before `cache.load` opens it: a named pipe would wait for a writer.
     if corpus.source and os.path.isfile(corpus.source):
-        found = cache.load(Path(corpus.source), _VERSION, 5,
+        found = cache.load(Path(corpus.source), _VERSION, 4,
                            functools.partial(_load_entry, docs, titles, vocab),
                            functools.partial(_parse, docs, titles, vocab),
                            functools.partial(_digest, docs, titles))
@@ -303,57 +304,36 @@ def _parse(docs: list[Document], titles: list[str | None], vocab: Vocabulary, f,
     section = cache.lines([vocab.tokens[i] for i in distinct.tolist()])
     counts = np.array([len(s) for s in found], np.int32)
     spans = np.concatenate([np.empty((0, 2), np.int64), *(s.spans for s in found)])
-    for part in (section, local[ids], counts, lengths, spans.ravel()):
+    sizes = [len(spans), len(ids), len(section)]
+    body = [section, local[ids], counts, lengths, spans.ravel()]
+    for part in body:
         writer.write(part)
-    return found, [len(docs), len(spans), len(ids), len(distinct), len(section)]
+    return found, [*sizes, cache.checksum_of([np.array(sizes, "<i8"), *body])[1]]
 
 
 def _load_entry(docs: list[Document], titles: list[str | None], vocab: Vocabulary,
                 e, fields: list[int]) -> list[Sentences] | None:
     """The sentences of `docs` that entry file `e` holds, `e` read up to the end of
-    its head, whose fields are `fields`; None where it is damaged. Only then are its
-    tokens passed through `vocab`, in order, as segmentation would add them."""
-    n_docs, n_sentences, n_ids, n_tokens, token_bytes = fields
-    if (min(fields) < 0 or n_docs != len(docs) or os.fstat(e.fileno()).st_size
-            != e.tell() + token_bytes + 4 * (n_ids + n_docs + n_sentences) + 16 * n_sentences):
+    its head, whose fields are `fields`; None where its CRC-32 shows it damaged. Only
+    then are its tokens passed through `vocab`, in order, as segmentation would add them."""
+    n_sentences, n_ids, token_bytes, crc = fields
+    if (min(fields) < 0 or os.fstat(e.fileno()).st_size != e.tell() + token_bytes
+            + 4 * (n_ids + len(docs) + n_sentences) + 16 * n_sentences):
         return None
-    tokens = e.read(token_bytes).decode("utf-8").split("\n")
-    if tokens.pop() or len(tokens) != n_tokens:
-        return None
-    ids, counts, lengths = (np.empty(n, np.int32) for n in (n_ids, n_docs, n_sentences))
+    section = e.read(token_bytes)
+    ids, counts, lengths = (np.empty(n, np.int32) for n in (n_ids, len(docs), n_sentences))
     spans = np.empty(2 * n_sentences, np.int64)
-    if not all(cache.read_into(e, a) for a in (ids, counts, lengths, spans)):
+    body = [section, ids, counts, lengths, spans]
+    if (not all(cache.read_into(e, a) for a in body[1:])
+            or cache.checksum_of([np.array(fields[:-1], "<i8"), *body])[1] != crc):
         return None
     spans = spans.reshape(-1, 2)
-    # Each token is used, first in its order: an id is at most 1 past those before it.
-    reach = np.maximum.accumulate(np.concatenate(([-1], ids)))
-    if (reach[-1] + 1 != n_tokens or (ids < 0).any() or (ids > reach[:-1] + 1).any()
-            or (counts < 0).any() or (lengths < 0).any()
-            or counts.sum(dtype=np.int64) != n_sentences
-            or lengths.sum(dtype=np.int64) != n_ids):
-        return None
+    tokens = section.decode("utf-8").split("\n")
+    tokens.pop()  # after the last "\n"
+    # In place, with no second array of every id; the ids are as written, so none clips.
+    np.take(np.array(list(map(vocab.__getitem__, tokens)), np.int32), ids, out=ids,
+            mode="clip")
     firsts = np.cumsum(counts, dtype=np.int64) - counts
-    titled = np.array([title is not None for title in titles], bool)
-    if (counts[titled] < 1).any():
-        return None
-    is_title = np.zeros(n_sentences, bool)
-    is_title[firsts[titled]] = True
-    start, end = spans.T
-    ends = np.repeat(np.array([len(doc.text) for doc in docs], np.int64), counts)
-    if not np.where(is_title, (start == -1) & (end == -1),
-                    (0 <= start) & (start < end) & (end <= ends)).all():
-        return None
-    known = len(vocab.tokens)
-    to_vocab = np.array(list(map(vocab.__getitem__, tokens)), np.int32)
-    held = np.zeros(len(vocab.tokens), bool)
-    held[to_vocab] = True
-    if held.sum() != n_tokens:  # a token twice: the vocabulary is as it was
-        for token in vocab.tokens[known:]:
-            del vocab[token]
-        del vocab.tokens[known:]
-        return None
-    # In place, with no second array of every id; the ids are checked, so none clips.
-    np.take(to_vocab, ids, out=ids, mode="clip")
     bounds = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
     found = []
     for doc, title, a, n in zip(docs, titles, firsts.tolist(), counts.tolist()):

@@ -24,9 +24,11 @@ _BLOCK_ROWS = 64
 # Bytes per read of a text file.
 _READ_BYTES = 1 << 14
 # A table's cache entry (see `cache.Entry`): its head, whose fields are the int64s
-# count, dim, token bytes and duplicates; every row, float64 in file order; each
-# token and a "\n"; and a (line, row) int64 pair per duplicate token.
-_VERSION = b"newscoherence table 2\n"
+# count, dim, token bytes and duplicates, then the CRC-32 of those four, the tokens
+# and the duplicate pairs; every row, float64 in file order; each token and a "\n";
+# and a (line, row) int64 pair per duplicate token. The rows are outside the CRC-32,
+# so that a hit reads only the rows it holds.
+_VERSION = b"newscoherence table 3\n"
 
 __all__ = [
     "EmbeddingTable",
@@ -241,17 +243,18 @@ def _blocks(lines: Iterator[tuple[int, str]]) -> Iterator[tuple[list[int], list[
 def _load_entry(p: Path, wanted: set[str] | None, e: BinaryIO, fields: list[int]):
     """The table of file `p` that entry file `e` holds, `e` read up to the end of its
     head, whose fields are `fields`: (dim, buffer, held tokens), with the rows a parse
-    would hold, once it has warned of duplicates as the parse did. None where the
-    entry is damaged or a held row is not finite. Only the held rows are read, and
-    only the tokens of held rows and of duplicate warnings are kept."""
-    count, dim, nbytes, ndup = fields
+    would hold, once it has warned of duplicates as the parse did. None where its
+    CRC-32 shows it damaged or a held row is not finite. Only the held rows are read,
+    and only the tokens of held rows and of duplicate warnings are kept."""
+    count, dim, nbytes, ndup, crc = fields
     rows_at = e.tell()
     tokens_at = rows_at + count * dim * 8
     if (min(count, nbytes, ndup) < 0 or dim <= 0
             or os.fstat(e.fileno()).st_size != tokens_at + nbytes + 16 * ndup):
         return None
     e.seek(tokens_at + nbytes)
-    duplicates = np.frombuffer(e.read(16 * ndup), "<i8").reshape(-1, 2).tolist()
+    pairs = e.read(16 * ndup)
+    duplicates = np.frombuffer(pairs, "<i8").reshape(-1, 2).tolist()
     named = [row for _, row in duplicates]  # the row each warning names
     if not all(a < b for a, b in zip([-1, *named], [*named, count])):  # as a parse writes them
         return None
@@ -259,11 +262,13 @@ def _load_entry(p: Path, wanted: set[str] | None, e: BinaryIO, fields: list[int]
     runs: list[int] = []  # the first and end row of each run of consecutive held rows
     tokens, names, at = [], [], 0  # names: the token of each warning
     rest, left = b"", nbytes  # the bytes after the last "\n" read, and those unread
+    summed = cache.checksum_of([np.array(fields[:-1], "<i8")])[1]
     while left:  # up to _READ_BYTES a read, decoded up to its last "\n"; a decode error is a miss
         data = e.read(min(_READ_BYTES, left))
         if not data:
             return None
         left -= len(data)
+        summed = cache.checksum_of([data], summed)[1]
         end = data.rfind(b"\n") + 1
         if not end:
             rest += data
@@ -281,7 +286,7 @@ def _load_entry(p: Path, wanted: set[str] | None, e: BinaryIO, fields: list[int]
         while len(names) < ndup and named[len(names)] < at + len(part):
             names.append(part[named[len(names)] - at])
         at += len(part)
-    if rest or at != count:  # no rows, no tokens
+    if cache.checksum_of([pairs], summed)[1] != crc:
         return None
     # A row at least where the table has one, so that a table holding none is 0 x dim
     # as parsed.
@@ -358,10 +363,11 @@ def _parse_table(p: Path, wanted: set[str] | None, f: BinaryIO, writer: cache.Wr
         raise EmbeddingError(f"{p}: header declares {count} vectors, file has {len(tokens)}")
     fields = None
     if writer.ok:  # after the rows, the tokens and the duplicates
-        section = cache.lines(tokens)
+        section, pairs = cache.lines(tokens), np.array(duplicates, dtype="<i8")
         writer.write(section)
-        writer.write(np.array(duplicates, dtype="<i8"))
+        writer.write(pairs)
         fields = [len(tokens), dim, len(section), len(duplicates)]
+        fields.append(cache.checksum_of([np.array(fields, "<i8"), section, pairs])[1])
     return (dim, buf, held), fields
 
 
@@ -384,7 +390,7 @@ def load_vectors_text(path: str | Path, *, keep: Iterable[str] | None = None) ->
     """
     p = Path(path)
     wanted = None if keep is None else {sys.intern(t.lower()) for t in keep}
-    return _table(*cache.load(p, _VERSION, 4, functools.partial(_load_entry, p, wanted),
+    return _table(*cache.load(p, _VERSION, 5, functools.partial(_load_entry, p, wanted),
                               functools.partial(_parse_table, p, wanted)), wanted)
 
 

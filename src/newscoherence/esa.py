@@ -184,9 +184,10 @@ def save_index(index: EsaIndex, path: str | Path) -> None:
 _CELL = np.dtype([("id", np.int64), ("weight", np.float64)])
 # An index's cache entry (see `cache.Entry`): its head, whose fields are the int64s
 # concepts, tokens, nnz, weighting (its place in WEIGHTINGS), token bytes and title
-# bytes; indptr, indices, data and df, in the parse's dtypes; then each token and
-# each concept title with a "\n".
-_VERSION = b"newscoherence index 1\n"
+# bytes, then the CRC-32 of those six and the body; the body holds indptr, indices,
+# data and df, in the parse's dtypes, then each token and each concept title with a
+# "\n".
+_VERSION = b"newscoherence index 2\n"
 
 
 def _check_cells(ids: np.ndarray, weights: np.ndarray, widths, doc_count: int) -> None:
@@ -224,16 +225,19 @@ def _entry_body(index: EsaIndex, writer: cache.Writer) -> list[int]:
     """Write through `writer` what the cache entry of `index` holds after its head,
     and return the fields of its head."""
     tokens, titles = cache.lines(index.tokens), cache.lines(index.concepts)
-    for part in (index.indptr, index.indices, index.data, index.df, tokens, titles):
+    body = [index.indptr, index.indices, index.data, index.df, tokens, titles]
+    sizes = [index.doc_count, len(index.tokens), len(index.indices),
+             WEIGHTINGS.index(index.weighting), len(tokens), len(titles)]
+    for part in body:
         writer.write(part)
-    return [index.doc_count, len(index.tokens), len(index.indices),
-            WEIGHTINGS.index(index.weighting), len(tokens), len(titles)]
+    return [*sizes, cache.checksum_of([np.array(sizes, "<i8"), *body])[1]]
 
 
 def _load_entry(e, fields: list[int]) -> EsaIndex | None:
     """The index that entry file `e` holds, `e` read up to the end of its head, whose
-    fields are `fields`. None where it is damaged or holds what a parse would reject."""
-    doc_count, n, nnz, weighting, token_bytes, title_bytes = fields
+    fields are `fields`. None where its CRC-32 shows it damaged or it holds what a
+    parse would reject."""
+    doc_count, n, nnz, weighting, token_bytes, title_bytes, crc = fields
     if (min(fields) < 0 or weighting >= len(WEIGHTINGS) or os.fstat(e.fileno()).st_size
             != e.tell() + 8 * (2 * n + 1 + 2 * nnz) + token_bytes + title_bytes):
         return None
@@ -242,10 +246,12 @@ def _load_entry(e, fields: list[int]) -> EsaIndex | None:
     if not all(cache.read_into(e, a) for a in (indptr, indices, data, df)):
         return None
     texts = e.read(token_bytes + title_bytes)
+    body = [indptr, indices, data, df, texts]
+    if cache.checksum_of([np.array(fields[:-1], "<i8"), *body])[1] != crc:
+        return None
     tokens = texts[:token_bytes].decode("utf-8").split("\n")
     concepts = texts[token_bytes:].decode("utf-8").split("\n")
-    if (len(texts) != token_bytes + title_bytes or tokens.pop() or concepts.pop()
-            or (len(tokens), len(concepts)) != (n, doc_count)
+    if (tokens.pop() or concepts.pop() or (len(tokens), len(concepts)) != (n, doc_count)
             or indptr[0] != 0 or indptr[-1] != nnz or (df < 0).any()):
         return None
     widths = np.diff(indptr)
@@ -266,7 +272,7 @@ def load_index(path: str | Path) -> EsaIndex:
     same regular file whose bytes have the same size and CRC-32 reads the index
     from its entry."""
     p = Path(path)
-    return cache.load(p, _VERSION, 6, _load_entry, functools.partial(_parse, p))
+    return cache.load(p, _VERSION, 7, _load_entry, functools.partial(_parse, p))
 
 
 def _parse(p: Path, f, writer: cache.Writer) -> tuple[EsaIndex, list[int] | None]:

@@ -558,7 +558,7 @@ class TestSentencesCache:
         at = len(version) + 8 + len(source)
         assert data[:at] == version + len(source).to_bytes(8, "little") + source
         assert hashlib.sha256(data[at:]).hexdigest() == \
-            "a70a3584b429fb1df7a7148f0ac2acf6760185c24f86ba5ce4930bb137fb900a", \
+            "97f6bd7f5e6298eb55f8ac54f85fdbf3f3930a8bb229b1f38248bc0cadf9a941", \
             "a change to what `_segment` gives must change the version line too"
 
     def _entry(self, tmp_path, monkeypatch, rows=None, header=("title", "text")):
@@ -593,18 +593,19 @@ class TestSentencesCache:
     @pytest.mark.parametrize("damage", [
         "truncated", "other version", "token not UTF-8", "tokens not ending in a line end",
         "a token twice", "id past the token count", "ids out of first-occurrence order",
-        "sentence counts that disagree", "token counts that disagree",
-        "span outside its text", "body span on the title"])
+        "sentence counts that disagree", "counts that keep their sum",
+        "token counts that disagree", "span outside its text", "span inside its text",
+        "body span on the title"])
     def test_damaged_entry_segments_again(self, tmp_path, vector_cache, monkeypatch, damage):
         p, entry = self._entry(tmp_path, monkeypatch)
         load = functools.partial(load_csv, p, Label.FAKE)
         want, data = entry.read_bytes(), bytearray(entry.read_bytes())
-        head = cache.entry(p, corpus_mod._VERSION, 5).head_size
-        docs, sentences, n_ids, _, token_bytes = np.frombuffer(data[head - 40:head], "<i8")
+        head = cache.entry(p, corpus_mod._VERSION, 4).head_size
+        sentences, n_ids, token_bytes, _ = np.frombuffer(data[head - 32:head], "<i8")
         tokens = head  # where each section starts
         ids = tokens + token_bytes
         counts = ids + 4 * n_ids
-        lengths = counts + 4 * docs
+        lengths = counts + 4 * len(self.ROWS)
         spans = lengths + 4 * sentences
 
         def put(at, value, dtype="<i4"):
@@ -614,7 +615,7 @@ class TestSentencesCache:
         if damage == "truncated":
             del data[len(data) // 2:]
         elif damage == "other version":
-            data[:len(corpus_mod._VERSION)] = corpus_mod._VERSION.replace(b" 1 ", b" 0 ")
+            data[:len(corpus_mod._VERSION)] = corpus_mod._VERSION.replace(b" 2 ", b" 1 ")
         elif damage == "token not UTF-8":
             data[tokens] = 0xFF
         elif damage == "tokens not ending in a line end":
@@ -628,10 +629,14 @@ class TestSentencesCache:
             put(ids, [1, 0])
         elif damage == "sentence counts that disagree":  # 4 and 2 of 5 sentences
             put(counts, 4)
+        elif damage == "counts that keep their sum":  # 3 and 2 sentences as 4 and 1
+            put(counts, [4, 1])
         elif damage == "token counts that disagree":  # the title's 2 tokens
             put(lengths, 3)
         elif damage == "span outside its text":
             put(spans + 24, len(self.TEXT) + 1, "<i8")  # sentence 1's end
+        elif damage == "span inside its text":
+            put(spans + 24, 3, "<i8")  # sentence 1's end
         elif damage == "body span on the title":
             put(spans, [0, 5], "<i8")
         entry.write_bytes(bytes(data))

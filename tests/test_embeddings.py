@@ -443,7 +443,7 @@ def _damaged_index(p, damage) -> None:
     it, with the size and CRC-32 of `p`."""
     index = load_index(p)
     damage(index)
-    with cache.Writer(cache.entry(p, esa._VERSION, 6)) as writer:
+    with cache.Writer(cache.entry(p, esa._VERSION, 7)) as writer:
         for _ in writer.read([p.read_bytes()]):  # sums the size and CRC-32 of `p`
             pass
         writer.publish(p.stat().st_size, esa._entry_body(index, writer))
@@ -453,12 +453,14 @@ def _set(name, at, value):
     return lambda index: getattr(index, name).__setitem__(at, value)
 
 
-# An index entry whose version line is another kind's or version's, or whose index
-# breaks a rule a parse keeps. The index is TestCache.INDEX.
+# An index entry whose version line is another kind's or version's, whose bytes
+# are not those its CRC-32 was summed over, or whose index breaks a rule a parse
+# keeps. The index is TestCache.INDEX.
 _INDEX_DAMAGES = {
     "index truncated": None,
+    "index weight changed": None,
     "index table line": embeddings._VERSION,
-    "index other version": b"newscoherence index 0\n",
+    "index other version": b"newscoherence index 1\n",
     "index id out of range": _set("indices", 0, 3),
     "index negative weight": _set("data", 0, -1.0),
     "index nan weight": _set("data", 0, np.nan),
@@ -548,9 +550,9 @@ class TestCache:
         to either layout must change its version line too."""
         for p, load, version, digest in [
                 (self._table(tmp_path), load_vectors_text, embeddings._VERSION,
-                 "b614c747e923caa0ad387d75df1d585123d23483c162af3b8a8b12287ba10140"),
+                 "40ab624869bac4be6cf0308a7d8d68d928deb1320a5cfb8458d9a75d9d54133e"),
                 (self._index(tmp_path), load_index, esa._VERSION,
-                 "7320c553765fc0fa516d30d36e8ebde3497f286e18ddbde3db10e32125e650c0")]:
+                 "a5c1c8a9603d7b51d31b646fcc07283dd60776dc4a36e506df82a9c49ab81f3e")]:
             load(p)
             data = cache.entry(p, b"", 0).path.read_bytes()
             source = os.fsencode(p.resolve())
@@ -635,7 +637,8 @@ class TestCache:
         assert len(_entries(vector_cache)) == 2
 
     @pytest.mark.parametrize("damage", ["truncated", "other version", "inf in a row",
-                                        "token not UTF-8", "tokens not ending in a line end",
+                                        "token not UTF-8", "token renamed",
+                                        "tokens not ending in a line end",
                                         "duplicate past the last row", *_INDEX_DAMAGES])
     def test_damaged_entry_is_parsed_again(self, tmp_path, vector_cache, monkeypatch, damage):
         kind = "index" if damage in _INDEX_DAMAGES else "table"
@@ -651,12 +654,20 @@ class TestCache:
         if damage.endswith("truncated"):
             del data[len(data) // 2:]
         elif damage == "other version":
-            data[:len(version)] = b"newscoherence table 1\n"
+            data[:len(version)] = b"newscoherence table 2\n"
         elif damage == "inf in a row":  # the first row's first component
-            head = cache.entry(p, version, 4).head_size
+            head = cache.entry(p, version, 5).head_size
             data[head:head + 8] = np.float64(np.inf).tobytes()
         elif damage == "token not UTF-8":  # the first token's first byte
-            data[cache.entry(p, version, 4).head_size + 7 * 2 * 8] = 0xFF
+            data[cache.entry(p, version, 5).head_size + 7 * 2 * 8] = 0xFF
+        elif damage == "token renamed":  # "apple" as "bpple"
+            at = cache.entry(p, version, 5).head_size + 7 * 2 * 8
+            assert data[at:at + 6] == b"apple\n"
+            data[at] = ord("b")
+        elif damage == "index weight changed":  # data[0], after indptr's 4 and indices' 3
+            at = cache.entry(p, version, 7).head_size + 8 * (4 + 3)
+            assert data[at:at + 8] == np.float64(1.5).tobytes()
+            data[at:at + 8] = np.float64(7.0).tobytes()
         elif damage == "tokens not ending in a line end":  # before the one duplicate pair
             data[-17] = ord("x")
         elif damage == "duplicate past the last row":  # the one duplicate pair's row
