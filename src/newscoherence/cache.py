@@ -6,16 +6,19 @@ reads, are the ones the entry records.
 Entries live in $XDG_CACHE_HOME/newscoherence, else ~/.cache/newscoherence, named
 by the input's resolved path. Each starts with a head: a version line that names
 its kind, the int64 length of the resolved path and its bytes, then the int64s the
-input's size, its CRC-32 and the fields of its kind. The last of those is a CRC-32
-(`checksum_of`) of the others and of every byte of the body that a hit reads
-whole: a hit uses none of those bytes unless they give it. An entry is written
-to a temporary file, flushed to disk and renamed into place.
+input's size, its CRC-32 and the fields of its kind, which give the sizes of the
+kind's sections, the body. The last field seals the entry: a CRC-32 of the other
+fields and of every section, in order (`Writer.seal`, `unseal`). Only a table's
+rows lie outside it, before the sections, so that a hit reads only the rows it
+holds; a section holds each row's own CRC-32 (`read_rows`). An entry is written to
+a temporary file, flushed to disk and renamed into place.
 
 `load` is the one place this policy lives: which inputs are cached, when an entry
 is read in place of a parse, and when a parse publishes one."""
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 import stat
@@ -36,23 +39,11 @@ _ENTRY = re.compile(r"[0-9a-f]{16}")
 _TEMP = re.compile(r"[0-9a-f]{16}\.(\d+)-\d+")  # see `Writer.temp`
 
 
-def checksum(f: BinaryIO) -> tuple[int, int]:
-    """The size and CRC-32 of file `f`, read from its start."""
-    f.seek(0)
-    chunk = bytearray(COPY_BYTES)
+def checksum_of(chunks: Iterable[bytes]) -> tuple[int, int]:
+    """The size and CRC-32 of the bytes of `chunks`, one after another."""
     size = crc = 0
-    while got := f.readinto(chunk):
-        crc = zlib.crc32(memoryview(chunk)[:got], crc)
-        size += got
-    return size, crc
-
-
-def checksum_of(chunks: Iterable, crc: int = 0) -> tuple[int, int]:
-    """The size and CRC-32 of the bytes of `chunks`, one after another, each bytes or
-    a contiguous array; the CRC-32 goes on from `crc`."""
-    size = 0
     for data in chunks:
-        size += memoryview(data).nbytes  # len() of an array counts its elements
+        size += len(data)
         crc = zlib.crc32(data, crc)
     return size, crc
 
@@ -66,6 +57,59 @@ def read_into(stream: BinaryIO, array: np.ndarray) -> bool:
             return False
         view = view[got:]
     return True
+
+
+def row_checksums(rows: np.ndarray) -> np.ndarray:
+    """The CRC-32 of each row of a C-contiguous 2-d array, as uint32s: the section
+    that seals a table's rows."""
+    return np.fromiter(map(zlib.crc32, rows), "<u4", len(rows))
+
+
+def unseal(e: BinaryIO, fields: list[int], sections: list[tuple], step: int = COPY_BYTES,
+           rows: int = 0) -> list | None:
+    """The sections of entry file `e`, read from the end of its head, whose fields
+    are `fields`; None where a field is negative, the file does not end where the
+    sections end, or they do not give the sealing CRC-32. `rows` bytes of rows come
+    first, outside it and not read here (see `read_rows`).
+
+    Each section is (dtype, count): `count` items of a numpy dtype, or bytes where
+    dtype is `bytes`, read into a new array or bytearray once the size is known good.
+    With a third item, `take`, `take` is handed the section instead, `step` bytes at
+    a time (whole items, one at least), and None stands in its place."""
+    widths = [1 if dtype is bytes else np.dtype(dtype).itemsize for dtype, *_ in sections]
+    end = e.tell() + rows + sum(w * count for w, (_, count, *_) in zip(widths, sections))
+    if min(fields) < 0 or os.fstat(e.fileno()).st_size != end:
+        return None
+    e.seek(rows, os.SEEK_CUR)
+    crc, found = zlib.crc32(np.array(fields[:-1], "<i8")), []
+    for width, (dtype, count, *take) in zip(widths, sections):
+        if not take:
+            found.append(bytearray(count) if dtype is bytes else np.empty(count, dtype))
+            if not read_into(e, found[-1]):
+                return None
+            crc = zlib.crc32(found[-1], crc)
+            continue
+        found.append(None)
+        most = max(step // width, 1) * width
+        for left in range(count * width, 0, -most):
+            data = e.read(min(left, most))
+            crc = zlib.crc32(data, crc)
+            take[0](data if dtype is bytes else np.frombuffer(data, dtype))
+    return found if crc == fields[-1] else None
+
+
+def read_rows(e: BinaryIO, at: int, runs: list[int], out: np.ndarray,
+              crcs: np.ndarray) -> bool:
+    """Whether the rows of each run (`runs` being a flat list of first and end rows)
+    of the rows section at offset `at` of entry file `e` fill `out`, in order, and
+    give the CRC-32s `crcs`."""
+    j = 0
+    for first, end in zip(runs[::2], runs[1::2]):
+        e.seek(at + first * out.strides[0])
+        if not read_into(e, out[j:j + end - first]):
+            return False
+        j += end - first
+    return np.array_equal(row_checksums(out[:j]), crcs)
 
 
 def lines(texts: list[str]) -> bytes:
@@ -103,12 +147,11 @@ class Entry:
         if len(head) != self.head_size or not head.startswith(self._prefix):
             return None
         recorded, crc, *fields = np.frombuffer(head, "<i8", offset=len(self._prefix)).tolist()
-        if digest is not None:
-            if checksum_of(digest()) != (recorded, crc):
+        if digest is None:  # the bytes of `f`, from its start
+            if recorded != size:
                 return None
-        elif recorded != size or checksum(f) != (size, crc):
-            return None
-        return fields
+            digest = functools.partial(iter, functools.partial(f.read, COPY_BYTES), b"")
+        return fields if checksum_of(digest()) == (recorded, crc) else None
 
 
 def entry(p: Path, version: bytes, fields: int) -> Entry | None:
@@ -158,13 +201,11 @@ class Writer:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def read(self, chunks: Iterable[bytes]) -> Iterable[bytes]:
-        return self._summed(chunks) if self.ok else chunks
-
-    def _summed(self, chunks: Iterable[bytes]) -> Iterator[bytes]:
+    def read(self, chunks: Iterable[bytes]) -> Iterator[bytes]:
         for data in chunks:
-            self.size += len(data)
-            self.crc = zlib.crc32(data, self.crc)
+            if self.ok:
+                self.size += len(data)
+                self.crc = zlib.crc32(data, self.crc)
             yield data
 
     def write(self, data) -> None:
@@ -173,6 +214,16 @@ class Writer:
                 write_all(self.fd, data)
             except OSError:  # no space left, say: the run goes on without an entry
                 self.close()
+
+    def seal(self, sizes: list[int], sections: Iterable) -> list[int]:
+        """Write `sections`, each bytes or a contiguous array, and return the head
+        fields of their entry: `sizes`, then the CRC-32 that seals them (see
+        `unseal`)."""
+        crc = zlib.crc32(np.array(sizes, "<i8"))
+        for data in sections:
+            self.write(data)
+            crc = zlib.crc32(data, crc)
+        return [*sizes, crc]
 
     def publish(self, size: int, fields: list[int]) -> None:
         """Write the head and rename the entry into place, if what passed through
@@ -226,8 +277,7 @@ def load(p: Path, version: bytes, fields: int, hit: Callable, parse: Callable,
             f.seek(0)
         with Writer(target) as writer:
             if digest is not None and writer.ok:
-                for _ in writer.read(digest()):  # sums their size and CRC-32
-                    pass
+                writer.size, writer.crc = checksum_of(digest())
             found, head = parse(f, writer)
             if head is not None:
                 writer.publish(st.st_size if digest is None else writer.size, head)

@@ -446,9 +446,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """`argv` with each field flag, or a prefix of one as argparse takes it, and a
+    number after it that `float()` reads as one `--name=value` argument: argparse
+    takes "-1e-3", say, for a flag."""
+    flags, joined = ["--" + name.replace("_", "-") for name in _FIELDS], []
+    for arg in argv:
+        if joined and len(joined[-1]) > 2 and any(f.startswith(joined[-1]) for f in flags):
+            try:
+                float(arg)
+                joined[-1] += "=" + arg
+                continue
+            except ValueError:
+                pass
+        joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_USAGE if e.code else EXIT_OK
     try:

@@ -343,12 +343,11 @@ def score_corpus(
     """
     if method not in METHODS:
         raise CoherenceError(f"unknown method {method!r}")
-    if method == "embedding" and embedding_table is None:
-        raise CoherenceError("method 'embedding' requires an embedding table")
-    if method == "esa" and esa_index is None:
-        raise CoherenceError("method 'esa' requires an ESA index")
-    if method == "entity" and entity_table is None:
-        raise CoherenceError("method 'entity' requires an entity vector table")
+    resource, what = {"embedding": (embedding_table, "an embedding table"),
+                      "esa": (esa_index, "an ESA index"),
+                      "entity": (entity_table, "an entity vector table")}[method]
+    if resource is None:
+        raise CoherenceError(f"method {method!r} requires {what}")
 
     docs = corpus.documents
     if method == "entity":

@@ -236,14 +236,13 @@ def _segment(text: str, title: str | None, vocab: Vocabulary) -> Sentences:
     return Sentences(vocab, ids, starts, spans, text, title or "")
 
 
-# A corpus file's cache entry (see `cache.Entry`), of the sentences `segment_corpus`
-# gives its documents. Its head records the size and CRC-32 of `_digest`, and its
-# fields are the int64s sentences, token occurrences and distinct tokens' bytes,
-# then the CRC-32 of those three and the body. The body holds the distinct tokens in
-# first-occurrence order, each with a "\n"; per occurrence, its token's place among
-# them (int32); each document's sentence count and each sentence's token count
-# (int32); each sentence's span (int64 pairs). `str.lower` and `\w` follow the
-# Unicode data of the version line.
+# A corpus file's cache entry (see `cache`), of the sentences `segment_corpus` gives
+# its documents. Its head records the size and CRC-32 of `_digest`, and its fields
+# are the int64s sentences, token occurrences and distinct tokens' bytes. Its
+# sections are the distinct tokens in first-occurrence order, each with a "\n"; per
+# occurrence, its token's place among them (int32); each document's sentence count
+# and each sentence's token count (int32); each sentence's span (int64 pairs).
+# `str.lower` and `\w` follow the Unicode data of the version line.
 _VERSION = f"newscoherence sentences 2 {unicodedata.unidata_version}\n".encode()
 
 
@@ -304,11 +303,8 @@ def _parse(docs: list[Document], titles: list[str | None], vocab: Vocabulary, f,
     section = cache.lines([vocab.tokens[i] for i in distinct.tolist()])
     counts = np.array([len(s) for s in found], np.int32)
     spans = np.concatenate([np.empty((0, 2), np.int64), *(s.spans for s in found)])
-    sizes = [len(spans), len(ids), len(section)]
-    body = [section, local[ids], counts, lengths, spans.ravel()]
-    for part in body:
-        writer.write(part)
-    return found, [*sizes, cache.checksum_of([np.array(sizes, "<i8"), *body])[1]]
+    return found, writer.seal([len(spans), len(ids), len(section)],
+                              [section, local[ids], counts, lengths, spans.ravel()])
 
 
 def _load_entry(docs: list[Document], titles: list[str | None], vocab: Vocabulary,
@@ -316,20 +312,15 @@ def _load_entry(docs: list[Document], titles: list[str | None], vocab: Vocabular
     """The sentences of `docs` that entry file `e` holds, `e` read up to the end of
     its head, whose fields are `fields`; None where its CRC-32 shows it damaged. Only
     then are its tokens passed through `vocab`, in order, as segmentation would add them."""
-    n_sentences, n_ids, token_bytes, crc = fields
-    if (min(fields) < 0 or os.fstat(e.fileno()).st_size != e.tell() + token_bytes
-            + 4 * (n_ids + len(docs) + n_sentences) + 16 * n_sentences):
+    n_sentences, n_ids, token_bytes, _ = fields
+    found = cache.unseal(e, fields, [(bytes, token_bytes), (np.int32, n_ids),
+                                     (np.int32, len(docs)), (np.int32, n_sentences),
+                                     (np.int64, 2 * n_sentences)])
+    if found is None:
         return None
-    section = e.read(token_bytes)
-    ids, counts, lengths = (np.empty(n, np.int32) for n in (n_ids, len(docs), n_sentences))
-    spans = np.empty(2 * n_sentences, np.int64)
-    body = [section, ids, counts, lengths, spans]
-    if (not all(cache.read_into(e, a) for a in body[1:])
-            or cache.checksum_of([np.array(fields[:-1], "<i8"), *body])[1] != crc):
-        return None
+    section, ids, counts, lengths, spans = found
     spans = spans.reshape(-1, 2)
-    tokens = section.decode("utf-8").split("\n")
-    tokens.pop()  # after the last "\n"
+    *tokens, _ = section.decode("utf-8").split("\n")  # each ends in a "\n"
     # In place, with no second array of every id; the ids are as written, so none clips.
     np.take(np.array(list(map(vocab.__getitem__, tokens)), np.int32), ids, out=ids,
             mode="clip")
@@ -441,13 +432,10 @@ def jsonl_records(path: str | Path, required: tuple[str, ...], optional: tuple[s
 
     `where` is "<file> line N"; `values` holds the `required` fields, then the
     `optional` ones (None when absent or null), each a string `require_string` accepts.
-    A byte-order mark before the first line is skipped.
     """
     p = Path(path)
     with open(p, "rb") as f:
         for lineno, line in text_lines(f, p, CorpusError):
-            if lineno == 1:
-                line = line.removeprefix("\ufeff")
             if not line.strip():
                 continue
             where = f"{p} line {lineno}"
@@ -516,8 +504,6 @@ def corpus_stats(corpus: LabeledCorpus, sample_sd: bool = False) -> dict[str, di
             ent_counts = [
                 float(len({m.entity_id for m in d.entity_mentions})) for d in docs
             ]
-            emean, esd = mean_sd(ent_counts, sample_sd)
-            entry["entities_mean"] = emean
-            entry["entities_sd"] = esd
+            entry["entities_mean"], entry["entities_sd"] = mean_sd(ent_counts, sample_sd)
         stats[label] = entry
     return stats

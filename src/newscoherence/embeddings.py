@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import functools
 import io
 import logging
@@ -23,12 +24,12 @@ logger = logging.getLogger(__name__)
 _BLOCK_ROWS = 64
 # Bytes per read of a text file.
 _READ_BYTES = 1 << 14
-# A table's cache entry (see `cache.Entry`): its head, whose fields are the int64s
-# count, dim, token bytes and duplicates, then the CRC-32 of those four, the tokens
-# and the duplicate pairs; every row, float64 in file order; each token and a "\n";
-# and a (line, row) int64 pair per duplicate token. The rows are outside the CRC-32,
-# so that a hit reads only the rows it holds.
-_VERSION = b"newscoherence table 3\n"
+# A table's cache entry (see `cache`): its fields are the int64s count, dim, token
+# bytes and duplicate bytes. Every row, float64 in file order, comes before the
+# sections, outside the entry's CRC-32, so that a hit reads only the rows it holds.
+# The sections are each token and a "\n"; each row's CRC-32 (uint32); and for each
+# duplicate token, its line, a space, the token and a "\n".
+_VERSION = b"newscoherence table 4\n"
 
 __all__ = [
     "EmbeddingTable",
@@ -108,8 +109,9 @@ def text_lines(f, p: Path, error: type[Exception] = EmbeddingError,
                summed: cache.Writer | None = None) -> Iterator[tuple[int, str]]:
     """(line number, text) of each line of a binary file, split at "\\n", "\\r\\n" or
     "\\r" as text mode splits it; decoded a read at a time, up to its last line end.
-    A line that is not UTF-8 raises `error` naming it, once the lines above it are
-    given. Every byte read passes through `summed`."""
+    A UTF-8 byte-order mark at the file's start is skipped. A line that is not UTF-8
+    raises `error` naming it, once the lines above it are given. Every byte read
+    passes through `summed`."""
     chunks = iter(functools.partial(f.read, _READ_BYTES), b"")
     lineno, pending = 0, []  # the bytes read since the last line end
     for data in chain(summed.read(chunks) if summed else chunks, [None]):
@@ -123,6 +125,8 @@ def text_lines(f, p: Path, error: type[Exception] = EmbeddingError,
                 continue
             pending.append(data[:end])
             data, pending = b"".join(pending), [data[end:]]
+        if not lineno:  # the file's start: no line is given before its first line end
+            data = data.removeprefix(codecs.BOM_UTF8)
         if not data:
             continue
         try:
@@ -244,35 +248,21 @@ def _load_entry(p: Path, wanted: set[str] | None, e: BinaryIO, fields: list[int]
     """The table of file `p` that entry file `e` holds, `e` read up to the end of its
     head, whose fields are `fields`: (dim, buffer, held tokens), with the rows a parse
     would hold, once it has warned of duplicates as the parse did. None where its
-    CRC-32 shows it damaged or a held row is not finite. Only the held rows are read,
-    and only the tokens of held rows and of duplicate warnings are kept."""
-    count, dim, nbytes, ndup, crc = fields
+    CRC-32s show it damaged. Only the held rows are read, and only the tokens and
+    CRC-32s of held rows are kept."""
+    count, dim, nbytes, dup_bytes, _ = fields
     rows_at = e.tell()
-    tokens_at = rows_at + count * dim * 8
-    if (min(count, nbytes, ndup) < 0 or dim <= 0
-            or os.fstat(e.fileno()).st_size != tokens_at + nbytes + 16 * ndup):
-        return None
-    e.seek(tokens_at + nbytes)
-    pairs = e.read(16 * ndup)
-    duplicates = np.frombuffer(pairs, "<i8").reshape(-1, 2).tolist()
-    named = [row for _, row in duplicates]  # the row each warning names
-    if not all(a < b for a, b in zip([-1, *named], [*named, count])):  # as a parse writes them
-        return None
-    e.seek(tokens_at)
     runs: list[int] = []  # the first and end row of each run of consecutive held rows
-    tokens, names, at = [], [], 0  # names: the token of each warning
-    rest, left = b"", nbytes  # the bytes after the last "\n" read, and those unread
-    summed = cache.checksum_of([np.array(fields[:-1], "<i8")])[1]
-    while left:  # up to _READ_BYTES a read, decoded up to its last "\n"; a decode error is a miss
-        data = e.read(min(_READ_BYTES, left))
-        if not data:
-            return None
-        left -= len(data)
-        summed = cache.checksum_of([data], summed)[1]
+    bounds = None  # `runs` as an array, once every token is read
+    tokens, crcs = [], []  # of the held rows
+    rest, at, k = b"", 0, 0  # the bytes after the last "\n" read; tokens and CRC-32s read
+
+    def take_tokens(data: bytes) -> None:  # decoded up to its last "\n"; an error is a miss
+        nonlocal rest, at
         end = data.rfind(b"\n") + 1
         if not end:
             rest += data
-            continue
+            return
         # Each token ends in a "\n", and holds no "\r" as written.
         part = (rest + data[:end - 1]).decode("utf-8").split("\n")
         rest = data[end:]
@@ -281,27 +271,31 @@ def _load_entry(p: Path, wanted: set[str] | None, e: BinaryIO, fields: list[int]
             if runs and runs[-1] == row:  # the last run's end
                 runs[-1] += 1
             else:
-                runs += (row, row + 1)
-        tokens += [part[j] for j in taken]
-        while len(names) < ndup and named[len(names)] < at + len(part):
-            names.append(part[named[len(names)] - at])
+                runs.extend((row, row + 1))
+        tokens.extend(part[j] for j in taken)
         at += len(part)
-    if cache.checksum_of([pairs], summed)[1] != crc:
+
+    def take_crcs(data: np.ndarray) -> None:
+        nonlocal bounds, k
+        if not k:  # every token is read: the runs are known
+            bounds = np.array(runs)
+        held = np.searchsorted(bounds, np.arange(k, k + len(data)), "right") % 2 == 1
+        crcs.append(data[held])  # of the rows inside a run
+        k += len(data)
+
+    found = cache.unseal(e, fields, [(bytes, nbytes, take_tokens), ("<u4", count, take_crcs),
+                                     (bytes, dup_bytes)], _READ_BYTES, rows=8 * count * dim)
+    if found is None:
         return None
     # A row at least where the table has one, so that a table holding none is 0 x dim
     # as parsed.
     buf = _row_buffer(max(len(tokens), min(count, 1)), dim)
-    j = 0
-    for first, end in zip(runs[::2], runs[1::2]):
-        e.seek(rows_at + first * dim * 8)
-        if not cache.read_into(e, buf[j:j + end - first]):
-            return None
-        j += end - first
-    # Finite iff the least and greatest are: no rows x dim mask is made.
-    if tokens and not np.isfinite([buf[:j].min(), buf[:j].max()]).all():
+    if not cache.read_rows(e, rows_at, runs, buf, np.concatenate([np.empty(0, "<u4"), *crcs])):
         return None
-    for (lineno, _), token in zip(duplicates, names):
-        _warn_duplicate(p, lineno, token)
+    *duplicates, _ = found[2].decode("utf-8").split("\n")
+    for duplicate in duplicates:
+        lineno, _, token = duplicate.partition(" ")
+        _warn_duplicate(p, int(lineno), token)
     return dim, buf, tokens
 
 
@@ -334,7 +328,7 @@ def _parse_table(p: Path, wanted: set[str] | None, f: BinaryIO, writer: cache.Wr
     buf = _row_buffer(min(limit, os.fstat(f.fileno()).st_size // (2 * dim)), dim)
     tokens, held = [], []  # the tokens of every row, and of the rows in `buf`
     seen: set[str] = set()
-    duplicates: list[tuple[int, int]] = []  # (line, row)
+    duplicates, crcs = [], bytearray()  # each duplicate's line and token; each row's CRC-32
     for linenos, names, rests in _blocks(lines):
         try:
             matrix, bad = _parse_block(rests, dim), len(rests)
@@ -343,13 +337,15 @@ def _parse_table(p: Path, wanted: set[str] | None, f: BinaryIO, writer: cache.Wr
         at = len(tokens)
         for lineno, token in zip(linenos[:bad], names):
             if token in seen:
-                duplicates.append((lineno, len(tokens)))
+                duplicates.append(f"{lineno} {token}")
                 _warn_duplicate(p, lineno, token)
             seen.add(token)
             tokens.append(token)
         if matrix is None:
             raise EmbeddingError(f"{p} line {linenos[bad]}: {what}")
-        writer.write(matrix)
+        if writer.ok:
+            writer.write(matrix)
+            crcs += cache.row_checksums(matrix).tobytes()
         if taken := _held(tokens[at:limit], wanted):
             k = len(held)
             if k + len(taken) > len(buf):
@@ -362,12 +358,10 @@ def _parse_table(p: Path, wanted: set[str] | None, f: BinaryIO, writer: cache.Wr
     if len(tokens) != count:
         raise EmbeddingError(f"{p}: header declares {count} vectors, file has {len(tokens)}")
     fields = None
-    if writer.ok:  # after the rows, the tokens and the duplicates
-        section, pairs = cache.lines(tokens), np.array(duplicates, dtype="<i8")
-        writer.write(section)
-        writer.write(pairs)
-        fields = [len(tokens), dim, len(section), len(duplicates)]
-        fields.append(cache.checksum_of([np.array(fields, "<i8"), section, pairs])[1])
+    if writer.ok:  # after the rows
+        section, dups = cache.lines(tokens), cache.lines(duplicates)
+        fields = writer.seal([len(tokens), dim, len(section), len(dups)],
+                             [section, crcs, dups])
     return (dim, buf, held), fields
 
 

@@ -116,10 +116,8 @@ def _link(docs: list[Document], gaz: Gazetteer):
             raise EntityLinkError(f"document {doc.id!r} has not been segmented")
     hand = Vocabulary()
     encoded = [Sentences.of(doc.sentences, hand) for doc in docs]
-    keyed: dict[int, tuple] = {}
+    keyed = {id(v): _id_surfaces(gaz, v) for v in {id(e.vocab): e.vocab for e in encoded}.values()}
     for doc, sentences in zip(docs, encoded):
-        if id(sentences.vocab) not in keyed:
-            keyed[id(sentences.vocab)] = _id_surfaces(gaz, sentences.vocab)
         yield list(_mentions(doc.text, sentences, *keyed[id(sentences.vocab)]))
 
 
@@ -156,13 +154,7 @@ def _mentions(text: str, sentences: Sentences, surfaces: dict, longest: np.ndarr
 
 def entity_set(mentions: list[EntityMention]) -> list[str]:
     """Distinct entity ids in first-occurrence order."""
-    seen: set[str] = set()
-    out: list[str] = []
-    for m in mentions:
-        if m.entity_id not in seen:
-            seen.add(m.entity_id)
-            out.append(m.entity_id)
-    return out
+    return list(dict.fromkeys(m.entity_id for m in mentions))
 
 
 def link_corpus(corpus: LabeledCorpus, gaz: Gazetteer) -> None:

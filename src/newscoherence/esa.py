@@ -6,7 +6,6 @@ import functools
 import io
 import logging
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -182,11 +181,10 @@ def save_index(index: EsaIndex, path: str | Path) -> None:
 
 
 _CELL = np.dtype([("id", np.int64), ("weight", np.float64)])
-# An index's cache entry (see `cache.Entry`): its head, whose fields are the int64s
-# concepts, tokens, nnz, weighting (its place in WEIGHTINGS), token bytes and title
-# bytes, then the CRC-32 of those six and the body; the body holds indptr, indices,
-# data and df, in the parse's dtypes, then each token and each concept title with a
-# "\n".
+# An index's cache entry (see `cache`): its fields are the int64s concepts, tokens,
+# nnz, weighting (its place in WEIGHTINGS), token bytes and title bytes; its sections
+# are indptr, indices, data and df, in the parse's dtypes, then each token and each
+# concept title with a "\n".
 _VERSION = b"newscoherence index 2\n"
 
 
@@ -225,37 +223,24 @@ def _entry_body(index: EsaIndex, writer: cache.Writer) -> list[int]:
     """Write through `writer` what the cache entry of `index` holds after its head,
     and return the fields of its head."""
     tokens, titles = cache.lines(index.tokens), cache.lines(index.concepts)
-    body = [index.indptr, index.indices, index.data, index.df, tokens, titles]
-    sizes = [index.doc_count, len(index.tokens), len(index.indices),
-             WEIGHTINGS.index(index.weighting), len(tokens), len(titles)]
-    for part in body:
-        writer.write(part)
-    return [*sizes, cache.checksum_of([np.array(sizes, "<i8"), *body])[1]]
+    return writer.seal([index.doc_count, len(index.tokens), len(index.indices),
+                        WEIGHTINGS.index(index.weighting), len(tokens), len(titles)],
+                       [index.indptr, index.indices, index.data, index.df, tokens, titles])
 
 
 def _load_entry(e, fields: list[int]) -> EsaIndex | None:
     """The index that entry file `e` holds, `e` read up to the end of its head, whose
     fields are `fields`. None where its CRC-32 shows it damaged or it holds what a
     parse would reject."""
-    doc_count, n, nnz, weighting, token_bytes, title_bytes, crc = fields
-    if (min(fields) < 0 or weighting >= len(WEIGHTINGS) or os.fstat(e.fileno()).st_size
-            != e.tell() + 8 * (2 * n + 1 + 2 * nnz) + token_bytes + title_bytes):
+    doc_count, n, nnz, weighting, token_bytes, title_bytes, _ = fields
+    found = cache.unseal(e, fields, [(np.int64, n + 1), (np.int64, nnz), (np.float64, nnz),
+                                     (np.int64, n), (bytes, token_bytes), (bytes, title_bytes)])
+    if found is None or weighting >= len(WEIGHTINGS):
         return None
-    indptr, indices, df = (np.empty(k, np.int64) for k in (n + 1, nnz, n))
-    data = np.empty(nnz, np.float64)
-    if not all(cache.read_into(e, a) for a in (indptr, indices, data, df)):
-        return None
-    texts = e.read(token_bytes + title_bytes)
-    body = [indptr, indices, data, df, texts]
-    if cache.checksum_of([np.array(fields[:-1], "<i8"), *body])[1] != crc:
-        return None
-    tokens = texts[:token_bytes].decode("utf-8").split("\n")
-    concepts = texts[token_bytes:].decode("utf-8").split("\n")
-    if (tokens.pop() or concepts.pop() or (len(tokens), len(concepts)) != (n, doc_count)
-            or indptr[0] != 0 or indptr[-1] != nnz or (df < 0).any()):
-        return None
+    indptr, indices, data, df = found[:4]
+    tokens, concepts = (texts.decode("utf-8").split("\n")[:-1] for texts in found[4:])
     widths = np.diff(indptr)
-    if (widths < 0).any():
+    if indptr[0] != 0 or indptr[-1] != nnz or (df < 0).any() or (widths < 0).any():
         return None
     _check_cells(indices, data, widths, doc_count)
     index = EsaIndex(concepts=concepts, tokens=tokens, indptr=indptr, indices=indices,

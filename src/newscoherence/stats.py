@@ -196,44 +196,20 @@ def build_histogram(
     if width == 0.0:
         raise StatsError("histogram bucket width underflows to 0")
     edges = [lower + i * width for i in range(bucket_count)] + [upper]
-
-    percentages: dict[str, list[float]] = {}
-    counts: dict[str, list[int]] = {}
-    below: dict[str, int] = {}
-    above: dict[str, int] = {}
+    hist = Histogram(lower, upper, bucket_count, edges, percentages={}, counts={},
+                     clamped_below={}, clamped_above={})
     for label, values in scores_by_label.items():
         if not values:
             continue
         buckets = [0] * bucket_count
-        n_below = n_above = 0
         for v in values:
-            if v < lower:
-                buckets[0] += 1
-                n_below += 1
-            elif v > upper:
-                buckets[-1] += 1
-                n_above += 1
-            elif v == upper:
-                buckets[-1] += 1
-            else:
-                idx = int((v - lower) / width)
-                buckets[min(idx, bucket_count - 1)] += 1
-        n = len(values)
-        counts[label] = buckets
-        percentages[label] = [100.0 * c / n for c in buckets]
-        below[label] = n_below
-        above[label] = n_above
-
-    return Histogram(
-        lower=lower,
-        upper=upper,
-        bucket_count=bucket_count,
-        edges=edges,
-        percentages=percentages,
-        counts=counts,
-        clamped_below=below,
-        clamped_above=above,
-    )
+            buckets[0 if v < lower else -1 if v >= upper
+                    else min(int((v - lower) / width), bucket_count - 1)] += 1
+        hist.counts[label] = buckets
+        hist.percentages[label] = [100.0 * c / len(values) for c in buckets]
+        hist.clamped_below[label] = sum(v < lower for v in values)
+        hist.clamped_above[label] = sum(v > upper for v in values)
+    return hist
 
 
 def compare(

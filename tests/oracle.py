@@ -9,6 +9,7 @@ per-sentence embedding means with the vector lookup and mean they take."""
 
 from __future__ import annotations
 
+import codecs
 import io
 import logging
 import math
@@ -209,9 +210,10 @@ _ref_logger = logging.getLogger("newscoherence.embeddings")
 def text_lines_ref(data: bytes):
     """The lines of `data` as the line reader read them before it read in blocks:
     each "\\n"-ended chunk, split again at "\\r" and "\\r\\n", decoded one by one.
-    Returns the lines above the first one that is not UTF-8, and that line's error."""
+    Returns the lines above the first one that is not UTF-8, and that line's error.
+    A UTF-8 byte-order mark at the start is skipped."""
     lines = []
-    for chunk in io.BytesIO(data):
+    for chunk in io.BytesIO(data.removeprefix(codecs.BOM_UTF8)):
         for raw in chunk.splitlines() if b"\r" in chunk else (chunk,):
             try:
                 lines.append(raw.decode("utf-8").rstrip("\n"))

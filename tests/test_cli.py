@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
@@ -218,6 +219,24 @@ class TestConfig:
         rc = main(["report", "--config", str(workspace / "run.conf"), *bounds])
         assert rc == EXIT_USAGE
         assert "histogram range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bounds, error", [
+        (["--hist-lower", "-1e-3", "--hist-upper", "-2e-3"], "'hist_lower': must be < hist_upper"),
+        (["--hist-upper", "-1E+3"], "'hist_lower': must be < hist_upper"),
+        (["--hist-low", "-1e-3", "--hist-up", "-2e-3"], "'hist_lower': must be < hist_upper"),
+        (["--hist-lower", "-inf"], "histogram range")],
+        ids=["exponent", "upper", "abbreviated", "-inf"])
+    def test_negative_number_after_a_flag_is_its_value(self, workspace, capsys, bounds, error):
+        """A value in exponent form, or -inf, is not taken for a flag of its own:
+        it reaches the config check."""
+        rc = main(["report", "--config", str(workspace / "run.conf"), *bounds])
+        assert rc == EXIT_USAGE
+        assert error in capsys.readouterr().err
+
+    def test_byte_order_mark_is_skipped(self, workspace):
+        p = workspace / "bom.conf"
+        p.write_bytes(codecs.BOM_UTF8 + (workspace / "run.conf").read_bytes())
+        assert load_config(p) == load_config(workspace / "run.conf")
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     def test_esa_min_weight_must_be_finite(self, workspace, capsys, weight):

@@ -7,6 +7,7 @@ import itertools
 import json
 import logging
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -591,12 +592,14 @@ class TestSentencesCache:
         assert got[:2] == again[:2] == self._fresh(monkeypatch, tmp_path, load, include_title)
 
     @pytest.mark.parametrize("damage", [
-        "truncated", "other version", "token not UTF-8", "tokens not ending in a line end",
+        "truncated", "byte appended", "negative field", "field past the file",
+        "other version", "token not UTF-8", "tokens not ending in a line end",
         "a token twice", "id past the token count", "ids out of first-occurrence order",
         "sentence counts that disagree", "counts that keep their sum",
         "token counts that disagree", "span outside its text", "span inside its text",
         "body span on the title"])
     def test_damaged_entry_segments_again(self, tmp_path, vector_cache, monkeypatch, damage):
+        """A miss, that allocates nothing of a size that its fields claim past the file."""
         p, entry = self._entry(tmp_path, monkeypatch)
         load = functools.partial(load_csv, p, Label.FAKE)
         want, data = entry.read_bytes(), bytearray(entry.read_bytes())
@@ -614,6 +617,12 @@ class TestSentencesCache:
 
         if damage == "truncated":
             del data[len(data) // 2:]
+        elif damage == "byte appended":
+            data += b"\0"
+        elif damage == "negative field":  # the ids' bytes moved into the tokens'
+            put(head - 24, [-1, token_bytes + 4 * (n_ids + 1)], "<i8")
+        elif damage == "field past the file":
+            put(head - 24, n_ids + (1 << 40), "<i8")
         elif damage == "other version":
             data[:len(corpus_mod._VERSION)] = corpus_mod._VERSION.replace(b" 2 ", b" 1 ")
         elif damage == "token not UTF-8":
@@ -640,7 +649,13 @@ class TestSentencesCache:
         elif damage == "body span on the title":
             put(spans, [0, 5], "<i8")
         entry.write_bytes(bytes(data))
-        got = self._segmented(monkeypatch, load, True)
+        tracemalloc.start()
+        try:
+            got = self._segmented(monkeypatch, load, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 24, peak
         assert got[2] == 2 and entry.read_bytes() == want  # segmented, and written again
         assert got[:2] == self._fresh(monkeypatch, tmp_path, load, True)
 

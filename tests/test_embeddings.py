@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import errno
 import functools
 import hashlib
@@ -119,6 +120,19 @@ class TestLoadVectorsText:
         p.write_bytes(b"2 2\na 1 0\n\xffb 0 1\n")
         with pytest.raises(EmbeddingError, match="v.txt line 3: invalid UTF-8"):
             load_vectors_text(p)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, vector_cache, monkeypatch):
+        """At the file's start only, by a parse and by a hit of its entry alike."""
+        p = tmp_path / "v.txt"
+        p.write_bytes(codecs.BOM_UTF8 + "2 2\na 1 2\n\ufeffb 3 4\n".encode())
+        index = tmp_path / "i.esa"
+        index.write_bytes(codecs.BOM_UTF8 + b"ESA1\t1\ttf\nC\tA\nT\tb\t1\t0:4\n")
+        for _ in range(2):
+            table = load_vectors_text(p)
+            assert list(table.rows) == ["a", "\ufeffb"] and table.matrix.tolist() == [[1, 2], [3, 4]]
+            assert load_index(index).inverted == {"b": {0: 4.0}}
+            parses = _parses(monkeypatch), _parses(monkeypatch, "index")
+        assert parses == ([], []) and len(_entries(vector_cache)) == 2
 
     def test_lone_carriage_return_ends_a_line(self, tmp_path):
         p = tmp_path / "v.txt"
@@ -282,6 +296,7 @@ class TestTextLines:
 
     @seed(20191112)
     @given(pieces=st.lists(st.sampled_from([b"a", b" 1", b"\n", b"\r", b"\r\n", b"\xff",
+                                            codecs.BOM_UTF8,
                                             "é".encode(), "日".encode()[:2], b""]), max_size=30),
            read=st.integers(1, 9))
     @settings(max_examples=300, deadline=None,
@@ -458,6 +473,9 @@ def _set(name, at, value):
 # keeps. The index is TestCache.INDEX.
 _INDEX_DAMAGES = {
     "index truncated": None,
+    "index byte appended": None,
+    "index negative field": None,
+    "index field past the file": None,
     "index weight changed": None,
     "index table line": embeddings._VERSION,
     "index other version": b"newscoherence index 1\n",
@@ -550,7 +568,7 @@ class TestCache:
         to either layout must change its version line too."""
         for p, load, version, digest in [
                 (self._table(tmp_path), load_vectors_text, embeddings._VERSION,
-                 "40ab624869bac4be6cf0308a7d8d68d928deb1320a5cfb8458d9a75d9d54133e"),
+                 "713d0f5c31f822ffda6a841030ff0d172966b43764127178dbe87bdf45813a31"),
                 (self._index(tmp_path), load_index, esa._VERSION,
                  "a5c1c8a9603d7b51d31b646fcc07283dd60776dc4a36e506df82a9c49ab81f3e")]:
             load(p)
@@ -636,11 +654,14 @@ class TestCache:
             assert row(p) == edited and len(parses) == 1
         assert len(_entries(vector_cache)) == 2
 
-    @pytest.mark.parametrize("damage", ["truncated", "other version", "inf in a row",
+    @pytest.mark.parametrize("damage", ["truncated", "byte appended", "negative field",
+                                        "field past the file", "other version", "inf in a row",
+                                        "held row changed", "unheld row changed, then held",
                                         "token not UTF-8", "token renamed",
                                         "tokens not ending in a line end",
-                                        "duplicate past the last row", *_INDEX_DAMAGES])
+                                        "duplicate line changed", *_INDEX_DAMAGES])
     def test_damaged_entry_is_parsed_again(self, tmp_path, vector_cache, monkeypatch, damage):
+        """A miss, that allocates nothing of a size that its fields claim past the file."""
         kind = "index" if damage in _INDEX_DAMAGES else "table"
         p, load, version = ((self._index(tmp_path), load_index, esa._VERSION) if kind == "index"
                             else (self._table(tmp_path), functools.partial(_loaded, load_vectors_text),
@@ -651,32 +672,58 @@ class TestCache:
         if callable(change):
             _damaged_index(p, change)
         data = bytearray(entry.read_bytes())
+        n = 7 if kind == "index" else 5  # fields: the last two sizes are of bytes sections
+        head = cache.entry(p, version, n).head_size
+        fields = np.frombuffer(data, "<i8", n, head - 8 * n).copy()
         if damage.endswith("truncated"):
             del data[len(data) // 2:]
+        elif damage.endswith("byte appended"):
+            data += b"\0"
+        elif damage.endswith("negative field"):  # bytes of one section moved into the next
+            fields[-3:-1] = -4, fields[-2] + fields[-3] + 4
+        elif damage.endswith("field past the file"):
+            fields[-2] += 1 << 40
         elif damage == "other version":
-            data[:len(version)] = b"newscoherence table 2\n"
+            data[:len(version)] = b"newscoherence table 3\n"
         elif damage == "inf in a row":  # the first row's first component
-            head = cache.entry(p, version, 5).head_size
             data[head:head + 8] = np.float64(np.inf).tobytes()
+        elif damage == "held row changed":  # the first row's first component, 1 as 9
+            assert data[head:head + 8] == np.float64(1).tobytes()
+            data[head:head + 8] = np.float64(9).tobytes()
+        elif damage == "unheld row changed, then held":  # kiwi's 1 as 5
+            assert data[head + 4 * 16 + 8:head + 5 * 16] == np.float64(1).tobytes()
+            data[head + 4 * 16 + 8:head + 5 * 16] = np.float64(5).tobytes()
         elif damage == "token not UTF-8":  # the first token's first byte
-            data[cache.entry(p, version, 5).head_size + 7 * 2 * 8] = 0xFF
+            data[head + 7 * 2 * 8] = 0xFF
         elif damage == "token renamed":  # "apple" as "bpple"
-            at = cache.entry(p, version, 5).head_size + 7 * 2 * 8
+            at = head + 7 * 2 * 8
             assert data[at:at + 6] == b"apple\n"
             data[at] = ord("b")
         elif damage == "index weight changed":  # data[0], after indptr's 4 and indices' 3
-            at = cache.entry(p, version, 7).head_size + 8 * (4 + 3)
+            at = head + 8 * (4 + 3)
             assert data[at:at + 8] == np.float64(1.5).tobytes()
             data[at:at + 8] = np.float64(7.0).tobytes()
-        elif damage == "tokens not ending in a line end":  # before the one duplicate pair
-            data[-17] = ord("x")
-        elif damage == "duplicate past the last row":  # the one duplicate pair's row
-            data[-8:] = np.int64(7).tobytes()
+        elif damage == "tokens not ending in a line end":  # before 7 row CRC-32s, "6 Apple\n"
+            assert data[-37:-36] == b"\n" and data[-8:] == b"6 Apple\n"
+            data[-37] = ord("x")
+        elif damage == "duplicate line changed":  # "6 Apple" as "9 Apple"
+            data[-8] = ord("9")
         elif isinstance(change, bytes):
             data[:len(version)] = change
+        if damage.endswith(("negative field", "field past the file")):
+            data[head - 8 * n:head] = fields.tobytes()
         entry.write_bytes(bytes(data))
         parses = _parses(monkeypatch, kind)
-        assert load(p) == want and len(parses) == 1
+        if damage == "unheld row changed, then held":  # a hit while the row is not held
+            pear = load_vectors_text(p, keep=["pear"])
+            assert not parses and pear.matrix.tolist() == [[5.0, 6.0]]
+        tracemalloc.start()
+        try:
+            assert load(p) == want and len(parses) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 24, peak
         assert load(p) == want and len(parses) == 1  # written again
 
     def test_failed_write_leaves_no_entry(self, tmp_path, vector_cache, monkeypatch, caplog):
